@@ -19,11 +19,16 @@ from .search import (
     report_summary,
     report_to_dict,
 )
-from .super_branch import CATALOG, branch_to_even, build_super
+from .super_branch import CATALOG, branch_to_even, build_super, typical_dimension
 
 
 def _parse_hw(text: str):
-    return tuple(Fraction(tok) for tok in text.split(","))
+    try:
+        return tuple(Fraction(tok) for tok in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidLabelsError(
+            f"bad highest weight {text!r}: expected comma-separated rationals "
+            f"such as 5/2,0,1") from exc
 
 
 def _data_dir() -> str:
@@ -45,10 +50,8 @@ def _catalog_diagram(entry):
 def cmd_list_catalog(args) -> int:
     from .young_forms import render_diagram
     for e in CATALOG:
-        sa = e.build()
-        branch = branch_to_even(sa, e.labels)
-        total = sum(x.mult * x.dim(sa) for x in branch)
-        hw = ",".join(str(x) for x in e.labels)
+        total = typical_dimension(e.build(), e.labels)
+        hw = tables_mod.render_hw(e.labels)
         print(f"{e.key:22s} table {e.table}  highest weight ({hw})  dim {total}")
         if args.diagrams:
             diagram = _catalog_diagram(e)
@@ -68,12 +71,8 @@ def cmd_branch(args) -> int:
         print(json.dumps({"algebra": args.algebra, "highest_weight": args.hw,
                           "entries": rows}, indent=1))
     elif args.format == "csv":
-        print("stage,label,dim,multiplicity,d3_running")
-        d3 = 0
-        for r in rows:
-            if r["dim"] % 3 == 0:
-                d3 += r["dim"] * r["mult"]
-            print(f"{args.algebra},{r['labels']},{r['dim']},{r['mult']},{d3}")
+        print(tables_mod._csv((args.algebra, r["labels"], r["dim"], r["mult"])
+                              for r in rows), end="")
     else:
         print(f"{args.algebra} ({args.hw}) -> " + "+".join(sa.factor_names))
         for r in rows:
@@ -96,14 +95,10 @@ def cmd_chain(args) -> int:
                "stats": {"multiplets": stats.n_multiplets, "d3": stats.d3}}
         print(json.dumps(doc, indent=1))
     elif args.format == "csv":
-        print("stage,label,dim,multiplicity,d3_running")
-        d3 = 0
         stage = "+".join(dist.stage.names)
-        for e in dist.entries:
-            d = dist.stage.dimension(e.labels)
-            if d % 3 == 0:
-                d3 += d * e.mult
-            print(f"{stage},{dist.stage.render(e.labels)},{d},{e.mult},{d3}")
+        print(tables_mod._csv((stage, dist.stage.render(e.labels),
+                               dist.stage.dimension(e.labels), e.mult)
+                              for e in dist.entries), end="")
     else:
         print(f"{args.chain_id}: " + " -> ".join("+".join(s.names) for s in dist.stages))
         for e in dist.entries:

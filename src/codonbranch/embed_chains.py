@@ -181,23 +181,10 @@ def diagonal_clebsch(a: int, b: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class StageAlgebra:
+class StageAlgebra(SemisimpleAlgebra):
     """The residual symmetry at one point of a chain."""
 
-    factors: tuple  # RootSystem per factor
     names: tuple    # display names; pure-sl(2) stages use slot names "1", "12", ...
-
-    def algebra(self) -> SemisimpleAlgebra:
-        return SemisimpleAlgebra(self.factors)
-
-    def dimension(self, labels) -> int:
-        d = 1
-        for f, l in zip(self.factors, labels):
-            d *= weyl_dimension(f, l)
-        return d
-
-    def conjugate(self, labels):
-        return tuple(f.conjugate(l) for f, l in zip(self.factors, labels))
 
     def all_sl2(self) -> bool:
         return all(f.series == "A" and f.rank == 1 for f in self.factors)

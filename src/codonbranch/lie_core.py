@@ -52,10 +52,6 @@ def vsub(a: Weight, b: Weight) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vneg(a: Weight) -> Weight:
-    return tuple(-x for x in a)
-
-
 def vscale(a: Weight, k) -> Weight:
     k = fr(k)
     return tuple(k * x for x in a)
@@ -124,6 +120,28 @@ def char_product(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     return FormalCharacter(terms)
 
 
+def _to_chamber(w: Weight, simple_roots: tuple, regular: bool):
+    """Walk ``w`` into the dominant chamber of the Weyl group generated by
+    the reflections in ``simple_roots``.
+
+    Returns the chamber representative and the sign of the Weyl element used.
+    With ``regular`` set, returns ``None`` as soon as ``w`` lies on a wall:
+    walls are Weyl-invariant, so the representative would lie on one too.
+    """
+    sign = 1
+    while True:
+        for a in simple_roots:
+            label = 2 * vdot(w, a) / vdot(a, a)
+            if label < 0:
+                w = vsub(w, vscale(a, label))
+                sign = -sign
+                break
+            if regular and label == 0:
+                return None
+        else:
+            return w, sign
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """A simple classical root system in its orthonormal realization."""
@@ -177,42 +195,7 @@ class RootSystem:
     def to_dominant(self, w: Weight):
         """Dominant Weyl-chamber representative of ``w`` and the sign of the
         element used (meaningful only for regular weights)."""
-        sign = 1
-        while True:
-            for i in range(self.rank):
-                if self.label_of(w, i) < 0:
-                    w = self.reflect(w, i)
-                    sign = -sign
-                    break
-            else:
-                return w, sign
-
-    def to_dominant_regular(self, w: Weight):
-        """Like :meth:`to_dominant`, but ``None`` if ``w`` lies on a wall."""
-        sign = 1
-        while True:
-            for i in range(self.rank):
-                l = self.label_of(w, i)
-                if l == 0:
-                    return None
-                if l < 0:
-                    w = self.reflect(w, i)
-                    sign = -sign
-                    break
-            else:
-                return w, sign
-
-    def weyl_orbit(self, w: Weight) -> set:
-        seen = {w}
-        queue = [w]
-        while queue:
-            v = queue.pop()
-            for i in range(self.rank):
-                v2 = self.reflect(v, i)
-                if v2 not in seen:
-                    seen.add(v2)
-                    queue.append(v2)
-        return seen
+        return _to_chamber(w, self.simple_roots, False)
 
     def root_coefficients(self, v: Weight) -> tuple:
         """Coordinates of ``v`` in the simple-root basis (closed forms)."""
@@ -228,9 +211,6 @@ class RootSystem:
         if self.series == "C":
             return tuple(partial[:-1]) + (partial[-1] / 2,)
         raise UnsupportedAlgebraError(self.series)
-
-    def height(self, w: Weight) -> Fraction:
-        return vdot(w, self.rho0)
 
     def conjugate(self, labels: Labels) -> Labels:
         # Label reversal for A-series; B and C irreps are self-conjugate.
@@ -394,7 +374,7 @@ def virtual_character_decomp(rs: RootSystem, mu: Weight):
     ``(sign, labels)`` identifying the signed irreducible character equal to
     the alternating orbit sum of ``mu``.
     """
-    res = rs.to_dominant_regular(vadd(mu, rs.rho0))
+    res = _to_chamber(vadd(mu, rs.rho0), rs.simple_roots, True)
     if res is None:
         return None
     dom, sign = res

@@ -135,6 +135,10 @@ def break_multiplet(m: Multiplet, kind: str, idx: int):
             for p in pieces]
 
 
+# Slot state each breaking kind acts on.
+_NEEDS = {"soft": "u", "strong": "u", "strong_after_soft": "o"}
+
+
 @dataclass(frozen=True)
 class PhaseOp:
     """One distribution-wide breaking operation, by slot name."""
@@ -142,13 +146,26 @@ class PhaseOp:
     kind: str  # "soft" | "strong" | "strong_after_soft"
     slot: str
 
+    @classmethod
+    def parse(cls, token: str) -> "PhaseOp":
+        """The operation written as a ``kind:slot`` token."""
+        kind, sep, slot = token.partition(":")
+        if not sep:
+            raise SlotError(f"breaking op {token!r} is not of the form kind:slot")
+        return cls(kind, slot)
+
     def render(self) -> str:
         return f"{self.kind}:{self.slot}"
 
 
 def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
+    if op.kind not in _NEEDS:
+        raise SlotError(f"unknown breaking kind {op.kind!r}; kinds are {', '.join(_NEEDS)}")
+    if op.slot not in state.slot_names:
+        raise SlotError(f"unknown slot {op.slot!r} in {op.render()}; "
+                        f"valid slots: {', '.join(state.slot_names)}")
     idx = state.slot_names.index(op.slot)
-    want = {"soft": "u", "strong": "u", "strong_after_soft": "o"}[op.kind]
+    want = _NEEDS[op.kind]
     for e in state.entries:
         if e.slots[idx][0] != want:
             raise SlotError(
@@ -188,52 +205,38 @@ class Stats:
         return dict(self.dim_histogram)
 
 
-def _pairing(items) -> bool:
-    """items: iterable of (key, conjugate key, count)."""
-    counts: dict = {}
-    for key, conj, n in items:
+def _stats(rows) -> Stats:
+    """Statistics of (dim, key, conjugate key, mult) rows.  Keys identify a
+    multiplet and its conjugate; the distribution is totally paired when every
+    conjugation class has an even count."""
+    dims: dict = {}
+    classes: dict = {}
+    total = d3 = singlets = odd = 0
+    for d, key, conj, n in rows:
+        total += n
+        dims[d] = dims.get(d, 0) + n
+        if d % 3 == 0:
+            d3 += d * n
+        if d == 1:
+            singlets += n
+        if d % 2 == 1:
+            odd += n
         cls = min(key, conj)
-        counts[cls] = counts.get(cls, 0) + n
-    return bool(counts) and all(n % 2 == 0 for n in counts.values())
+        classes[cls] = classes.get(cls, 0) + n
+    pairing = bool(classes) and all(n % 2 == 0 for n in classes.values())
+    return Stats(total, d3, singlets, odd, pairing,
+                 tuple(sorted(dims.items(), reverse=True)))
 
 
 def phase2_stats(state: Phase2State) -> Stats:
-    dims = {}
-    d3 = singlets = odd = 0
-    pairing_items = []
-    for e in state.entries:
-        d = e.dim()
-        dims[d] = dims.get(d, 0) + e.mult
-        if d % 3 == 0:
-            d3 += d * e.mult
-        if d == 1:
-            singlets += e.mult
-        if d % 2 == 1:
-            odd += e.mult
-        pairing_items.append((e.slots, e.conjugate().slots, e.mult))
-    return Stats(state.count(), d3, singlets, odd, _pairing(pairing_items),
-                 tuple(sorted(dims.items(), reverse=True)))
+    return _stats((e.dim(), e.slots, e.conjugate().slots, e.mult)
+                  for e in state.entries)
 
 
 def distribution_stats(dist: Distribution) -> Stats:
-    dims = {}
-    d3 = singlets = odd = 0
-    pairing_items = []
     stage = dist.stage
-    total = 0
-    for e in dist.entries:
-        d = stage.dimension(e.labels)
-        total += e.mult
-        dims[d] = dims.get(d, 0) + e.mult
-        if d % 3 == 0:
-            d3 += d * e.mult
-        if d == 1:
-            singlets += e.mult
-        if d % 2 == 1:
-            odd += e.mult
-        pairing_items.append((e.labels, stage.conjugate(e.labels), e.mult))
-    return Stats(total, d3, singlets, odd, _pairing(pairing_items),
-                 tuple(sorted(dims.items(), reverse=True)))
+    return _stats((stage.dimension(e.labels), e.labels, stage.conjugate(e.labels), e.mult)
+                  for e in dist.entries)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ conjugate pair, so inside the second phase it must not cut continuations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .embed_chains import (
     CHAINS,
@@ -44,7 +45,6 @@ from .phase2 import (
     from_distribution,
     phase2_stats,
     render_slot,
-    slot_dim,
 )
 from .super_branch import CATALOG
 
@@ -127,10 +127,8 @@ def freeze_groups(state: Phase2State, op: PhaseOp):
         acc[e.slots] = acc.get(e.slots, 0) + e.mult
     groups = []
     for slots, count in sorted(acc.items()):
-        dim = 1
-        for s in slots:
-            dim *= slot_dim(s)
         probe = Multiplet(slots, 1, ())
+        dim = probe.dim()
         pieces = {}
         for piece in break_multiplet(probe, op.kind, idx):
             d = piece.dim()
@@ -230,27 +228,16 @@ def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2Stat
 # triplet feasibility
 
 
-def reachable_triplet_counts(slots: tuple, _memo={}) -> frozenset:
+@lru_cache(maxsize=None)
+def reachable_triplet_counts(slots: tuple) -> frozenset:
     """Counts of dimension-3 pieces reachable from one multiplet.
 
     Explores every sequence of slot operations applied to the multiplet's
     own descendants (operations act on all pieces at once, as they do
     distribution-wide); the count at every stopping point is collected.
     """
-    key = slots
-    if key in _memo:
-        return _memo[key]
-    _memo[key] = frozenset()  # cycle guard; states strictly shrink anyway
-
     def triplets(states):
-        n = 0
-        for st in states:
-            d = 1
-            for s in st:
-                d *= slot_dim(s)
-            if d == 3:
-                n += 1
-        return n
+        return sum(Multiplet(st, 1, ()).dim() == 3 for st in states)
 
     found = set()
     seen = set()
@@ -274,8 +261,7 @@ def reachable_triplet_counts(slots: tuple, _memo={}) -> frozenset:
                     for piece in break_multiplet(Multiplet(mslots, 1, ()), kind, i):
                         nxt.append(piece.slots)
                 stack.append(tuple(sorted(nxt)))
-    _memo[key] = frozenset(found)
-    return _memo[key]
+    return frozenset(found)
 
 
 def can_yield_triplet(slots: tuple) -> bool:
@@ -324,8 +310,12 @@ class Phase2Result:
     pruned: list = field(default_factory=list)       # (plan, violations)
 
 
-def enumerate_phase2(start: Phase2State, target=None, max_depth: int = 8) -> Phase2Result:
-    """Depth-first plan enumeration with pruning and final-step mask solving."""
+def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
+    """Depth-first plan enumeration with pruning and final-step mask solving.
+
+    Each slot takes at most two operations (soft then strong, or strong), so
+    plans are at most twice as long as there are slots.
+    """
     target = target or GENETIC_CODE_TARGET
     result = Phase2Result()
     seen_states = set()
@@ -333,7 +323,7 @@ def enumerate_phase2(start: Phase2State, target=None, max_depth: int = 8) -> Pha
     def state_key(state: Phase2State):
         return tuple(sorted((e.slots, e.history, e.mult) for e in state.entries))
 
-    def walk(state, plan, depth):
+    def walk(state, plan):
         for op in available_ops(state):
             child = apply_op(state, op)
             st = phase2_stats(child)
@@ -341,6 +331,7 @@ def enumerate_phase2(start: Phase2State, target=None, max_depth: int = 8) -> Pha
             terminal = all(e.dim() <= 6 for e in child.entries)
             masks = solve_freezing(state, op, target) if terminal else []
             new_plan = plan + (op,)
+            assert len(new_plan) <= 2 * len(start.slot_names)
             result.nodes.append(OptionNode(new_plan, st, violations, terminal,
                                            len(masks)))
             if masks:
@@ -355,10 +346,9 @@ def enumerate_phase2(start: Phase2State, target=None, max_depth: int = 8) -> Pha
             if key in seen_states:
                 continue
             seen_states.add(key)
-            if depth < max_depth:
-                walk(child, new_plan, depth + 1)
+            walk(child, new_plan)
 
-    walk(start, (), 0)
+    walk(start, ())
     return result
 
 
@@ -467,11 +457,7 @@ def apply_plan(chain_id: str, plan) -> Phase2State:
     """Run a chain and a phase-2 plan given as 'kind:slot' tokens."""
     state = from_distribution(apply_chain(chain_id))
     for token in plan:
-        if isinstance(token, PhaseOp):
-            op = token
-        else:
-            kind, _, slot = token.partition(":")
-            op = PhaseOp(kind, slot)
+        op = token if isinstance(token, PhaseOp) else PhaseOp.parse(token)
         state = apply_op(state, op)
     return state
 

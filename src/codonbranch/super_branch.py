@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .lie_core import (
     InvalidLabelsError,
-    RootSystem,
+    _to_chamber,
     build_root_system,
     fr,
     vadd,
@@ -57,7 +57,6 @@ class SuperAlgebra:
     even_positive_roots: tuple
     odd_positive_roots: tuple
     odd_isotropic: tuple
-    odd_simple_index: int  # position of the odd node in the distinguished diagram
     factor_systems: tuple  # RootSystem per semisimple even factor
     factor_simples: tuple  # simple roots of each factor, as super-space vectors
     factor_names: tuple
@@ -91,28 +90,19 @@ class SuperAlgebra:
     def to_dominant_regular(self, w):
         """Dominant chamber representative under the even Weyl group, with
         the sign of the reflecting element; ``None`` on a wall."""
-        sign = 1
-        while True:
-            for a in self.even_simple_roots:
-                l = self.even_label(w, a)
-                if l == 0:
-                    return None
-                if l < 0:
-                    w = vsub(w, vscale(a, 2 * vdot(w, a) / vdot(a, a)))
-                    sign = -sign
-                    break
-            else:
-                return w, sign
+        return _to_chamber(w, self.even_simple_roots, True)
 
     def factor_labels(self, w):
         """Per-factor Dynkin labels of an even highest weight vector."""
         out = []
-        for simples in self.factor_simples:
+        for name, simples in zip(self.factor_names, self.factor_simples):
             labs = []
             for a in simples:
                 l = self.even_label(w, a)
                 if l.denominator != 1 or l < 0:
-                    raise InvalidLabelsError(f"bad even label {l} at {w}")
+                    raise InvalidLabelsError(
+                        f"{self.name}: {name} label {l} of the even highest weight "
+                        f"({', '.join(map(str, w))}) is not a nonnegative integer")
                 labs.append(int(l))
             out.append(tuple(labs))
         return tuple(out)
@@ -140,7 +130,7 @@ def _sl(m: int, n: int) -> SuperAlgebra:
     odd = [vsub(e[i], e[m + j]) for i in range(m) for j in range(n)]
     return SuperAlgebra(f"sl({m}|{n})", "sl", m, n, dim, signs,
                         tuple(even_simple), tuple(even_pos), tuple(odd),
-                        (True,) * len(odd), m - 1,
+                        (True,) * len(odd),
                         tuple(factors), tuple(fsimples), tuple(fnames), 1)
 
 
@@ -173,7 +163,7 @@ def _osp(M: int, N: int) -> SuperAlgebra:
         odd = [vsub(eps, d) for d in delta] + [vadd(eps, d) for d in delta]
         return SuperAlgebra(f"osp({M}|{N})", family, m, n, dim, signs,
                             tuple(simple), tuple(pos), tuple(odd),
-                            (True,) * len(odd), 0,
+                            (True,) * len(odd),
                             (rs,), (tuple(simple),), (name,), 1)
 
     # Coordinates: (delta_1 .. delta_n | epsilon_1 .. epsilon_m).
@@ -218,7 +208,7 @@ def _osp(M: int, N: int) -> SuperAlgebra:
     even_simple = even_simple + even_simple_extra + so_simple
     return SuperAlgebra(f"osp({M}|{N})", family, m, n, dim, signs,
                         tuple(even_simple), tuple(even_pos), tuple(odd),
-                        tuple(iso), n - 1,
+                        tuple(iso),
                         tuple(factors), tuple(fsimples), tuple(fnames), 0)
 
 
@@ -252,7 +242,6 @@ def build_super(kind: str) -> SuperAlgebra:
 def kac_weight(sa: SuperAlgebra, labels) -> tuple:
     """Highest weight vector from distinguished Kac-Dynkin labels."""
     labels = tuple(fr(x) for x in labels)
-    r = sa.dim - 1 if sa.family != "ospD" else sa.dim
     # Number of nodes: sl(m|n): m+n-1; ospB/C: n+m; ospD: n+m.
     expected = {"sl": sa.m + sa.n - 1, "ospB": sa.n + sa.m,
                 "ospC": 1 + sa.n, "ospD": sa.n + sa.m}[sa.family]
@@ -351,10 +340,13 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
     positive odd roots: each subset S contributes the virtual even character
     at Lambda - sum(S).  Signs must cancel to a nonnegative multiset; a
     residual negative multiplicity means the root data is wrong and raises.
+    A highest weight whose even part is not dominant integral raises
+    :class:`InvalidLabelsError` before the expansion.
     """
     if not is_typical(sa, labels):
         raise AtypicalError(f"{sa.name} weight {labels} is atypical")
     lam = kac_weight(sa, labels)
+    sa.factor_labels(lam)
     rho0 = sa.rho0
     acc: dict = {}
     for bits in itertools.product((0, 1), repeat=len(sa.odd_positive_roots)):

@@ -12,14 +12,8 @@ import json
 from dataclasses import dataclass, field
 
 from .embed_chains import apply_chain
-from .phase2 import (
-    Multiplet,
-    PhaseOp,
-    apply_op,
-    break_multiplet,
-    from_distribution,
-)
-from .search import FreezeMask, freeze_groups, solve_freezing
+from .phase2 import Multiplet, PhaseOp, break_multiplet
+from .search import apply_plan, freeze_groups, solve_freezing
 from .super_branch import branch_to_even, catalog_entry
 
 
@@ -161,20 +155,15 @@ def build_chain_table_doc(table: int) -> TableDoc:
                     "chain", {"chain": chain_id})
 
 
-def build_scheme_table(table: int, display_mask: FreezeMask | None = None) -> TableDoc:
+def build_scheme_table(table: int) -> TableDoc:
     chain_id, plan, final = _TABLE_SCHEMES[table]
-    state = from_distribution(apply_chain(chain_id))
-    for token in plan:
-        kind, _, slot = token.partition(":")
-        state = apply_op(state, PhaseOp(kind, slot))
-    kind, _, slot = final.partition(":")
-    final_op = PhaseOp(kind, slot)
+    state = apply_plan(chain_id, plan)
+    final_op = PhaseOp.parse(final)
     masks = solve_freezing(state, final_op)
-    if display_mask is None:
-        if len(masks) != 1:
-            raise ValueError(f"table {table}: expected a unique mask, got {len(masks)}")
-        display_mask = masks[0]
-    frozen_groups = {g for g, _, _ in display_mask.frozen}
+    if len(masks) != 1:
+        raise ValueError(f"table {table}: expected a unique mask, got {len(masks)}")
+    mask = masks[0]
+    frozen_groups = {g for g, _, _ in mask.frozen}
     neutral_groups = {g.render() for g in freeze_groups(state, final_op) if g.neutral}
 
     index: dict = {}
@@ -183,8 +172,8 @@ def build_scheme_table(table: int, display_mask: FreezeMask | None = None) -> Ta
         # Columns: sl(2)^3 labels, merged-slot labels, current state, pieces.
         sl3 = e.history[1]
         merged = e.history[2]
-        path = [("-".join(str(l[0]) for l in sl3), _labels_dim(sl3)),
-                ("-".join(str(l[0]) for l in merged), _labels_dim(merged))]
+        path = [("-".join(str(l[0]) for l in sl3), state.stages[1].dimension(sl3)),
+                ("-".join(str(l[0]) for l in merged), state.stages[2].dimension(merged))]
         parent_key = ()
         children = roots
         for label, dim in path:
@@ -209,14 +198,7 @@ def build_scheme_table(table: int, display_mask: FreezeMask | None = None) -> Ta
                "final " + final)
     return TableDoc(table, f"second-phase scheme (table {table})", columns, roots,
                     "scheme", {"chain": chain_id, "plan": list(plan), "final": final,
-                               "mask": display_mask.render()})
-
-
-def _labels_dim(labels):
-    d = 1
-    for lab in labels:
-        d *= lab[0] + 1
-    return d
+                               "mask": mask.render()})
 
 
 def build_table(table: int) -> TableDoc:
@@ -233,6 +215,14 @@ def build_table(table: int) -> TableDoc:
 # rendering
 
 
+def _preorder(nodes, depth=0):
+    """(depth, node) pairs of a table tree; children run largest first."""
+    for node in nodes:
+        yield depth, node
+        yield from _preorder(sorted(node.children, key=lambda n: (-n.dim, n.label)),
+                             depth + 1)
+
+
 def render_text(doc: TableDoc) -> str:
     out = [f"table {doc.table}: {doc.title}"]
     if doc.kind == "branch":
@@ -245,44 +235,31 @@ def render_text(doc: TableDoc) -> str:
         out.append("columns: " + " -> ".join(doc.columns))
         if "mask" in doc.meta:
             out.append("frozen at last step: " + doc.meta["mask"])
-
-        def walk(node, depth):
+        for depth, node in _preorder(doc.rows):
             mark = "  *frozen*" if node.frozen else ""
             mult = f"{node.mult} x " if node.mult != 1 else ""
             out.append("    " * depth + f"{mult}{node.label}  d={node.dim}{mark}")
-            for c in sorted(node.children, key=lambda n: (-n.dim, n.label)):
-                walk(c, depth + 1)
-
-        for node in doc.rows:
-            walk(node, 0)
     return "\n".join(out) + "\n"
 
 
-def render_csv(doc: TableDoc) -> str:
+def _csv(rows) -> str:
+    """CSV of (stage, label, dim, multiplicity) rows, with the running sum of
+    dimension times multiplicity over dimensions divisible by 3, per stage."""
     lines = ["stage,label,dim,multiplicity,d3_running"]
-    if doc.kind == "branch":
-        running: dict = {}
-        for row in doc.rows:
-            stage = row["algebra"] + "(" + row["highest_weight"] + ")"
-            running[stage] = 0
-            for e in row["entries"]:
-                if e["dim"] % 3 == 0:
-                    running[stage] += e["dim"] * e["mult"]
-                lines.append(f"{stage},{e['labels']},{e['dim']},{e['mult']},{running[stage]}")
-    else:
-        per_stage = [0] * len(doc.columns)
-
-        def walk(node, depth):
-            if node.dim % 3 == 0:
-                per_stage[depth] += node.dim * node.mult
-            lines.append(f"{doc.columns[depth]},{node.label},{node.dim},"
-                         f"{node.mult},{per_stage[depth]}")
-            for c in sorted(node.children, key=lambda n: (-n.dim, n.label)):
-                walk(c, depth + 1)
-
-        for node in doc.rows:
-            walk(node, 0)
+    running: dict = {}
+    for stage, label, dim, mult in rows:
+        running[stage] = running.get(stage, 0) + (dim * mult if dim % 3 == 0 else 0)
+        lines.append(f"{stage},{label},{dim},{mult},{running[stage]}")
     return "\n".join(lines) + "\n"
+
+
+def render_csv(doc: TableDoc) -> str:
+    if doc.kind == "branch":
+        return _csv((row["algebra"] + "(" + row["highest_weight"] + ")", e["labels"],
+                     e["dim"], e["mult"])
+                    for row in doc.rows for e in row["entries"])
+    return _csv((doc.columns[depth], node.label, node.dim, node.mult)
+                for depth, node in _preorder(doc.rows))
 
 
 # ---------------------------------------------------------------------------

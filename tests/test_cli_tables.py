@@ -112,7 +112,18 @@ def test_cli_unknown_chain_lists_ids(capsys):
 
 
 def test_cli_rejects_malformed_hw(capsys):
-    assert main(["branch", "--algebra", "osp(5|2)", "--hw", "1,2"]) == 2
+    for hw, reason in (("1,2", "takes 3 labels"), ("1/0", "bad highest weight"),
+                       ("abc", "bad highest weight"), ("1,2,3", "label -5/2")):
+        assert main(["branch", "--algebra", "osp(5|2)", "--hw", hw]) == 2
+        assert reason in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_plan(capsys):
+    for plan, reason in (("soft:9", "unknown slot '9' in soft:9; valid slots: 12, 3"),
+                         ("bogus", "'bogus' is not of the form kind:slot"),
+                         ("bogus:3", "unknown breaking kind 'bogus'")):
+        assert main(["phase2", "--chain-id", "osp(5|2)/3", "--plan", plan]) == 2
+        assert reason in capsys.readouterr().err
 
 
 def test_cli_tables_text(capsys):

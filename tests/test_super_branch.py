@@ -202,3 +202,13 @@ def test_wrong_label_count_rejected():
     from codonbranch.lie_core import InvalidLabelsError
     with pytest.raises(InvalidLabelsError):
         kac_weight(build_super("osp(5|2)"), (1, 2))
+
+
+def test_non_dominant_even_part_rejected_before_expansion():
+    # Typical, but the sp(2) label of the Kac weight is -5/2: the input is
+    # at fault, not the root data.
+    from codonbranch.lie_core import InvalidLabelsError
+    sa = build_super("osp(5|2)")
+    assert is_typical(sa, (1, 2, 3))
+    with pytest.raises(InvalidLabelsError, match=r"sp\(2\) label -5/2"):
+        branch_to_even(sa, (1, 2, 3))
