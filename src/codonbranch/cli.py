@@ -9,9 +9,9 @@ import sys
 from fractions import Fraction
 
 from . import tables as tables_mod
-from .embed_chains import ChainError, apply_chain
+from .embed_chains import ChainError, apply_chain, render_labels
 from .lie_core import InvalidLabelsError
-from .phase2 import distribution_stats, phase2_stats
+from .phase2 import SlotError, distribution_stats, phase2_stats
 from .search import (
     apply_plan,
     full_search,
@@ -19,7 +19,18 @@ from .search import (
     report_summary,
     report_to_dict,
 )
-from .super_branch import CATALOG, branch_to_even, build_super, typical_dimension
+from .super_branch import (
+    CATALOG,
+    AtypicalError,
+    UnknownNameError,
+    branch_to_even,
+    build_super,
+    typical_dimension,
+)
+
+# Errors that report bad command-line input (exit code 2).  Anything else is
+# a fault of the program and propagates with its traceback.
+_INPUT_ERRORS = (AtypicalError, ChainError, InvalidLabelsError, SlotError, UnknownNameError)
 
 
 def _parse_hw(text: str):
@@ -65,7 +76,7 @@ def cmd_branch(args) -> int:
     sa = build_super(args.algebra)
     hw = _parse_hw(args.hw)
     branch = branch_to_even(sa, hw)
-    rows = [{"labels": tables_mod.render_labels(e.labels), "mult": e.mult,
+    rows = [{"labels": render_labels(e.labels), "mult": e.mult,
              "dim": e.dim(sa)} for e in branch]
     if args.format == "structured":
         print(json.dumps({"algebra": args.algebra, "highest_weight": args.hw,
@@ -87,22 +98,21 @@ def cmd_chain(args) -> int:
     if args.format == "structured":
         doc = {"chain": args.chain_id,
                "stages": ["+".join(s.names) for s in dist.stages],
-               "entries": [{"labels": dist.stage.render(e.labels),
+               "entries": [{"labels": render_labels(e.labels),
                             "dim": dist.stage.dimension(e.labels), "mult": e.mult,
-                            "history": [dist.stages[i].render(h)
-                                        for i, h in enumerate(e.history)]}
+                            "history": [render_labels(h) for h in e.history]}
                            for e in dist.entries],
                "stats": {"multiplets": stats.n_multiplets, "d3": stats.d3}}
         print(json.dumps(doc, indent=1))
     elif args.format == "csv":
         stage = "+".join(dist.stage.names)
-        print(tables_mod._csv((stage, dist.stage.render(e.labels),
+        print(tables_mod._csv((stage, render_labels(e.labels),
                                dist.stage.dimension(e.labels), e.mult)
                               for e in dist.entries), end="")
     else:
         print(f"{args.chain_id}: " + " -> ".join("+".join(s.names) for s in dist.stages))
         for e in dist.entries:
-            print(f"  {dist.stage.render(e.labels)}  d={dist.stage.dimension(e.labels)}")
+            print(f"  {render_labels(e.labels)}  d={dist.stage.dimension(e.labels)}")
         print(f"{stats.n_multiplets} multiplets, d3 = {stats.d3}")
     return 0
 
@@ -158,7 +168,7 @@ def cmd_verify_golden(args) -> int:
         try:
             with open(path, encoding="utf-8") as fh:
                 want = tables_mod.parse_json(fh.read())
-        except OSError as exc:
+        except (OSError, ValueError, KeyError) as exc:
             print(f"table {t}: cannot read fixture: {exc}")
             failures += 1
             continue
@@ -240,7 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ChainError, InvalidLabelsError, KeyError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

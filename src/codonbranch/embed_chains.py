@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .lie_core import (
     FormalCharacter,
+    NotACharacterError,
     RootSystem,
     SemisimpleAlgebra,
     build_root_system,
@@ -169,7 +170,7 @@ def branch_embedding(name: str, labels) -> tuple:
     out = peel(alg, FormalCharacter(proj))
     total = sum(m * alg.dimension(l) for l, m in out)
     if total != weyl_dimension(emb.source, labels):
-        raise ChainError(f"{name} lost dimension on {labels}")
+        raise NotACharacterError(f"{name} lost dimension on {labels}")
     return tuple(out)
 
 
@@ -189,8 +190,10 @@ class StageAlgebra(SemisimpleAlgebra):
     def all_sl2(self) -> bool:
         return all(f.series == "A" and f.rank == 1 for f in self.factors)
 
-    def render(self, labels) -> str:
-        return "-".join("(" + ",".join(str(v) for v in lab) + ")" for lab in labels)
+
+def render_labels(labels) -> str:
+    """Per-factor Dynkin labels as ``(a,b)-(c)``."""
+    return "-".join("(" + ",".join(str(v) for v in lab) + ")" for lab in labels)
 
 
 @dataclass(frozen=True)
@@ -405,7 +408,7 @@ def export_registry() -> str:
         lines.append(f"  target: {tgt}")
         parts = []
         for labels, mult in emb.defining_decomposition:
-            lab = "-".join("(" + ",".join(map(str, l)) + ")" for l in labels)
+            lab = render_labels(labels)
             parts.append(lab if mult == 1 else f"{mult}x{lab}")
         lines.append("  defining: " + " + ".join(parts))
         for row in emb.projection:

@@ -1,8 +1,7 @@
 """Exact root systems, characters and Casimirs for classical Lie algebras.
 
-All arithmetic is over ``fractions.Fraction``; no floating point anywhere.
-Weights are tuples of Fractions in an orthonormal coordinate realization,
-one per series:
+No floating point anywhere.  Weights are tuples of Fractions in an
+orthonormal coordinate realization, one per series:
 
 * ``A1``: a single coordinate; weights are spin projections m, the simple
   root is (1), and the Dynkin label of a weight w is 2w.  This is the
@@ -14,15 +13,26 @@ one per series:
 
 so(4) is never built as a D-series object; use two A1 factors instead
 (see :func:`semisimple`).
+
+Fractions are kept at the boundaries: highest weights, Dynkin labels,
+character keys, projections and Casimirs.  The hot loops (Weyl-chamber
+walks, the weight-set search and the Freudenthal recursion) run on integer
+vectors instead: a weight times the system's ``scale``, the lcm of the
+denominators of its fundamental weights, so that every weight coordinate
+becomes an int.  The simple roots are integral and their squared lengths
+(a, a) are 1, 2 or 4, and 4 only for a = 2e_i, whose dot product with an
+integer vector is even.  So the reflection coefficient 2(w, a) // (a, a) of
+an integer vector is exact, whether or not the vector is a scaled weight.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 Weight = tuple  # tuple[Fraction, ...]
 Labels = tuple  # tuple[int, ...], one entry per node
@@ -120,9 +130,31 @@ def char_product(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     return FormalCharacter(terms)
 
 
-def _to_chamber(w: Weight, simple_roots: tuple, regular: bool):
-    """Walk ``w`` into the dominant chamber of the Weyl group generated by
-    the reflections in ``simple_roots``.
+def _scaled(w: Weight, scale: int) -> tuple:
+    """The integer vector ``scale * w``; raises if ``w`` is off that lattice."""
+    out = []
+    for x in w:
+        q, r = divmod(x.numerator * scale, x.denominator)
+        if r:
+            raise InvalidLabelsError(f"{w} times {scale} is not an integer vector")
+        out.append(q)
+    return tuple(out)
+
+
+def _unscaled(v: tuple, scale: int) -> Weight:
+    """The weight ``v / scale`` of an integer vector, as Fractions."""
+    return tuple(Fraction(x, scale) for x in v)
+
+
+def _chamber_roots(simple_roots) -> tuple:
+    """Integral simple roots as ``(root, (root, root))`` pairs of ints."""
+    return tuple((_scaled(a, 1), int(vdot(a, a))) for a in simple_roots)
+
+
+def _to_chamber(w: tuple, roots: tuple, regular: bool):
+    """Walk the integer vector ``w`` into the dominant chamber of the Weyl
+    group generated by the reflections in ``roots`` (see
+    :func:`_chamber_roots`).
 
     Returns the chamber representative and the sign of the Weyl element used.
     With ``regular`` set, returns ``None`` as soon as ``w`` lies on a wall:
@@ -130,13 +162,14 @@ def _to_chamber(w: Weight, simple_roots: tuple, regular: bool):
     """
     sign = 1
     while True:
-        for a in simple_roots:
-            label = 2 * vdot(w, a) / vdot(a, a)
-            if label < 0:
-                w = vsub(w, vscale(a, label))
+        for a, aa in roots:
+            d = sum(map(mul, w, a))
+            if d < 0:
+                k = 2 * d // aa
+                w = tuple([x - k * y for x, y in zip(w, a)])
                 sign = -sign
                 break
-            if regular and label == 0:
+            if regular and d == 0:
                 return None
         else:
             return w, sign
@@ -154,6 +187,19 @@ class RootSystem:
     fundamental_weights: tuple
     rho0: Weight
     weyl_order: int
+    # Integer-vector data (see the module docstring), derived from the above.
+    scale: int = field(init=False, repr=False, compare=False)
+    chamber_roots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scale = math.lcm(*(x.denominator for om in self.fundamental_weights for x in om))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "chamber_roots", _chamber_roots(self.simple_roots))
+
+    def __hash__(self):
+        # The series and rank fix the rest; hashing the Fraction root data
+        # would make every cache lookup keyed by a root system slow.
+        return hash((self.series, self.rank))
 
     def label_of(self, w: Weight, i: int) -> Fraction:
         a = self.simple_roots[i]
@@ -192,25 +238,26 @@ class RootSystem:
         a = self.simple_roots[i]
         return vsub(w, vscale(a, 2 * vdot(w, a) / vdot(a, a)))
 
-    def to_dominant(self, w: Weight):
-        """Dominant Weyl-chamber representative of ``w`` and the sign of the
-        element used (meaningful only for regular weights)."""
-        return _to_chamber(w, self.simple_roots, False)
+    def to_dominant(self, w: tuple):
+        """Dominant Weyl-chamber representative of the integer vector ``w``
+        (a weight times ``scale``) and the sign of the element used
+        (meaningful only for regular weights).  The representative is an
+        integer vector on the same scale."""
+        return _to_chamber(w, self.chamber_roots, False)
 
-    def root_coefficients(self, v: Weight) -> tuple:
-        """Coordinates of ``v`` in the simple-root basis (closed forms)."""
+    def root_coefficients(self, v: tuple) -> tuple:
+        """Coordinates of the integer vector ``v`` in the simple-root basis
+        (closed forms), for ``v`` in ``scale`` times the root lattice; the
+        coordinates are then multiples of ``scale``."""
         if self.series == "A" and self.rank == 1:
             return (v[0],)
         partial = list(itertools.accumulate(v))
-        if self.series == "A":
-            if partial[-1] != 0:
-                raise InvalidLabelsError(f"{v} is not in the A-series root space")
-            return tuple(partial[:-1])
-        if self.series == "B":
-            return tuple(partial[:-1]) + (partial[-1],)
         if self.series == "C":
-            return tuple(partial[:-1]) + (partial[-1] / 2,)
-        raise UnsupportedAlgebraError(self.series)
+            # The root lattice of C_r has an even coordinate sum.
+            partial[-1] //= 2
+        elif self.series == "A":
+            partial.pop()  # zero: A-series vectors have trace zero
+        return tuple(partial)
 
     def conjugate(self, labels: Labels) -> Labels:
         # Label reversal for A-series; B and C irreps are self-conjugate.
@@ -291,17 +338,14 @@ def semisimple(spec: str) -> "SemisimpleAlgebra":
     return SemisimpleAlgebra(tuple(factors))
 
 
-def _dominates(rs: RootSystem, lam: Weight, mu: Weight) -> bool:
-    """True when ``lam - mu`` is a nonnegative integer sum of simple roots."""
-    try:
-        coeffs = rs.root_coefficients(vsub(lam, mu))
-    except InvalidLabelsError:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coeffs)
+def _dominates(rs: RootSystem, lam: tuple, mu: tuple) -> bool:
+    """True when ``lam - mu`` is a nonnegative sum of simple roots, for
+    integer vectors whose difference lies in the scaled root lattice."""
+    return all(c >= 0 for c in rs.root_coefficients(tuple(map(sub, lam, mu))))
 
 
-def _depth(rs: RootSystem, lam: Weight, mu: Weight) -> Fraction:
-    return sum(rs.root_coefficients(vsub(lam, mu)), start=Fraction(0))
+def _depth(rs: RootSystem, lam: tuple, mu: tuple) -> int:
+    return sum(rs.root_coefficients(tuple(map(sub, lam, mu))))
 
 
 @lru_cache(maxsize=None)
@@ -311,15 +355,19 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
     The full weight set is generated by walking down simple roots from the
     highest weight, keeping points whose dominant representative is below it
     in the dominance order; dominant multiplicities then follow from the
-    Freudenthal recursion and spread over Weyl orbits.
+    Freudenthal recursion and spread over Weyl orbits.  All of it runs on
+    integer vectors scaled by ``rs.scale``; the keys of the result are
+    Fraction weights.
     """
-    lam = rs.highest_weight(labels)
+    scale = rs.scale
+    lam = _scaled(rs.highest_weight(labels), scale)
+    lowering = [_scaled(a, scale) for a in rs.simple_roots]
     weights = {lam}
     queue = [lam]
     while queue:
         w = queue.pop()
-        for a in rs.simple_roots:
-            w2 = vsub(w, a)
+        for a in lowering:
+            w2 = tuple(map(sub, w, a))
             if w2 in weights:
                 continue
             dom, _ = rs.to_dominant(w2)
@@ -329,28 +377,32 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
 
     dominants = sorted({rs.to_dominant(w)[0] for w in weights},
                        key=lambda w: _depth(rs, lam, w))
-    rho = rs.rho0
-    top = vdot(vadd(lam, rho), vadd(lam, rho))
+    # With w = scale * w', acc = scale * acc' and denom = scale^2 * denom',
+    # so the multiplicity 2 acc' / denom' is 2 scale acc / denom.
+    raising = [(_scaled(a, 1), _scaled(a, scale)) for a in rs.positive_roots]
+    rho = _scaled(rs.rho0, scale)
+    lam_rho = tuple(map(add, lam, rho))
+    top = sum(map(mul, lam_rho, lam_rho))
     mult = {}
     for mu in dominants:
         if mu == lam:
             mult[mu] = 1
             continue
-        acc = Fraction(0)
-        for a in rs.positive_roots:
-            k = 1
-            while True:
-                nu = vadd(mu, vscale(a, k))
-                if nu not in weights:
-                    break
-                acc += mult[rs.to_dominant(nu)[0]] * vdot(nu, a)
-                k += 1
-        denom = top - vdot(vadd(mu, rho), vadd(mu, rho))
-        m = 2 * acc / denom
-        if m.denominator != 1 or m <= 0:
-            raise NotACharacterError(f"Freudenthal failure at {mu}: {m}")
-        mult[mu] = int(m)
-    return FormalCharacter({w: mult[rs.to_dominant(w)[0]] for w in weights})
+        acc = 0
+        for a, step in raising:
+            nu = tuple(map(add, mu, step))
+            while nu in weights:
+                acc += mult[rs.to_dominant(nu)[0]] * sum(map(mul, nu, a))
+                nu = tuple(map(add, nu, step))
+        mu_rho = tuple(map(add, mu, rho))
+        denom = top - sum(map(mul, mu_rho, mu_rho))
+        m, r = divmod(2 * scale * acc, denom)
+        if r or m <= 0:
+            raise NotACharacterError(f"Freudenthal failure at {_unscaled(mu, scale)}: "
+                                     f"{Fraction(2 * scale * acc, denom)}")
+        mult[mu] = m
+    return FormalCharacter({_unscaled(w, scale): mult[rs.to_dominant(w)[0]]
+                            for w in weights})
 
 
 @lru_cache(maxsize=None)
@@ -374,11 +426,11 @@ def virtual_character_decomp(rs: RootSystem, mu: Weight):
     ``(sign, labels)`` identifying the signed irreducible character equal to
     the alternating orbit sum of ``mu``.
     """
-    res = _to_chamber(vadd(mu, rs.rho0), rs.simple_roots, True)
+    res = _to_chamber(_scaled(vadd(mu, rs.rho0), rs.scale), rs.chamber_roots, True)
     if res is None:
         return None
     dom, sign = res
-    labels = rs.integer_labels_of(vsub(dom, rs.rho0))
+    labels = rs.integer_labels_of(vsub(_unscaled(dom, rs.scale), rs.rho0))
     if any(l < 0 for l in labels):
         raise InvalidLabelsError(f"dot-dominant weight not dominant: {labels}")
     return sign, labels
@@ -456,9 +508,12 @@ def peel(alg: SemisimpleAlgebra, ch: FormalCharacter):
     """
     work = dict(ch.terms)
     out = {}
-    while work:
-        w = max(work, key=lambda x: (alg.height(x), x))
-        m = work[w]
+    # Subtracting a character only lowers multiplicities, so the current
+    # maximal weight is the highest remaining one in this fixed order.
+    for w in sorted(work, key=lambda x: (alg.height(x), x), reverse=True):
+        m = work.get(w)
+        if m is None:
+            continue
         if m < 0:
             raise NotACharacterError(f"negative multiplicity {m} at {w}")
         try:
@@ -469,6 +524,8 @@ def peel(alg: SemisimpleAlgebra, ch: FormalCharacter):
             raise NotACharacterError(f"maximal weight {w} not dominant: {labels}")
         for w2, m2 in alg.character(labels).items():
             left = work.get(w2, 0) - m * m2
+            if left < 0:
+                raise NotACharacterError(f"negative multiplicity {left} at {w2}")
             if left:
                 work[w2] = left
             else:

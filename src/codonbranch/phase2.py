@@ -110,6 +110,14 @@ class Phase2State:
     def total_dim(self) -> int:
         return sum(e.mult * e.dim() for e in self.entries)
 
+    def slot_index(self, slot: str, where: str) -> int:
+        """Position of the named slot; an unknown name raises
+        :class:`SlotError` listing the valid slots."""
+        if slot not in self.slot_names:
+            raise SlotError(f"unknown slot {slot!r} in {where}; "
+                            f"valid slots: {', '.join(self.slot_names)}")
+        return self.slot_names.index(slot)
+
 
 def from_distribution(dist: Distribution) -> Phase2State:
     """Adopt an all-sl(2) chain end as the phase-2 starting state."""
@@ -161,10 +169,7 @@ class PhaseOp:
 def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
     if op.kind not in _NEEDS:
         raise SlotError(f"unknown breaking kind {op.kind!r}; kinds are {', '.join(_NEEDS)}")
-    if op.slot not in state.slot_names:
-        raise SlotError(f"unknown slot {op.slot!r} in {op.render()}; "
-                        f"valid slots: {', '.join(state.slot_names)}")
-    idx = state.slot_names.index(op.slot)
+    idx = state.slot_index(op.slot, op.render())
     want = _NEEDS[op.kind]
     for e in state.entries:
         if e.slots[idx][0] != want:
@@ -298,9 +303,9 @@ def hamiltonian_eigenvalue(state: Phase2State, m: Multiplet, c: Couplings) -> Fr
         s12 = _stage_labels(state, m, ("12", "3"))[0][0]
         value += c.a12 * _spin_term(s12)
     if c.b3:
-        idx = state.slot_names.index("3")
+        idx = state.slot_index("3", "the b3 term")
         value += c.b3 * _mz2(m.slots[idx], "b3 term")
     if c.g12:
-        idx = state.slot_names.index("12")
+        idx = state.slot_index("12", "the g12 term")
         value += c.g12 * (_spin_term(s12) - 2) * _mz2(m.slots[idx], "g12 term")
     return value

@@ -46,7 +46,7 @@ from .phase2 import (
     phase2_stats,
     render_slot,
 )
-from .super_branch import CATALOG
+from .super_branch import CATALOG, UnknownNameError
 
 GENETIC_CODE_TARGET = {6: 3, 4: 5, 3: 2, 2: 9, 1: 2}
 
@@ -121,7 +121,7 @@ class FreezeMask:
 
 
 def freeze_groups(state: Phase2State, op: PhaseOp):
-    idx = state.slot_names.index(op.slot)
+    idx = state.slot_index(op.slot, op.render())
     acc: dict = {}
     for e in state.entries:
         acc[e.slots] = acc.get(e.slots, 0) + e.mult
@@ -196,12 +196,13 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
 
     choices: list = []
     rec(0, base)
+    del rec  # a self-reference through the closure: free it now, not at the next gc
     return sorted(masks, key=lambda m: m.frozen)
 
 
 def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2State:
     """Apply the final operation with the given mask (neutral groups frozen)."""
-    idx = state.slot_names.index(op.slot)
+    idx = state.slot_index(op.slot, op.render())
     quota = {}
     for g, d, k in mask.frozen:
         quota[g] = k
@@ -349,6 +350,7 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
             walk(child, new_plan)
 
     walk(start, ())
+    del walk  # a self-reference through the closure: free it now, not at the next gc
     return result
 
 
@@ -399,7 +401,7 @@ class SearchReport:
             for c in a.chains:
                 if c.chain_id == chain_id:
                     return c
-        raise KeyError(chain_id)
+        raise UnknownNameError(f"no chain {chain_id!r} in this report")
 
 
 def analyze_chain(chain: ChainDef, target=None) -> ChainReport:

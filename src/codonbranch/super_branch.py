@@ -16,27 +16,38 @@ single exact algorithm covering both families.
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 
 from .lie_core import (
     InvalidLabelsError,
+    SemisimpleAlgebra,
+    _chamber_roots,
+    _scaled,
     _to_chamber,
+    _unscaled,
     build_root_system,
     fr,
     vadd,
     vdot,
     vscale,
     vsub,
-    weyl_dimension,
     zero,
 )
 
 
 class AtypicalError(ValueError):
     """Operation requires a typical highest weight."""
+
+
+class UnknownNameError(KeyError):
+    """A catalog key, chain id or table id that is not registered."""
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
 
 
 def _basis(dim):
@@ -61,6 +72,10 @@ class SuperAlgebra:
     factor_simples: tuple  # simple roots of each factor, as super-space vectors
     factor_names: tuple
     charge_count: int
+    chamber_roots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "chamber_roots", _chamber_roots(self.even_simple_roots))
 
     def sdot(self, a, b) -> Fraction:
         return sum((s * x * y for s, x, y in zip(self.form_signs, a, b)),
@@ -87,10 +102,11 @@ class SuperAlgebra:
     def even_label(self, w, root) -> Fraction:
         return 2 * vdot(w, root) / vdot(root, root)
 
-    def to_dominant_regular(self, w):
-        """Dominant chamber representative under the even Weyl group, with
-        the sign of the reflecting element; ``None`` on a wall."""
-        return _to_chamber(w, self.even_simple_roots, True)
+    def to_dominant_regular(self, w: tuple):
+        """Dominant chamber representative of the integer vector ``w`` (a
+        super-space vector times any common scale) under the even Weyl group,
+        with the sign of the reflecting element; ``None`` on a wall."""
+        return _to_chamber(w, self.chamber_roots, True)
 
     def factor_labels(self, w):
         """Per-factor Dynkin labels of an even highest weight vector."""
@@ -327,10 +343,7 @@ class BranchEntry:
     mult: int
 
     def dim(self, sa: SuperAlgebra) -> int:
-        d = 1
-        for rs, lab in zip(sa.factor_systems, self.labels):
-            d *= weyl_dimension(rs, lab)
-        return d
+        return SemisimpleAlgebra(sa.factor_systems).dimension(self.labels)
 
 
 def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
@@ -344,26 +357,31 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
     :class:`InvalidLabelsError` before the expansion.
     """
     if not is_typical(sa, labels):
-        raise AtypicalError(f"{sa.name} weight {labels} is atypical")
+        raise AtypicalError(
+            f"{sa.name} weight ({', '.join(map(str, labels))}) is atypical")
     lam = kac_weight(sa, labels)
     sa.factor_labels(lam)
     rho0 = sa.rho0
+    # The expansion runs on integer vectors: Lambda + rho0 times the lcm of
+    # its denominators, and the odd roots (integral) times the same scale.
+    shifted = vadd(lam, rho0)
+    scale = math.lcm(*(x.denominator for x in shifted))
+    terms = [_scaled(shifted, scale)]
+    for beta in sa.odd_positive_roots:
+        step = _scaled(beta, scale)
+        terms += [tuple(map(sub, t, step)) for t in terms]
     acc: dict = {}
-    for bits in itertools.product((0, 1), repeat=len(sa.odd_positive_roots)):
-        mu = lam
-        for take, beta in zip(bits, sa.odd_positive_roots):
-            if take:
-                mu = vsub(mu, beta)
-        res = sa.to_dominant_regular(vadd(mu, rho0))
+    for t in terms:
+        res = sa.to_dominant_regular(t)
         if res is None:
             continue
         dom, sign = res
-        hw = vsub(dom, rho0)
-        acc[hw] = acc.get(hw, 0) + sign
+        acc[dom] = acc.get(dom, 0) + sign
     entries = []
-    for hw, mult in acc.items():
+    for dom, mult in acc.items():
         if mult == 0:
             continue
+        hw = vsub(_unscaled(dom, scale), rho0)
         if mult < 0:
             raise InvalidLabelsError(
                 f"negative multiplicity {mult} at {hw}: inconsistent root data")
@@ -435,4 +453,5 @@ def catalog_entry(key: str) -> CatalogEntry:
     for e in CATALOG:
         if e.key == key:
             return e
-    raise KeyError(f"unknown catalog entry {key!r}; known: {[e.key for e in CATALOG]}")
+    raise UnknownNameError(f"unknown catalog entry {key!r}; "
+                           f"known: {[e.key for e in CATALOG]}")

@@ -11,14 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .embed_chains import apply_chain
+from .embed_chains import apply_chain, render_labels
 from .phase2 import Multiplet, PhaseOp, break_multiplet
 from .search import apply_plan, freeze_groups, solve_freezing
-from .super_branch import branch_to_even, catalog_entry
-
-
-def render_labels(labels) -> str:
-    return "-".join("(" + ",".join(str(v) for v in lab) + ")" for lab in labels)
+from .super_branch import UnknownNameError, branch_to_even, catalog_entry
 
 
 def render_hw(labels) -> str:
@@ -137,7 +133,7 @@ def _chain_tree(chain_id: str):
             stage = dist.stages[depth]
             key = parent_key + (labels,)
             if key not in index:
-                node = Node(stage.render(labels), stage.dimension(labels), e.mult)
+                node = Node(render_labels(labels), stage.dimension(labels), e.mult)
                 index[key] = node
                 children.append(node)
             elif depth == len(path) - 1:
@@ -191,7 +187,7 @@ def build_scheme_table(table: int) -> TableDoc:
                   neutral=render in neutral_groups)
         children.append(me)
         for piece in break_multiplet(Multiplet(e.slots, 1, ()), final_op.kind,
-                                     state.slot_names.index(final_op.slot)):
+                                     state.slot_index(final_op.slot, final)):
             me.children.append(Node(piece.render(), piece.dim(),
                                     frozen=me.frozen, neutral=me.neutral))
     columns = ("sl(2)^3", "+".join(state.slot_names), "after " + " ".join(plan),
@@ -208,7 +204,7 @@ def build_table(table: int) -> TableDoc:
         return build_chain_table_doc(table)
     if table in _TABLE_SCHEMES:
         return build_scheme_table(table)
-    raise KeyError(f"no table {table}; valid ids are 1..9")
+    raise UnknownNameError(f"no table {table}; valid ids are 1..9")
 
 
 # ---------------------------------------------------------------------------

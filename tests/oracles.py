@@ -53,6 +53,22 @@ def alternating_sum(rs: RootSystem, v):
     return terms
 
 
+def weyl_walk(w, simple_roots):
+    """Dominant chamber representative of a Fraction weight and the sign of
+    the Weyl element, by iterated Fraction reflections, each in the first
+    simple root with a negative label."""
+    sign = 1
+    while True:
+        for a in simple_roots:
+            label = 2 * vdot(w, a) / vdot(a, a)
+            if label < 0:
+                w = vsub(w, vscale(a, label))
+                sign = -sign
+                break
+        else:
+            return w, sign
+
+
 def weyl_quotient_character(rs: RootSystem, labels):
     """Character by exact division of alternating sums (independent oracle)."""
     lam = rs.highest_weight(labels)

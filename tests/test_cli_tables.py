@@ -113,7 +113,8 @@ def test_cli_unknown_chain_lists_ids(capsys):
 
 def test_cli_rejects_malformed_hw(capsys):
     for hw, reason in (("1,2", "takes 3 labels"), ("1/0", "bad highest weight"),
-                       ("abc", "bad highest weight"), ("1,2,3", "label -5/2")):
+                       ("abc", "bad highest weight"), ("1,2,3", "label -5/2"),
+                       ("0,0,0", "weight (0, 0, 0) is atypical")):
         assert main(["branch", "--algebra", "osp(5|2)", "--hw", hw]) == 2
         assert reason in capsys.readouterr().err
 
@@ -124,6 +125,36 @@ def test_cli_rejects_bad_plan(capsys):
                          ("bogus:3", "unknown breaking kind 'bogus'")):
         assert main(["phase2", "--chain-id", "osp(5|2)/3", "--plan", plan]) == 2
         assert reason in capsys.readouterr().err
+
+
+def test_cli_internal_error_is_not_an_input_error(monkeypatch):
+    import codonbranch.cli as cli
+
+    def broken():
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "full_search", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["search"])
+
+
+def test_unknown_names_are_typed_key_errors():
+    from codonbranch.super_branch import UnknownNameError, catalog_entry
+    with pytest.raises(UnknownNameError) as err:
+        catalog_entry("nope")
+    assert isinstance(err.value, KeyError)
+    assert str(err.value).startswith("unknown catalog entry 'nope'; known: [")
+    with pytest.raises(UnknownNameError, match="no table 10"):
+        build_table(10)
+
+
+def test_cli_verify_golden_reports_unparsable_fixture(tmp_path, capsys, monkeypatch):
+    for name in os.listdir(DATA):
+        shutil.copy(os.path.join(DATA, name), tmp_path / name)
+    (tmp_path / "table4.json").write_text("{not json")
+    monkeypatch.setenv("CODONBRANCH_DATA", str(tmp_path))
+    assert main(["verify-golden"]) == 1
+    assert "table 4: cannot read fixture" in capsys.readouterr().out
 
 
 def test_cli_tables_text(capsys):

@@ -20,10 +20,12 @@ from codonbranch.lie_core import (
     sl2,
     vadd,
     virtual_character_decomp,
+    vscale,
     vsub,
     weyl_dimension,
+    zero,
 )
-from oracles import brute_weyl_elements, weyl_quotient_character
+from oracles import brute_weyl_elements, weyl_quotient_character, weyl_walk
 
 ALL_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
                ("B", 2), ("C", 2), ("C", 3)]
@@ -244,3 +246,38 @@ def test_semisimple_parser():
     alg = semisimple("A1+A1")
     assert len(alg.factors) == 2
     assert alg.dimension(((1,), (1,))) == 4
+
+
+@pytest.mark.parametrize("series,rank,scale", [
+    ("A", 1, 2), ("A", 2, 3), ("A", 3, 4), ("A", 4, 5), ("A", 5, 6),
+    ("B", 2, 2), ("C", 2, 1), ("C", 3, 1),
+])
+def test_scale_clears_the_weight_denominators(series, rank, scale):
+    rs = build_root_system(series, rank)
+    assert rs.scale == scale
+    for om in rs.fundamental_weights:
+        assert all((scale * x).denominator == 1 for x in om)
+
+
+@pytest.mark.parametrize("series,rank", ALL_SYSTEMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_chamber_walk_matches_fraction_reflections(series, rank, data):
+    rs = build_root_system(series, rank)
+    coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank))
+    w = zero(rs.dim)
+    for c, om in zip(coeffs, rs.fundamental_weights):
+        w = vadd(w, vscale(om, c))
+
+    def ints(v):
+        return tuple(int(rs.scale * x) for x in v)
+
+    rep, sign = weyl_walk(w, rs.simple_roots)
+    assert rs.to_dominant(ints(w)) == (ints(rep), sign)
+    # The regular walk, through the dot action.
+    shifted, sign = weyl_walk(vadd(w, rs.rho0), rs.simple_roots)
+    if any(rs.label_of(shifted, i) == 0 for i in range(rs.rank)):
+        assert virtual_character_decomp(rs, w) is None
+    else:
+        labels = rs.integer_labels_of(vsub(shifted, rs.rho0))
+        assert virtual_character_decomp(rs, w) == (sign, labels)

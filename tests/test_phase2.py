@@ -195,3 +195,11 @@ def test_hamiltonian_unbroken_slot_with_coupling_errors():
     c = Couplings.of(0, 0, 0, 0, 0, 0, 0, 1)  # g12 needs a broken slot 12
     with pytest.raises(AncestryError):
         hamiltonian_eigenvalue(state, state.entries[0], c)
+
+
+def test_hamiltonian_unknown_slot_is_a_slot_error():
+    # osp(5|2)/4 merges slots 2 and 3, so the b3 term has no slot "3".
+    state = apply_op(from_distribution(apply_chain("osp(5|2)/4")), PhaseOp("soft", "23"))
+    c = Couplings.of(0, 0, 0, 0, 0, 0, 1, 0)
+    with pytest.raises(SlotError, match="unknown slot '3' in the b3 term; valid slots: 1, 23"):
+        hamiltonian_eigenvalue(state, state.entries[0], c)

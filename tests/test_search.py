@@ -3,10 +3,13 @@ import random
 import pytest
 
 from codonbranch.embed_chains import CHAINS, apply_chain
-from codonbranch.phase2 import PhaseOp, apply_op, available_ops, phase2_stats
+from codonbranch.phase2 import PhaseOp, SlotError, apply_op, available_ops, phase2_stats
 from codonbranch.search import (
+    FreezeMask,
     apply_plan,
     can_yield_triplet,
+    final_state,
+    freeze_groups,
     full_search,
     match_target,
     prune,
@@ -181,3 +184,12 @@ def test_enumeration_respects_plan_constraints(report):
             assert kinds.count("strong") + kinds.count("strong_after_soft") <= 1
             if "strong_after_soft" in kinds:
                 assert kinds.index("soft") < kinds.index("strong_after_soft")
+
+
+def test_freezing_rejects_unknown_slot():
+    state = apply_plan("osp(5|2)/3", ["soft:3"])
+    op = PhaseOp("soft", "9")
+    for call in (lambda: solve_freezing(state, op), lambda: freeze_groups(state, op),
+                 lambda: final_state(state, op, FreezeMask(()))):
+        with pytest.raises(SlotError, match="unknown slot '9' in soft:9; valid slots: 12, 3"):
+            call()

@@ -3,6 +3,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codonbranch.lie_core import vadd, vsub
 from codonbranch.super_branch import (
@@ -17,6 +19,8 @@ from codonbranch.super_branch import (
     kac_weight,
     typical_dimension,
 )
+
+from oracles import weyl_walk
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "codonbranch", "data")
 
@@ -212,3 +216,31 @@ def test_non_dominant_even_part_rejected_before_expansion():
     assert is_typical(sa, (1, 2, 3))
     with pytest.raises(InvalidLabelsError, match=r"sp\(2\) label -5/2"):
         branch_to_even(sa, (1, 2, 3))
+
+
+@pytest.mark.parametrize("kind", sorted({e.algebra for e in CATALOG}))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_even_weyl_walk_matches_fraction_reflections(kind, data):
+    sa = build_super(kind)
+    scale = data.draw(st.sampled_from((1, 2)))
+    coords = data.draw(st.lists(st.integers(-6, 6), min_size=sa.dim, max_size=sa.dim))
+    w = tuple(Fraction(x, scale) for x in coords)
+    rep, sign = weyl_walk(w, sa.even_simple_roots)
+    if any(sa.even_label(rep, a) == 0 for a in sa.even_simple_roots):
+        assert sa.to_dominant_regular(tuple(coords)) is None
+    else:
+        assert sa.to_dominant_regular(tuple(coords)) == \
+            (tuple(int(scale * x) for x in rep), sign)
+
+
+def test_charged_branching_matches_pinned_values():
+    # Values of the all-Fraction expansion that the integer one replaced.  The
+    # CLI and the tables drop the charges, so only this checks the weights.
+    with open(os.path.join(os.path.dirname(__file__), "branch_charged.json"),
+              encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = {e.key: [[[list(lab) for lab in b.labels], [str(x) for x in b.weight], b.mult]
+                   for b in branch_to_even(e.build(), e.labels, drop_charges=False)]
+           for e in CATALOG}
+    assert got == want
