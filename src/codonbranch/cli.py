@@ -139,6 +139,10 @@ def cmd_phase2(args) -> int:
 
 
 def cmd_search(args) -> int:
+    keys = [e.key for e in CATALOG]
+    if not any(k.startswith(args.algebra) for k in keys):
+        raise UnknownNameError(f"no catalog entry starts with {args.algebra!r}; "
+                               f"known: {keys}")
     rep = full_search()
     if args.algebra:
         rep.algebras = [a for a in rep.algebras if a.key.startswith(args.algebra)]

@@ -274,33 +274,16 @@ def apply_step(dist: Distribution, step: ChainStep) -> Distribution:
             raise ChainError("diagonal steps need a pure sl(2) stage")
         if not (0 <= i < j < len(stage.factors)):
             raise ChainError(f"bad diagonal pair {step.pair}")
-        keep = [k for k in range(len(stage.factors)) if k not in (i, j)]
-        factors, names = [], []
-        for k in range(len(stage.factors)):
-            if k == i:
-                factors.append(stage.factors[i])
-                names.append(stage.names[i] + stage.names[j])
-            elif k == j:
-                continue
-            else:
-                factors.append(stage.factors[k])
-                names.append(stage.names[k])
-        new_stage = StageAlgebra(tuple(factors), tuple(names))
-        entries = []
-        for e in dist.entries:
-            a, b = e.labels[i][0], e.labels[j][0]
-            rest = [e.labels[k] for k in keep]
-            for c in diagonal_clebsch(a, b):
-                labels = []
-                rest_iter = iter(rest)
-                for k in range(len(stage.factors)):
-                    if k == i:
-                        labels.append(c)
-                    elif k == j:
-                        continue
-                    else:
-                        labels.append(next(rest_iter))
-                entries.append(DistEntry(tuple(labels), e.mult, e.history + (e.labels,)))
+
+        def merge(seq, x):
+            """``seq`` with ``x`` at ``i`` and entry ``j`` dropped."""
+            return seq[:i] + (x,) + seq[i + 1:j] + seq[j + 1:]
+
+        new_stage = StageAlgebra(merge(stage.factors, stage.factors[i]),
+                                 merge(stage.names, stage.names[i] + stage.names[j]))
+        entries = [DistEntry(merge(e.labels, c), e.mult, e.history + (e.labels,))
+                   for e in dist.entries
+                   for c in diagonal_clebsch(e.labels[i][0], e.labels[j][0])]
         return Distribution(dist.stages + (new_stage,), tuple(entries))
 
     raise ChainError(f"unknown step kind {step.kind!r}")

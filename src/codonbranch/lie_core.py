@@ -151,6 +151,14 @@ def _chamber_roots(simple_roots) -> tuple:
     return tuple((_scaled(a, 1), int(vdot(a, a))) for a in simple_roots)
 
 
+def _shifted_labels(v: tuple, roots: tuple, scale: int) -> tuple:
+    """Labels of the weight ``v / scale - rho`` on the simple ``roots`` (see
+    :func:`_chamber_roots`), for the integer vector ``v``.  rho has label 1
+    on every simple root, so each label is 2(v, a) / ((a, a) scale) - 1."""
+    return tuple(Fraction(2 * sum(map(mul, v, a)) - aa * scale, aa * scale)
+                 for a, aa in roots)
+
+
 def _to_chamber(w: tuple, roots: tuple, regular: bool):
     """Walk the integer vector ``w`` into the dominant chamber of the Weyl
     group generated by the reflections in ``roots`` (see
@@ -430,10 +438,11 @@ def virtual_character_decomp(rs: RootSystem, mu: Weight):
     if res is None:
         return None
     dom, sign = res
-    labels = rs.integer_labels_of(vsub(_unscaled(dom, rs.scale), rs.rho0))
-    if any(l < 0 for l in labels):
-        raise InvalidLabelsError(f"dot-dominant weight not dominant: {labels}")
-    return sign, labels
+    labels = _shifted_labels(dom, rs.chamber_roots, rs.scale)
+    if any(l.denominator != 1 or l < 0 for l in labels):
+        raise InvalidLabelsError("dot-dominant weight with labels "
+                                 f"({', '.join(map(str, labels))}) is not dominant integral")
+    return sign, tuple(l.numerator for l in labels)
 
 
 def casimir2(rs: RootSystem, labels: Labels) -> Fraction:

@@ -298,10 +298,6 @@ class Scheme:
     pre_final_count: int
     full_break_count: int
 
-    def key(self):
-        return (self.chain_id, tuple(op.render() for op in self.plan),
-                self.final_op.render())
-
 
 @dataclass
 class Phase2Result:
@@ -428,14 +424,9 @@ def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
         return ChainReport(chain.chain_id, dist.stage.names, stats,
                            recorded, [], [], [], [], facts, chain.note)
     res = enumerate_phase2(state, target)
-    schemes = []
-    seen = set()
-    for plan, op, masks, pre_count, full_count in res.schemes:
-        sch = Scheme(chain.chain_id, plan[:-1], op, tuple(masks),
-                     pre_count, full_count)
-        if sch.key() not in seen:
-            seen.add(sch.key())
-            schemes.append(sch)
+    # Each plan is one path of the enumeration tree, so no scheme repeats.
+    schemes = [Scheme(chain.chain_id, plan[:-1], op, tuple(masks), pre_count, full_count)
+               for plan, op, masks, pre_count, full_count in res.schemes]
     verdict = () if schemes else (NO_SURVIVING_SCHEME,)
     return ChainReport(chain.chain_id, dist.stage.names, stats, verdict,
                        schemes, res.near_misses, res.nodes, res.pruned,

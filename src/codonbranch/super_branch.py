@@ -1,12 +1,18 @@
 """Root data and first-step branching for basic classical Lie superalgebras.
 
 The supported algebras are sl(m|n) and osp(M|N) at the sizes carrying
-64-dimensional typical irreducibles.  Weights live in a common coordinate
-space carrying a signature: the invariant form is +1 on sp-type (delta)
-coordinates and -1 on so-type (epsilon) coordinates, and for sl(m|n) it is
-+1 on the first block and -1 on the second.  Only the typicality test needs
-the signed form; reflections, dominance and Dynkin labels are ratios and are
-computed with the plain dot product.
+64-dimensional typical irreducibles.  Each algebra is one table of integer
+root data: its distinguished simple roots, its even and odd positive roots
+and its even factors.  Everything else is derived from that table without
+per-family code.
+
+Weights live in a common coordinate space carrying a signature: the
+invariant form is +1 on sp-type (delta) coordinates and -1 on so-type
+(epsilon) coordinates, and for sl(m|n) it is +1 on the first block and -1 on
+the second.  The Kac-Dynkin labels and the typicality test use this signed
+form.  Each even factor's roots lie in coordinates of one sign, so the even
+reflections, dominance and Dynkin labels are ratios that the plain dot
+product gives as well; they run on integer vectors (see :mod:`lie_core`).
 
 Branching to the even part is done by expanding the typical character as a
 signed sum of virtual even characters over subsets of the positive odd
@@ -27,15 +33,13 @@ from .lie_core import (
     SemisimpleAlgebra,
     _chamber_roots,
     _scaled,
+    _shifted_labels,
     _to_chamber,
     _unscaled,
     build_root_system,
     fr,
     vadd,
-    vdot,
-    vscale,
     vsub,
-    zero,
 )
 
 
@@ -50,57 +54,86 @@ class UnknownNameError(KeyError):
         return str(self.args[0]) if self.args else ""
 
 
-def _basis(dim):
-    return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+def _half_sum(roots, dim) -> tuple:
+    return tuple(Fraction(sum(a[i] for a in roots), 2) for i in range(dim))
+
+
+def _inverse(rows) -> list:
+    """Inverse of a square rational matrix, by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
 
 
 @dataclass(frozen=True)
 class SuperAlgebra:
-    """Distinguished root data of one basic classical Lie superalgebra."""
+    """Distinguished root data of one basic classical Lie superalgebra.
+
+    Stored, as int vectors: the distinguished simple roots (one per
+    Kac-Dynkin node, in label order), the even and odd positive roots, the
+    even factors as (RootSystem, simple roots, name) triples and, for
+    sl(m|n), the ``gauge`` coordinate that is 0 in every Kac weight.
+
+    Derived once: ``dim``; ``rho0``, ``rho1`` and ``rho`` as Fractions; the
+    tuples ``factor_systems``, ``factor_simples`` and ``factor_names``; each
+    factor's ``(root, (root, root))`` chamber pairs and their concatenation
+    ``chamber_roots``; and ``kac_inverse``, the inverse of :func:`kac_labels`.
+    """
 
     name: str
-    family: str  # "sl", "ospB", "ospC", "ospD"
-    m: int
-    n: int
-    dim: int
     form_signs: tuple
-    even_simple_roots: tuple
+    simple_roots: tuple
     even_positive_roots: tuple
     odd_positive_roots: tuple
-    odd_isotropic: tuple
-    factor_systems: tuple  # RootSystem per semisimple even factor
-    factor_simples: tuple  # simple roots of each factor, as super-space vectors
-    factor_names: tuple
-    charge_count: int
+    factors: tuple
+    gauge: int | None = None
+    dim: int = field(init=False, repr=False, compare=False)
+    rho0: tuple = field(init=False, repr=False, compare=False)
+    rho1: tuple = field(init=False, repr=False, compare=False)
+    rho: tuple = field(init=False, repr=False, compare=False)
+    factor_systems: tuple = field(init=False, repr=False, compare=False)
+    factor_simples: tuple = field(init=False, repr=False, compare=False)
+    factor_names: tuple = field(init=False, repr=False, compare=False)
+    factor_chambers: tuple = field(init=False, repr=False, compare=False)
     chamber_roots: tuple = field(init=False, repr=False, compare=False)
+    kac_inverse: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "chamber_roots", _chamber_roots(self.even_simple_roots))
+        def put(name, value):
+            object.__setattr__(self, name, value)
 
-    def sdot(self, a, b) -> Fraction:
-        return sum((s * x * y for s, x, y in zip(self.form_signs, a, b)),
-                   start=Fraction(0))
+        dim = len(self.form_signs)
+        put("dim", dim)
+        put("rho0", _half_sum(self.even_positive_roots, dim))
+        put("rho1", _half_sum(self.odd_positive_roots, dim))
+        put("rho", vsub(self.rho0, self.rho1))
+        systems, simples, names = zip(*self.factors)
+        put("factor_systems", systems)
+        put("factor_simples", simples)
+        put("factor_names", names)
+        put("factor_chambers", tuple(_chamber_roots(s) for s in simples))
+        put("chamber_roots", sum(self.factor_chambers, ()))
+        # Row i of the label map holds the i-th labels of the unit vectors;
+        # the sl gauge adds the row that reads coordinate ``gauge``.  Its
+        # label is always 0, so its column is dropped from the inverse.
+        units = _units(dim)
+        rows = list(zip(*(kac_labels(self, u) for u in units)))
+        if self.gauge is not None:
+            rows.append(units[self.gauge])
+        nodes = len(self.simple_roots)
+        put("kac_inverse", tuple(tuple((j, c) for j, c in enumerate(row[:nodes]) if c)
+                                 for row in _inverse(rows)))
 
-    @property
-    def rho0(self):
-        acc = zero(self.dim)
-        for a in self.even_positive_roots:
-            acc = vadd(acc, a)
-        return vscale(acc, Fraction(1, 2))
-
-    @property
-    def rho1(self):
-        acc = zero(self.dim)
-        for a in self.odd_positive_roots:
-            acc = vadd(acc, a)
-        return vscale(acc, Fraction(1, 2))
-
-    @property
-    def rho(self):
-        return vsub(self.rho0, self.rho1)
-
-    def even_label(self, w, root) -> Fraction:
-        return 2 * vdot(w, root) / vdot(root, root)
+    def sdot(self, a, b):
+        return sum(s * x * y for s, x, y in zip(self.form_signs, a, b))
 
     def to_dominant_regular(self, w: tuple):
         """Dominant chamber representative of the integer vector ``w`` (a
@@ -108,124 +141,81 @@ class SuperAlgebra:
         with the sign of the reflecting element; ``None`` on a wall."""
         return _to_chamber(w, self.chamber_roots, True)
 
-    def factor_labels(self, w):
-        """Per-factor Dynkin labels of an even highest weight vector."""
+    def factor_labels(self, v: tuple, scale: int) -> tuple:
+        """Per-factor Dynkin labels of the even weight ``v / scale - rho0``
+        for the integer vector ``v``; raises unless they are nonnegative
+        integers."""
         out = []
-        for name, simples in zip(self.factor_names, self.factor_simples):
-            labs = []
-            for a in simples:
-                l = self.even_label(w, a)
+        for name, roots in zip(self.factor_names, self.factor_chambers):
+            labs = _shifted_labels(v, roots, scale)
+            for l in labs:
                 if l.denominator != 1 or l < 0:
+                    w = vsub(_unscaled(v, scale), self.rho0)
                     raise InvalidLabelsError(
                         f"{self.name}: {name} label {l} of the even highest weight "
                         f"({', '.join(map(str, w))}) is not a nonnegative integer")
-                labs.append(int(l))
-            out.append(tuple(labs))
+            out.append(tuple(l.numerator for l in labs))
         return tuple(out)
 
 
+def _units(dim: int) -> list:
+    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+
+
+def _chain(e) -> tuple:
+    """The roots e_i - e_(i+1) along the unit vectors ``e``."""
+    return tuple(vsub(x, y) for x, y in zip(e, e[1:]))
+
+
+def _pairs(e) -> list:
+    """The roots e_i - e_j, then e_i + e_j, for i < j."""
+    idx = [(i, j) for i in range(len(e)) for j in range(i + 1, len(e))]
+    return [vsub(e[i], e[j]) for i, j in idx] + [vadd(e[i], e[j]) for i, j in idx]
+
+
 def _sl(m: int, n: int) -> SuperAlgebra:
-    dim = m + n
-    e = _basis(dim)
-    signs = (1,) * m + (-1,) * n
-    even_simple, factors, fsimples, fnames = [], [], [], []
-    if m >= 2:
-        blk = tuple(vsub(e[i], e[i + 1]) for i in range(m - 1))
-        even_simple += list(blk)
-        factors.append(build_root_system("A", m - 1))
-        fsimples.append(blk)
-        fnames.append(f"sl({m})")
-    if n >= 2:
-        blk = tuple(vsub(e[m + i], e[m + i + 1]) for i in range(n - 1))
-        even_simple += list(blk)
-        factors.append(build_root_system("A", n - 1))
-        fsimples.append(blk)
-        fnames.append(f"sl({n})")
-    even_pos = [vsub(e[i], e[j]) for i in range(m) for j in range(i + 1, m)]
-    even_pos += [vsub(e[m + i], e[m + j]) for i in range(n) for j in range(i + 1, n)]
-    odd = [vsub(e[i], e[m + j]) for i in range(m) for j in range(n)]
-    return SuperAlgebra(f"sl({m}|{n})", "sl", m, n, dim, signs,
-                        tuple(even_simple), tuple(even_pos), tuple(odd),
-                        (True,) * len(odd),
-                        tuple(factors), tuple(fsimples), tuple(fnames), 1)
-
-
-def _sp_block(e, n):
-    """C_n data on the delta coordinates (first n basis vectors of ``e``)."""
-    simple = tuple(vsub(e[i], e[i + 1]) for i in range(n - 1)) + (vscale(e[n - 1], 2),)
-    pos = [vsub(e[i], e[j]) for i in range(n) for j in range(i + 1, n)]
-    pos += [vadd(e[i], e[j]) for i in range(n) for j in range(i + 1, n)]
-    pos += [vscale(e[i], 2) for i in range(n)]
-    rs = build_root_system("C", n) if n >= 2 else build_root_system("A", 1)
-    return rs, simple, pos, f"sp({2 * n})"
+    e = _units(m + n)
+    blocks = [b for b in (e[:m], e[m:]) if len(b) >= 2]
+    even_pos = [vsub(b[i], b[j]) for b in blocks
+                for i in range(len(b)) for j in range(i + 1, len(b))]
+    factors = [(build_root_system("A", len(b) - 1), _chain(b), f"sl({len(b)})")
+               for b in blocks]
+    odd = [vsub(x, y) for x in e[:m] for y in e[m:]]
+    # The distinguished simple roots are e_i - e_(i+1); e_(m-1) - e_m is odd.
+    return SuperAlgebra(f"sl({m}|{n})", (1,) * m + (-1,) * n, _chain(e),
+                        tuple(even_pos), tuple(odd), tuple(factors), gauge=m - 1)
 
 
 def _osp(M: int, N: int) -> SuperAlgebra:
-    n = N // 2
-    if M % 2 == 1:
-        family, m = "ospB", (M - 1) // 2
-    elif M == 2:
-        family, m = "ospC", 1
+    n, m = N // 2, M // 2
+    e = _units(n + m)
+    if M == 2:
+        # Coordinates (epsilon | delta_1 .. delta_n); epsilon is a pure charge.
+        eps, delta, signs = e[:1], e[1:], (-1,) + (1,) * n
     else:
-        family, m = "ospD", M // 2
-    dim = n + m if family != "ospC" else 1 + n
-    e = _basis(dim)
-
-    if family == "ospC":
-        # Coordinates: (epsilon | delta_1 .. delta_n); epsilon is a pure charge.
-        eps, delta = e[0], e[1:]
-        signs = (-1,) + (1,) * n
-        rs, simple, pos, name = _sp_block(delta, n)
-        odd = [vsub(eps, d) for d in delta] + [vadd(eps, d) for d in delta]
-        return SuperAlgebra(f"osp({M}|{N})", family, m, n, dim, signs,
-                            tuple(simple), tuple(pos), tuple(odd),
-                            (True,) * len(odd),
-                            (rs,), (tuple(simple),), (name,), 1)
-
-    # Coordinates: (delta_1 .. delta_n | epsilon_1 .. epsilon_m).
-    delta, eps = e[:n], e[n:]
-    signs = (1,) * n + (-1,) * m
-    rs_sp, sp_simple, even_pos, sp_name = _sp_block(delta, n)
-    factors = [rs_sp]
-    fsimples = [tuple(sp_simple)]
-    fnames = [sp_name]
-    even_simple = list(sp_simple[:-1])  # 2*delta_n is not a distinguished node
-    even_simple_extra = [sp_simple[-1]]
-
-    if family == "ospB":
-        so_simple = [vsub(eps[i], eps[i + 1]) for i in range(m - 1)] + [eps[m - 1]]
-        even_pos = list(even_pos)
-        even_pos += [vsub(eps[i], eps[j]) for i in range(m) for j in range(i + 1, m)]
-        even_pos += [vadd(eps[i], eps[j]) for i in range(m) for j in range(i + 1, m)]
-        even_pos += list(eps)
-        factors.append(build_root_system("B", m) if m >= 2 else build_root_system("A", 1))
-        fsimples.append(tuple(so_simple))
-        fnames.append(f"so({M})")
-        odd = list(delta)
-        iso = [False] * n
-        for d in delta:
-            for x in eps:
-                odd += [vsub(d, x), vadd(d, x)]
-                iso += [True, True]
-    else:  # ospD, m == 2 only
-        if m != 2:
-            raise InvalidLabelsError("only osp(4|2n) is supported in the D family")
-        so_simple = [vsub(eps[0], eps[1]), vadd(eps[0], eps[1])]
-        even_pos = list(even_pos) + list(so_simple)
-        factors += [build_root_system("A", 1), build_root_system("A", 1)]
-        fsimples += [(so_simple[0],), (so_simple[1],)]
-        fnames += ["sl(2)", "sl(2)"]
-        odd, iso = [], []
-        for d in delta:
-            for x in eps:
-                odd += [vsub(d, x), vadd(d, x)]
-                iso += [True, True]
-
-    even_simple = even_simple + even_simple_extra + so_simple
-    return SuperAlgebra(f"osp({M}|{N})", family, m, n, dim, signs,
-                        tuple(even_simple), tuple(even_pos), tuple(odd),
-                        tuple(iso),
-                        tuple(factors), tuple(fsimples), tuple(fnames), 0)
+        # Coordinates (delta_1 .. delta_n | epsilon_1 .. epsilon_m).
+        delta, eps, signs = e[:n], e[n:], (1,) * n + (-1,) * m
+    sp_simple = _chain(delta) + (vadd(delta[-1], delta[-1]),)
+    even_pos = _pairs(delta) + [vadd(d, d) for d in delta]
+    factors = [(build_root_system("C", n), sp_simple, f"sp({N})")]
+    if M == 2:
+        simple = (vsub(eps[0], delta[0]),) + sp_simple
+        odd = [vsub(eps[0], d) for d in delta] + [vadd(eps[0], d) for d in delta]
+    else:
+        if M % 2:
+            so_simple = _chain(eps) + (eps[-1],)
+            even_pos += _pairs(eps) + list(eps)
+            factors.append((build_root_system("B", m), so_simple, f"so({M})"))
+            odd = list(delta)  # the non-isotropic odd roots
+        else:  # so(4) = sl(2) + sl(2)
+            so_simple = (vsub(eps[0], eps[1]), vadd(eps[0], eps[1]))
+            even_pos += list(so_simple)
+            factors += [(build_root_system("A", 1), (a,), "sl(2)") for a in so_simple]
+            odd = []
+        odd += [f(d, x) for d in delta for x in eps for f in (vsub, vadd)]
+        simple = sp_simple[:-1] + (vsub(delta[-1], eps[0]),) + so_simple
+    return SuperAlgebra(f"osp({M}|{N})", signs, simple, tuple(even_pos), tuple(odd),
+                        tuple(factors))
 
 
 _KIND_RE = re.compile(r"(sl|osp)\((\d+)\|(\d+)\)")
@@ -243,95 +233,44 @@ def build_super(kind: str) -> SuperAlgebra:
     if not mm:
         raise InvalidLabelsError(f"cannot parse algebra name {kind!r}")
     fam, a, b = mm.group(1), int(mm.group(2)), int(mm.group(3))
-    if fam == "sl":
-        if (a, b) not in _SUPPORTED_SL:
-            raise InvalidLabelsError(f"unsupported algebra {kind}")
-        sa = _sl(a, b)
-    else:
-        if (a, b) not in _SUPPORTED_OSP:
-            raise InvalidLabelsError(f"unsupported algebra {kind}")
-        sa = _osp(a, b)
+    if (a, b) not in (_SUPPORTED_SL if fam == "sl" else _SUPPORTED_OSP):
+        raise InvalidLabelsError(f"unsupported algebra {kind}")
+    sa = (_sl if fam == "sl" else _osp)(a, b)
     _CACHE[kind] = sa
     return sa
 
 
-def kac_weight(sa: SuperAlgebra, labels) -> tuple:
-    """Highest weight vector from distinguished Kac-Dynkin labels."""
-    labels = tuple(fr(x) for x in labels)
-    # Number of nodes: sl(m|n): m+n-1; ospB/C: n+m; ospD: n+m.
-    expected = {"sl": sa.m + sa.n - 1, "ospB": sa.n + sa.m,
-                "ospC": 1 + sa.n, "ospD": sa.n + sa.m}[sa.family]
-    if len(labels) != expected:
-        raise InvalidLabelsError(
-            f"{sa.name} takes {expected} labels, got {len(labels)}")
-
-    if sa.family == "sl":
-        m, n = sa.m, sa.n
-        a = [Fraction(0)] * m
-        for i in range(m - 2, -1, -1):
-            a[i] = a[i + 1] + labels[i]
-        b = [Fraction(0)] * n
-        b[0] = labels[m - 1] - a[m - 1]
-        for j in range(1, n):
-            b[j] = b[j - 1] - labels[m - 1 + j]
-        return tuple(a + b)
-
-    if sa.family == "ospC":
-        n = sa.n
-        c = [Fraction(0)] * n
-        c[n - 1] = labels[n]
-        for j in range(n - 2, -1, -1):
-            c[j] = c[j + 1] + labels[j + 1]
-        a0 = -(labels[0] + c[0])
-        return (a0,) + tuple(c)
-
-    n, m = sa.n, sa.m
-    so_labels = labels[n:]
-    if sa.family == "ospB":
-        a = [Fraction(0)] * m
-        a[m - 1] = so_labels[m - 1] / 2
-        for i in range(m - 2, -1, -1):
-            a[i] = a[i + 1] + so_labels[i]
-    else:  # ospD, m == 2
-        a = [(so_labels[0] + so_labels[1]) / 2, (so_labels[1] - so_labels[0]) / 2]
-    c = [Fraction(0)] * n
-    c[n - 1] = labels[n - 1] - a[0]
-    for j in range(n - 2, -1, -1):
-        c[j] = c[j + 1] + labels[j]
-    return tuple(c) + tuple(a)
-
-
 def kac_labels(sa: SuperAlgebra, w) -> tuple:
-    """Distinguished Kac-Dynkin labels of a weight vector (round trip)."""
+    """Distinguished Kac-Dynkin labels of a weight vector, in the signed
+    form: (w, a) at an isotropic simple root a, 2(w, a)/(a, a) at any other."""
     out = []
-    if sa.family == "sl":
-        m, n = sa.m, sa.n
-        out += [w[i] - w[i + 1] for i in range(m - 1)]
-        out.append(w[m - 1] + w[m])
-        out += [w[m + j] - w[m + j + 1] for j in range(n - 1)]
-    elif sa.family == "ospC":
-        n = sa.n
-        out.append(-w[0] - w[1])
-        out += [w[1 + j] - w[2 + j] for j in range(n - 1)]
-        out.append(w[n])
-    else:
-        n, m = sa.n, sa.m
-        out += [w[j] - w[j + 1] for j in range(n - 1)]
-        out.append(w[n - 1] + w[n])
-        eps = w[n:]
-        if sa.family == "ospB":
-            out += [eps[i] - eps[i + 1] for i in range(m - 1)]
-            out.append(2 * eps[m - 1])
-        else:
-            out += [eps[0] - eps[1], eps[0] + eps[1]]
+    for a in sa.simple_roots:
+        wa, aa = sa.sdot(w, a), sa.sdot(a, a)
+        out.append(wa if aa == 0 else Fraction(2 * wa, aa))
     return tuple(out)
+
+
+def kac_weight(sa: SuperAlgebra, labels) -> tuple:
+    """Highest weight vector from distinguished Kac-Dynkin labels: the
+    inverse of :func:`kac_labels`, with the sl(m|n) gauge coordinate 0."""
+    labels = tuple(fr(x) for x in labels)
+    if len(labels) != len(sa.simple_roots):
+        raise InvalidLabelsError(
+            f"{sa.name} takes {len(sa.simple_roots)} labels, got {len(labels)}")
+    return tuple(sum((c * labels[j] for j, c in row), start=Fraction(0))
+                 for row in sa.kac_inverse)
+
+
+def _typical(sa: SuperAlgebra, lam) -> bool:
+    lam_rho = vadd(lam, sa.rho)
+    # Only whether each product is 0 matters, so take them on ints.
+    v = _scaled(lam_rho, math.lcm(*(x.denominator for x in lam_rho)))
+    return all(sa.sdot(v, b) for b in sa.odd_positive_roots if sa.sdot(b, b) == 0)
 
 
 def is_typical(sa: SuperAlgebra, labels) -> bool:
     """Typicality: (Lambda + rho, beta) != 0 for every isotropic odd root."""
-    lam_rho = vadd(kac_weight(sa, labels), sa.rho)
-    return all(sa.sdot(lam_rho, b) != 0
-               for b, iso in zip(sa.odd_positive_roots, sa.odd_isotropic) if iso)
+    return _typical(sa, kac_weight(sa, labels))
 
 
 @dataclass(frozen=True)
@@ -356,19 +295,19 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
     A highest weight whose even part is not dominant integral raises
     :class:`InvalidLabelsError` before the expansion.
     """
-    if not is_typical(sa, labels):
+    lam = kac_weight(sa, labels)
+    if not _typical(sa, lam):
         raise AtypicalError(
             f"{sa.name} weight ({', '.join(map(str, labels))}) is atypical")
-    lam = kac_weight(sa, labels)
-    sa.factor_labels(lam)
-    rho0 = sa.rho0
     # The expansion runs on integer vectors: Lambda + rho0 times the lcm of
     # its denominators, and the odd roots (integral) times the same scale.
-    shifted = vadd(lam, rho0)
+    shifted = vadd(lam, sa.rho0)
     scale = math.lcm(*(x.denominator for x in shifted))
-    terms = [_scaled(shifted, scale)]
+    top = _scaled(shifted, scale)
+    sa.factor_labels(top, scale)
+    terms = [top]
     for beta in sa.odd_positive_roots:
-        step = _scaled(beta, scale)
+        step = tuple(scale * x for x in beta)
         terms += [tuple(map(sub, t, step)) for t in terms]
     acc: dict = {}
     for t in terms:
@@ -381,11 +320,11 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
     for dom, mult in acc.items():
         if mult == 0:
             continue
-        hw = vsub(_unscaled(dom, scale), rho0)
+        hw = vsub(_unscaled(dom, scale), sa.rho0)
         if mult < 0:
             raise InvalidLabelsError(
                 f"negative multiplicity {mult} at {hw}: inconsistent root data")
-        entries.append(BranchEntry(sa.factor_labels(hw), hw, mult))
+        entries.append(BranchEntry(sa.factor_labels(dom, scale), hw, mult))
     entries.sort(key=lambda e: (-e.dim(sa), e.labels, e.weight))
     return drop_abelian_charges(sa, entries) if drop_charges else entries
 

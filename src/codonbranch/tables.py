@@ -120,28 +120,33 @@ def build_branch_table(table: int) -> TableDoc:
                     ("algebra", "highest_weight", "labels", "dim"), rows, "branch")
 
 
+def _descend(roots: list, index: dict, path, mult: int = 1):
+    """The node at the end of ``path``, a sequence of (label, dim) steps down
+    from ``roots``, creating each missing node with ``mult``; ``index`` maps
+    label paths to nodes.  Also says whether the last node is new."""
+    key, children = (), roots
+    for label, dim in path:
+        key += (label,)
+        new = key not in index
+        if new:
+            index[key] = Node(label, dim, mult)
+            children.append(index[key])
+        children = index[key].children
+    return index[key], new
+
+
 def _chain_tree(chain_id: str):
     dist = apply_chain(chain_id)
     columns = tuple("+".join(s.names) for s in dist.stages)
-    root_children: list = []
+    roots: list = []
     index: dict = {}
     for e in dist.entries:
-        path = e.history + (e.labels,)
-        parent_key = ()
-        children = root_children
-        for depth, labels in enumerate(path):
-            stage = dist.stages[depth]
-            key = parent_key + (labels,)
-            if key not in index:
-                node = Node(render_labels(labels), stage.dimension(labels), e.mult)
-                index[key] = node
-                children.append(node)
-            elif depth == len(path) - 1:
-                index[key].mult += e.mult
-            node = index[key]
-            children = node.children
-            parent_key = key
-    return columns, root_children
+        path = [(render_labels(labels), stage.dimension(labels))
+                for labels, stage in zip(e.history + (e.labels,), dist.stages)]
+        node, new = _descend(roots, index, path, e.mult)
+        if not new:
+            node.mult += e.mult
+    return columns, roots
 
 
 def build_chain_table_doc(table: int) -> TableDoc:
@@ -170,22 +175,11 @@ def build_scheme_table(table: int) -> TableDoc:
         merged = e.history[2]
         path = [("-".join(str(l[0]) for l in sl3), state.stages[1].dimension(sl3)),
                 ("-".join(str(l[0]) for l in merged), state.stages[2].dimension(merged))]
-        parent_key = ()
-        children = roots
-        for label, dim in path:
-            key = parent_key + (label,)
-            if key not in index:
-                node = Node(label, dim)
-                index[key] = node
-                children.append(node)
-            node = index[key]
-            children = node.children
-            parent_key = key
         render = e.render()
         me = Node(render, e.dim(), e.mult,
                   frozen=render in frozen_groups,
                   neutral=render in neutral_groups)
-        children.append(me)
+        _descend(roots, index, path)[0].children.append(me)
         for piece in break_multiplet(Multiplet(e.slots, 1, ()), final_op.kind,
                                      state.slot_index(final_op.slot, final)):
             me.children.append(Node(piece.render(), piece.dim(),

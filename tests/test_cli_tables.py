@@ -111,6 +111,18 @@ def test_cli_unknown_chain_lists_ids(capsys):
     assert "osp(5|2)/3" in err
 
 
+def test_cli_search_rejects_unknown_algebra_prefix(capsys, monkeypatch):
+    import codonbranch.cli as cli
+
+    def not_called():
+        raise AssertionError("searched before checking the prefix")
+
+    monkeypatch.setattr(cli, "full_search", not_called)
+    assert main(["search", "--algebra", "zzz"]) == 2
+    err = capsys.readouterr().err
+    assert "no catalog entry starts with 'zzz'" in err and "osp(5|2)" in err
+
+
 def test_cli_rejects_malformed_hw(capsys):
     for hw, reason in (("1,2", "takes 3 labels"), ("1/0", "bad highest weight"),
                        ("abc", "bad highest weight"), ("1,2,3", "label -5/2"),

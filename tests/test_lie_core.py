@@ -138,6 +138,9 @@ def test_virtual_character_decomp_cases():
     assert virtual_character_decomp(a1, (F(-1, 2),)) is None
     # label -3 reflects to label 1 with a sign
     assert virtual_character_decomp(a1, (F(-3, 2),)) == (-1, (1,))
+    # on the scaled lattice of A2 but not a weight: labels (1/3, 1/3)
+    with pytest.raises(InvalidLabelsError):
+        virtual_character_decomp(build_root_system("A", 2), (F(1, 3), F(0), F(-1, 3)))
 
 
 def test_virtual_character_decomp_dominant_idempotent_and_sign():

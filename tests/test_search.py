@@ -184,6 +184,11 @@ def test_enumeration_respects_plan_constraints(report):
             assert kinds.count("strong") + kinds.count("strong_after_soft") <= 1
             if "strong_after_soft" in kinds:
                 assert kinds.index("soft") < kinds.index("strong_after_soft")
+    # A plan is a path in the depth-first tree, so no chain repeats one.
+    for a in report.algebras:
+        for c in a.chains:
+            plans = [node.plan_render() for node in c.option_nodes]
+            assert len(set(plans)) == len(plans), c.chain_id
 
 
 def test_freezing_rejects_unknown_slot():

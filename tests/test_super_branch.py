@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codonbranch.lie_core import vadd, vsub
+from codonbranch.lie_core import vadd, vdot, vsub
 from codonbranch.super_branch import (
     CATALOG,
     AtypicalError,
@@ -39,7 +39,6 @@ def test_even_parts():
     assert build_super("osp(5|2)").factor_names == ("sp(2)", "so(5)")
     assert build_super("osp(4|2)").factor_names == ("sp(2)", "sl(2)", "sl(2)")
     assert build_super("sl(2|1)").factor_names == ("sl(2)",)
-    assert build_super("sl(2|1)").charge_count == 1
     assert build_super("osp(3|4)").factor_names == ("sp(4)", "so(3)")
 
 
@@ -226,8 +225,9 @@ def test_integer_even_weyl_walk_matches_fraction_reflections(kind, data):
     scale = data.draw(st.sampled_from((1, 2)))
     coords = data.draw(st.lists(st.integers(-6, 6), min_size=sa.dim, max_size=sa.dim))
     w = tuple(Fraction(x, scale) for x in coords)
-    rep, sign = weyl_walk(w, sa.even_simple_roots)
-    if any(sa.even_label(rep, a) == 0 for a in sa.even_simple_roots):
+    simples = sum(sa.factor_simples, ())
+    rep, sign = weyl_walk(w, simples)
+    if any(vdot(rep, a) == 0 for a in simples):
         assert sa.to_dominant_regular(tuple(coords)) is None
     else:
         assert sa.to_dominant_regular(tuple(coords)) == \
@@ -244,3 +244,19 @@ def test_charged_branching_matches_pinned_values():
                    for b in branch_to_even(e.build(), e.labels, drop_charges=False)]
            for e in CATALOG}
     assert got == want
+
+
+def test_kac_weight_matches_pinned_values():
+    # [algebra, labels, weight] rows: every catalog weight and alias, and 20
+    # seeded rational label vectors per supported algebra, taken from the
+    # closed-form inverses that the generic elimination replaced.  Pins the
+    # sl(m|n) gauge (coordinate m-1 is 0) and each family's coordinates.
+    with open(os.path.join(os.path.dirname(__file__), "kac_weight.json"),
+              encoding="utf-8") as fh:
+        rows = json.load(fh)
+    assert len(rows) == 260
+    for algebra, labels, weight in rows:
+        sa, labels = build_super(algebra), tuple(map(Fraction, labels))
+        got = kac_weight(sa, labels)
+        assert list(map(str, got)) == weight, (algebra, labels)
+        assert kac_labels(sa, got) == labels
