@@ -2,8 +2,10 @@
 
 Every embedding is pinned by the decomposition of the source's defining
 representation; the weight-space projection matrix is written down from that
-decomposition and frozen here.  Restricting any irrep is then projection of
-its exact character followed by peeling over the target.
+decomposition and frozen here.  Restricting any irrep is then an integer
+projection of its exact character, from the source's scaled weight lattice
+to the target's (see :mod:`.lie_core`), followed by an integer peel over the
+target.
 
 Chains are sequences of steps applied to the even-part distribution of a
 codon representation: either a registered embedding acting on one factor, or
@@ -12,21 +14,24 @@ a diagonal contraction of two sl(2) factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .lie_core import (
     FormalCharacter,
     NotACharacterError,
     RootSystem,
     SemisimpleAlgebra,
+    _scaled,
     build_root_system,
     fr,
     irrep_character,
     weyl_dimension,
 )
-from .super_branch import branch_to_even, catalog_entry
+from .super_branch import UnknownNameError, branch_to_even, catalog_entry
 
 
 class ChainError(ValueError):
@@ -35,7 +40,12 @@ class ChainError(ValueError):
 
 @dataclass(frozen=True)
 class Embedding:
-    """A named subalgebra inclusion realized as a weight projection."""
+    """A named subalgebra inclusion realized as a weight projection.
+
+    ``matrix / denominator`` sends the source's scaled weight ``scale * w``
+    to the concatenated target blocks ``t.scale * t.canonicalize(P_t w)``,
+    where ``P_t`` is the block of ``projection`` rows for target ``t``.
+    """
 
     name: str
     source: RootSystem
@@ -43,13 +53,48 @@ class Embedding:
     projection: tuple  # rows over target coordinates, columns over source
     defining_decomposition: tuple  # ((per-factor labels, mult), ...)
     validation_vectors: tuple = ()
+    matrix: tuple = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        src = self.source
+        n_rows = sum(t.dim for t in self.targets)
+        if (len(self.projection) != n_rows
+                or any(len(row) != src.dim for row in self.projection)):
+            raise ChainError(f"{self.name}: the projection must be {n_rows} rows "
+                             f"of {src.dim} entries")
+        rows, start = [], 0
+        for t in self.targets:
+            block = self.projection[start:start + t.dim]
+            start += t.dim
+            # canonicalize is linear, so it applies column by column.
+            cols = [t.canonicalize(col) for col in zip(*block)]
+            ratio = Fraction(t.scale, src.scale)
+            rows += [[x * ratio for x in row] for row in zip(*cols)]
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        object.__setattr__(self, "matrix", tuple(tuple(int(x * den) for x in row)
+                                                 for row in rows))
+        object.__setattr__(self, "denominator", den)
 
     def target_algebra(self) -> SemisimpleAlgebra:
         return SemisimpleAlgebra(self.targets)
 
+    def project_scaled(self, v: tuple) -> tuple:
+        """The target lattice vector of the source lattice vector ``v``;
+        raises :class:`NotACharacterError` if it is off the target lattice."""
+        out = []
+        for row in self.matrix:
+            q, r = divmod(sum(map(mul, row, v)), self.denominator)
+            if r:
+                raise NotACharacterError(
+                    f"{self.name} projects {v} off the target weight lattice")
+            out.append(q)
+        return tuple(out)
+
     def project(self, w):
-        return tuple(sum((r * x for r, x in zip(row, w)), start=Fraction(0))
-                     for row in self.projection)
+        """The canonical target weight of the source weight ``w``."""
+        v = iter(self.project_scaled(_scaled(w, self.source.scale)))
+        return tuple(Fraction(next(v), t.scale) for t in self.targets for _ in range(t.dim))
 
 
 def _F(rows):
@@ -160,11 +205,14 @@ def builtin_registry():
 @lru_cache(maxsize=None)
 def branch_embedding(name: str, labels) -> tuple:
     """Restrict one source irrep through a registered embedding."""
-    emb = REGISTRY[name]
+    emb = REGISTRY.get(name)
+    if emb is None:
+        raise UnknownNameError(f"unknown embedding {name!r}; registered: {list(REGISTRY)}")
     alg = emb.target_algebra()
+    scale = emb.source.scale
     proj: dict = {}
     for w, m in irrep_character(emb.source, labels).items():
-        pw = alg.canonicalize(emb.project(w))
+        pw = emb.project_scaled(_scaled(w, scale))
         proj[pw] = proj.get(pw, 0) + m
     from .lie_core import peel  # local import to keep module load cheap
     out = peel(alg, FormalCharacter(proj))

@@ -15,14 +15,17 @@ so(4) is never built as a D-series object; use two A1 factors instead
 (see :func:`semisimple`).
 
 Fractions are kept at the boundaries: highest weights, Dynkin labels,
-character keys, projections and Casimirs.  The hot loops (Weyl-chamber
-walks, the weight-set search and the Freudenthal recursion) run on integer
-vectors instead: a weight times the system's ``scale``, the lcm of the
-denominators of its fundamental weights, so that every weight coordinate
-becomes an int.  The simple roots are integral and their squared lengths
-(a, a) are 1, 2 or 4, and 4 only for a = 2e_i, whose dot product with an
-integer vector is even.  So the reflection coefficient 2(w, a) // (a, a) of
-an integer vector is exact, whether or not the vector is a scaled weight.
+the keys of :func:`irrep_character` and Casimirs.  The hot loops
+(Weyl-chamber walks, the weight-set search, the Freudenthal recursion,
+product characters and :func:`peel`) run on integer vectors instead: a
+weight times the system's ``scale``, the lcm of the denominators of its
+fundamental weights, so that every weight coordinate becomes an int; a
+weight of a product of factors concatenates its per-factor blocks, each on
+its own factor's scale.  The simple roots are integral and their squared
+lengths (a, a) are 1, 2 or 4, and 4 only for a = 2e_i, whose dot product
+with an integer vector is even.  So the reflection coefficient
+2(w, a) // (a, a) of an integer vector is exact, whether or not the vector
+is a scaled weight.
 """
 
 from __future__ import annotations
@@ -117,16 +120,6 @@ def char_add(a: FormalCharacter, b: FormalCharacter, sign: int = 1) -> FormalCha
     terms = dict(a.terms)
     for w, m in b.items():
         terms[w] = terms.get(w, 0) + sign * m
-    return FormalCharacter(terms)
-
-
-def char_product(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
-    """Outer product; weights concatenate."""
-    terms = {}
-    for wa, ma in a.items():
-        for wb, mb in b.items():
-            w = wa + wb
-            terms[w] = terms.get(w, 0) + ma * mb
     return FormalCharacter(terms)
 
 
@@ -472,22 +465,19 @@ class SemisimpleAlgebra:
     def split(self, w: Weight):
         return tuple(w[s] for s in self.slices())
 
-    def rho0(self) -> Weight:
-        return sum((f.rho0 for f in self.factors), start=())
-
-    def height(self, w: Weight) -> Fraction:
-        return vdot(w, self.rho0())
-
-    def labels_of(self, w: Weight):
-        return tuple(f.integer_labels_of(p) for f, p in zip(self.factors, self.split(w)))
-
     def highest_weight(self, labels) -> Weight:
         return sum((f.highest_weight(l) for f, l in zip(self.factors, labels)), start=())
 
     def canonicalize(self, w: Weight) -> Weight:
         return sum((f.canonicalize(p) for f, p in zip(self.factors, self.split(w))), start=())
 
+    def check_arity(self, labels) -> None:
+        if len(labels) != len(self.factors):
+            raise InvalidLabelsError(
+                f"expected labels for {len(self.factors)} factors, got {labels}")
+
     def dimension(self, labels) -> int:
+        self.check_arity(labels)
         d = 1
         for f, l in zip(self.factors, labels):
             d *= weyl_dimension(f, l)
@@ -497,40 +487,64 @@ class SemisimpleAlgebra:
         return tuple(f.conjugate(l) for f, l in zip(self.factors, labels))
 
     def character(self, labels) -> FormalCharacter:
+        """Product character, keyed by integer vectors: each factor's block
+        is its weight times that factor's ``scale``."""
+        self.check_arity(labels)
         return _product_character(self, tuple(labels))
 
 
 @lru_cache(maxsize=None)
 def _product_character(alg: SemisimpleAlgebra, labels) -> FormalCharacter:
-    ch = FormalCharacter({(): 1})
+    terms = {(): 1}
     for f, l in zip(alg.factors, labels):
-        ch = char_product(ch, irrep_character(f, l))
-    return ch
+        block = [(_scaled(w, f.scale), m) for w, m in irrep_character(f, l).items()]
+        # Distinct block pairs concatenate to distinct keys.
+        terms = {w + v: m * n for w, m in terms.items() for v, n in block}
+    return FormalCharacter(terms)
+
+
+@lru_cache(maxsize=None)
+def _lattice(alg: SemisimpleAlgebra) -> tuple:
+    """Integer data of ``alg`` on the lattice of :func:`_product_character`:
+    per factor its slice and its simple roots ``a`` with ``(a, a) * scale``,
+    and the height vector, the concatenated ``scale * rho0`` blocks.  The
+    height is positive on every positive root of every factor."""
+    blocks = tuple((sl, tuple((a, aa * f.scale) for a, aa in f.chamber_roots))
+                   for sl, f in zip(alg.slices(), alg.factors))
+    height = sum((_scaled(f.rho0, f.scale) for f in alg.factors), start=())
+    return blocks, height
 
 
 def peel(alg: SemisimpleAlgebra, ch: FormalCharacter):
     """Decompose a Weyl-invariant weight sum into irreducibles.
 
-    Repeatedly strips the character of the irrep headed by the current
+    ``ch`` is keyed by integer vectors as :meth:`SemisimpleAlgebra.character`
+    is.  Repeatedly strips the character of the irrep headed by the current
     maximal weight.  Raises :class:`NotACharacterError` if the input is not
     a true character (negative multiplicity, or a non-dominant maximum).
     """
+    blocks, height = _lattice(alg)
     work = dict(ch.terms)
     out = {}
     # Subtracting a character only lowers multiplicities, so the current
     # maximal weight is the highest remaining one in this fixed order.
-    for w in sorted(work, key=lambda x: (alg.height(x), x), reverse=True):
+    for w in sorted(work, key=lambda x: (sum(map(mul, x, height)), x), reverse=True):
         m = work.get(w)
         if m is None:
             continue
         if m < 0:
             raise NotACharacterError(f"negative multiplicity {m} at {w}")
-        try:
-            labels = alg.labels_of(w)
-        except InvalidLabelsError as exc:
-            raise NotACharacterError(f"maximal weight {w} not dominant") from exc
-        if any(v < 0 for lab in labels for v in lab):
-            raise NotACharacterError(f"maximal weight {w} not dominant: {labels}")
+        labels = []
+        for sl, roots in blocks:
+            v = w[sl]
+            lab = []
+            for a, d in roots:
+                q, r = divmod(2 * sum(map(mul, v, a)), d)
+                if r or q < 0:
+                    raise NotACharacterError(f"maximal lattice vector {w} not dominant integral")
+                lab.append(q)
+            labels.append(tuple(lab))
+        labels = tuple(labels)
         for w2, m2 in alg.character(labels).items():
             left = work.get(w2, 0) - m * m2
             if left < 0:

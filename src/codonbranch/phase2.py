@@ -91,10 +91,6 @@ class Multiplet:
     def render(self) -> str:
         return "-".join(render_slot(s) for s in self.slots)
 
-    def conjugate(self) -> "Multiplet":
-        return Multiplet(tuple(slot_conjugate(s) for s in self.slots),
-                         self.mult, self.history)
-
 
 @dataclass(frozen=True)
 class Phase2State:
@@ -234,7 +230,7 @@ def _stats(rows) -> Stats:
 
 
 def phase2_stats(state: Phase2State) -> Stats:
-    return _stats((e.dim(), e.slots, e.conjugate().slots, e.mult)
+    return _stats((e.dim(), e.slots, tuple(map(slot_conjugate, e.slots)), e.mult)
                   for e in state.entries)
 
 

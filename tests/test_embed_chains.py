@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from codonbranch.embed_chains import (
     first_step_distribution,
     validate_registry,
 )
-from codonbranch.lie_core import weyl_dimension
+from codonbranch.lie_core import NotACharacterError, build_root_system, weyl_dimension
+from oracles import weyl_quotient_character
 
 
 def test_registry_self_test():
@@ -73,6 +76,84 @@ def test_conjugation_equivariance(emb):
                         for l, m in branch_embedding(emb.name, labels))
         conjugated = sorted(branch_embedding(emb.name, emb.source.conjugate(labels)))
         assert direct == conjugated
+
+
+@lru_cache(maxsize=None)
+def _oracle(rs, labels):
+    return weyl_quotient_character(rs, labels)
+
+
+def _project_by_rows(emb, w):
+    """``emb.projection`` applied to the Fraction weight ``w``, each A-series
+    target block (rank >= 2) moved to trace zero by its mean."""
+    out = []
+    rows = iter(emb.projection)
+    for t in emb.targets:
+        block = [sum((Fraction(r) * x for r, x in zip(next(rows), w)), start=Fraction(0))
+                 for _ in range(t.dim)]
+        if t.series == "A" and t.rank >= 2:
+            mean = sum(block) / t.dim
+            block = [x - mean for x in block]
+        out += block
+    return tuple(out)
+
+
+def _restriction_labels(rs):
+    """Labels of Weyl dimension <= 60; for A5, whose oracle characters take
+    seconds each, only the 6 and the 20."""
+    if rs.rank == 5:
+        return [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)]
+    return [l for l in itertools.product(range(3), repeat=rs.rank)
+            if weyl_dimension(rs, l) <= 60]
+
+
+@pytest.mark.parametrize("emb", builtin_registry(), ids=lambda e: e.name)
+def test_restriction_matches_the_projected_oracle_character(emb):
+    for labels in _restriction_labels(emb.source):
+        projected = {}
+        for w, m in _oracle(emb.source, labels).items():
+            pw = _project_by_rows(emb, w)
+            projected[pw] = projected.get(pw, 0) + m
+        rebuilt = {}
+        for sub, mult in branch_embedding(emb.name, labels):
+            factor_chars = [_oracle(t, l).items() for t, l in zip(emb.targets, sub)]
+            for combo in itertools.product(*factor_chars):
+                w = sum((wm[0] for wm in combo), start=())
+                m = mult
+                for _, n in combo:
+                    m *= n
+                rebuilt[w] = rebuilt.get(w, 0) + m
+        assert rebuilt == projected, (emb.name, labels)
+
+
+def test_projection_off_the_target_lattice_is_not_a_character(monkeypatch):
+    from codonbranch.embed_chains import REGISTRY, Embedding
+    a2, a1 = build_root_system("A", 2), build_root_system("A", 1)
+    # Half the A2>A1(1) row: the weight (2/3, -1/3, -1/3) lands on 1/2, a
+    # quarter-integral spin projection.
+    emb = Embedding("A2>A1(off)", a2, (a1,), ((Fraction(1, 4), Fraction(-1, 4), 0),),
+                    ((((1,),), 1),))
+    with pytest.raises(NotACharacterError):
+        emb.project((Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)))
+    monkeypatch.setitem(REGISTRY, emb.name, emb)
+    with pytest.raises(NotACharacterError):
+        branch_embedding(emb.name, (1, 0))
+
+
+def test_projection_shape_must_match_source_and_targets():
+    from codonbranch.embed_chains import Embedding
+    a2, a1 = build_root_system("A", 2), build_root_system("A", 1)
+    with pytest.raises(ChainError):
+        Embedding("short", a2, (a1,), ((1, 0),), ())
+    with pytest.raises(ChainError):
+        Embedding("tall", a2, (a1,), ((1, 0, -1), (0, 1, -1)), ())
+
+
+def test_unknown_embedding_is_a_typed_error():
+    from codonbranch.super_branch import UnknownNameError
+    with pytest.raises(UnknownNameError, match="B2>A1") as err:
+        branch_embedding("nope", (1, 0))
+    assert isinstance(err.value, KeyError)
 
 
 def test_diagonal_clebsch_examples():

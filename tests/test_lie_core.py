@@ -220,6 +220,26 @@ def test_peel_recovers_random_sums_up_to_dim_20():
         assert dict(peel(alg, total)) == expected
 
 
+@pytest.mark.parametrize("spec", ["A1+A2", "A1+A3", "A2+A2", "A1+A1+A1"])
+def test_peel_recovers_random_sums_over_products(spec):
+    # Factors with different scales (2, 3 and 4) share one product lattice.
+    import random
+    rng = random.Random(spec)
+    alg = semisimple(spec)
+    pools = [[l for l in itertools.product(range(3), repeat=f.rank)
+              if weyl_dimension(f, l) <= 10] for f in alg.factors]
+    for _ in range(15):
+        total = FormalCharacter({})
+        expected = {}
+        for _ in range(rng.randint(1, 4)):
+            lab = tuple(rng.choice(pool) for pool in pools)
+            mult = rng.randint(1, 2)
+            for _ in range(mult):
+                total = char_add(total, alg.character(lab))
+            expected[lab] = expected.get(lab, 0) + mult
+        assert dict(peel(alg, total)) == expected
+
+
 def test_peel_so5_restriction_example():
     # restriction of so(5) (1,1) to sl(2)+sl(2) via explicit projection
     from codonbranch.embed_chains import branch_embedding
@@ -249,6 +269,15 @@ def test_semisimple_parser():
     alg = semisimple("A1+A1")
     assert len(alg.factors) == 2
     assert alg.dimension(((1,), (1,))) == 4
+
+
+@pytest.mark.parametrize("labels", [((2,),), ((2,), (1, 0), (3,))])
+def test_label_count_must_match_the_factor_count(labels):
+    alg = semisimple("A1+A2")
+    with pytest.raises(InvalidLabelsError):
+        alg.dimension(labels)
+    with pytest.raises(InvalidLabelsError):
+        alg.character(labels)
 
 
 @pytest.mark.parametrize("series,rank,scale", [
