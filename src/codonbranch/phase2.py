@@ -10,11 +10,18 @@ Each sl(2) slot of a multiplet is in one of three states:
 Values are stored doubled so half-integer spins stay integral.  Breaking
 operations apply distribution-wide; exempting individual multiplets is the
 job of final-step freezing in the search layer.
+
+A multiplet's dimension is multiplied out from its slots once, in
+``from_distribution`` (or on demand for a hand-built one); a break carries
+it to each piece, swapping the broken slot's factor.  Per-shape work goes
+through dicts local to each call, not a module-level cache keyed by slot
+tuples, which would keep every shape a search meets (~1.9 MB more RSS).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .embed_chains import Distribution
@@ -74,6 +81,10 @@ def strong_break_slot(slot: Slot):
     raise SlotError(f"slot already strong-broken: {slot}")
 
 
+def _shape_dim(slots: tuple) -> int:
+    return math.prod(map(slot_dim, slots))
+
+
 @dataclass(frozen=True)
 class Multiplet:
     """Product of slot states with a multiplicity and its ancestry."""
@@ -81,12 +92,10 @@ class Multiplet:
     slots: tuple
     mult: int
     history: tuple
+    carried_dim: int = field(default=0, compare=False, repr=False)  # 0: not carried
 
     def dim(self) -> int:
-        d = 1
-        for s in self.slots:
-            d *= slot_dim(s)
-        return d
+        return self.carried_dim or _shape_dim(self.slots)
 
     def render(self) -> str:
         return "-".join(render_slot(s) for s in self.slots)
@@ -106,6 +115,13 @@ class Phase2State:
     def total_dim(self) -> int:
         return sum(e.mult * e.dim() for e in self.entries)
 
+    def shapes(self) -> dict:
+        """``{slots: [dim, total mult]}`` over the entries, in entry order."""
+        out: dict = {}
+        for e in self.entries:
+            out.setdefault(e.slots, [e.dim(), 0])[1] += e.mult
+        return out
+
     def slot_index(self, slot: str, where: str) -> int:
         """Position of the named slot; an unknown name raises
         :class:`SlotError` listing the valid slots."""
@@ -123,24 +139,42 @@ def from_distribution(dist: Distribution) -> Phase2State:
     entries = []
     for e in dist.entries:
         slots = tuple(("u", lab[0]) for lab in e.labels)
-        entries.append(Multiplet(slots, e.mult, e.history + (e.labels,)))
+        entries.append(Multiplet(slots, e.mult, e.history + (e.labels,), _shape_dim(slots)))
     return Phase2State(stage.names, dist.stages, tuple(entries))
+
+
+# Breaking kinds by the slot state they act on.
+_KINDS = {"u": ("soft", "strong"), "o": ("strong_after_soft",), "s": ()}
+_NEEDS = {kind: st for st, kinds in _KINDS.items() for kind in kinds}
+
+
+def _split(kind: str, old: Slot):
+    """Dimension of slot ``old`` and ``(piece, dim)`` of each of its pieces."""
+    if kind not in _NEEDS:
+        raise SlotError(f"unknown breaking kind {kind!r}")
+    rule = soft_break_slot if kind == "soft" else strong_break_slot
+    return slot_dim(old), [(p, slot_dim(p)) for p in rule(old)]
+
+
+def _break(entries, kind: str, idx: int) -> list:
+    """Pieces of the entries under a break of slot ``idx``, each carrying its
+    parent's dimension with the broken slot's factor swapped."""
+    splits: dict = {}
+    out = []
+    for e in entries:
+        old = e.slots[idx]
+        if old not in splits:
+            splits[old] = _split(kind, old)
+        old_dim, parts = splits[old]
+        rest = e.dim() // old_dim
+        head, tail = e.slots[:idx], e.slots[idx + 1:]
+        out += [Multiplet(head + (p,) + tail, e.mult, e.history, rest * d) for p, d in parts]
+    return out
 
 
 def break_multiplet(m: Multiplet, kind: str, idx: int):
     """All pieces of one multiplet under a soft or strong break of slot ``idx``."""
-    if kind == "soft":
-        pieces = soft_break_slot(m.slots[idx])
-    elif kind in ("strong", "strong_after_soft"):
-        pieces = strong_break_slot(m.slots[idx])
-    else:
-        raise SlotError(f"unknown breaking kind {kind!r}")
-    return [Multiplet(m.slots[:idx] + (p,) + m.slots[idx + 1:], m.mult, m.history)
-            for p in pieces]
-
-
-# Slot state each breaking kind acts on.
-_NEEDS = {"soft": "u", "strong": "u", "strong_after_soft": "o"}
+    return _break((m,), kind, idx)
 
 
 @dataclass(frozen=True)
@@ -172,10 +206,7 @@ def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
             raise SlotError(
                 f"{op.render()} needs state {want!r} in slot {op.slot}, "
                 f"found {e.slots[idx]}")
-    entries = []
-    for e in state.entries:
-        entries.extend(break_multiplet(e, op.kind, idx))
-    return Phase2State(state.slot_names, state.stages, tuple(entries))
+    return Phase2State(state.slot_names, state.stages, tuple(_break(state.entries, op.kind, idx)))
 
 
 def available_ops(state: Phase2State):
@@ -183,11 +214,7 @@ def available_ops(state: Phase2State):
     ops = []
     for i, name in enumerate(state.slot_names):
         st = state.entries[0].slots[i][0] if state.entries else "u"
-        if st == "u":
-            ops.append(PhaseOp("soft", name))
-            ops.append(PhaseOp("strong", name))
-        elif st == "o":
-            ops.append(PhaseOp("strong_after_soft", name))
+        ops += [PhaseOp(kind, name) for kind in _KINDS[st]]
     return ops
 
 
@@ -230,8 +257,8 @@ def _stats(rows) -> Stats:
 
 
 def phase2_stats(state: Phase2State) -> Stats:
-    return _stats((e.dim(), e.slots, tuple(map(slot_conjugate, e.slots)), e.mult)
-                  for e in state.entries)
+    return _stats((dim, slots, tuple(map(slot_conjugate, slots)), n)
+                  for slots, (dim, n) in state.shapes().items())
 
 
 def distribution_stats(dist: Distribution) -> Stats:

@@ -24,7 +24,7 @@ conjugate pair, so inside the second phase it must not cut continuations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .embed_chains import (
@@ -34,10 +34,12 @@ from .embed_chains import (
     first_step_distribution,
 )
 from .phase2 import (
-    Multiplet,
     Phase2State,
     PhaseOp,
     Stats,
+    _KINDS,
+    _shape_dim,
+    _split,
     apply_op,
     available_ops,
     break_multiplet,
@@ -122,20 +124,19 @@ class FreezeMask:
 
 def freeze_groups(state: Phase2State, op: PhaseOp):
     idx = state.slot_index(op.slot, op.render())
-    acc: dict = {}
-    for e in state.entries:
-        acc[e.slots] = acc.get(e.slots, 0) + e.mult
+    splits: dict = {}  # broken slot -> its _split, once per distinct slot
     groups = []
-    for slots, count in sorted(acc.items()):
-        probe = Multiplet(slots, 1, ())
-        dim = probe.dim()
+    for slots, (dim, count) in sorted(state.shapes().items()):
+        old = slots[idx]
+        if old not in splits:
+            splits[old] = _split(op.kind, old)
+        old_dim, parts = splits[old]
         pieces = {}
-        for piece in break_multiplet(probe, op.kind, idx):
-            d = piece.dim()
+        for _, d in parts:
+            d = dim // old_dim * d  # the group's dimension, the broken slot's factor swapped
             pieces[d] = pieces.get(d, 0) + 1
         pieces = tuple(sorted(pieces.items(), reverse=True))
-        neutral = pieces == ((dim, 1),)
-        groups.append(FreezeGroup(slots, count, dim, pieces, neutral))
+        groups.append(FreezeGroup(slots, count, dim, pieces, pieces == ((dim, 1),)))
     return groups
 
 
@@ -154,15 +155,13 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     """
     target = target or GENETIC_CODE_TARGET
     groups = freeze_groups(state, op)
-    for g in groups:
-        if g.dim > 6 and any(d > 6 for d, _ in g.pieces):
-            return []
+    if any(g.dim > 6 and g.pieces[0][0] > 6 for g in groups):  # pieces: largest first
+        return []
     active = [g for g in groups if not g.neutral]
     base: dict = {}
     for g in groups:
-        if g.neutral:
-            for d, k in g.pieces:
-                base[d] = base.get(d, 0) + k * g.count
+        if g.neutral:  # its one piece keeps the group's dimension
+            base[g.dim] = base.get(g.dim, 0) + g.count
 
     def fits(hist):
         return all(d in target and hist[d] <= target[d] for d in hist)
@@ -174,21 +173,15 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     def rec(i, hist):
         if i == len(active):
             if hist == target:
-                frozen = []
-                for g, k in zip(active, choices):
-                    if k:
-                        frozen.append((g.render(), g.dim, k))
-                masks.append(FreezeMask(tuple(frozen)))
+                masks.append(FreezeMask(tuple((g.render(), g.dim, k)
+                                              for g, k in zip(active, choices) if k)))
             return
         g = active[i]
         options = (0,) if g.dim > 6 else (0, g.count)
-        for k in options:
+        for k in options:  # freeze all copies or none
             new = dict(hist)
-            if k:
-                new[g.dim] = new.get(g.dim, 0) + k
-            for d, npieces in g.pieces:
-                if g.count - k:
-                    new[d] = new.get(d, 0) + npieces * (g.count - k)
+            for d, n in ((g.dim, 1),) if k else g.pieces:
+                new[d] = new.get(d, 0) + n * g.count
             if fits(new):
                 choices.append(k)
                 rec(i + 1, new)
@@ -203,9 +196,7 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
 def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2State:
     """Apply the final operation with the given mask (neutral groups frozen)."""
     idx = state.slot_index(op.slot, op.render())
-    quota = {}
-    for g, d, k in mask.frozen:
-        quota[g] = k
+    quota = {g: k for g, _, k in mask.frozen}
     groups = {g.slots: g for g in freeze_groups(state, op)}
     entries = []
     for e in state.entries:
@@ -218,10 +209,9 @@ def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2Stat
         take = min(left, e.mult)
         if take:
             quota[key] = left - take
-            entries.append(Multiplet(e.slots, take, e.history))
+            entries.append(replace(e, mult=take))
         if e.mult - take:
-            rest = Multiplet(e.slots, e.mult - take, e.history)
-            entries.extend(break_multiplet(rest, op.kind, idx))
+            entries.extend(break_multiplet(replace(e, mult=e.mult - take), op.kind, idx))
     return Phase2State(state.slot_names, state.stages, tuple(entries))
 
 
@@ -237,9 +227,6 @@ def reachable_triplet_counts(slots: tuple) -> frozenset:
     own descendants (operations act on all pieces at once, as they do
     distribution-wide); the count at every stopping point is collected.
     """
-    def triplets(states):
-        return sum(Multiplet(st, 1, ()).dim() == 3 for st in states)
-
     found = set()
     seen = set()
     stack = [(slots,)]
@@ -248,20 +235,11 @@ def reachable_triplet_counts(slots: tuple) -> frozenset:
         if states in seen:
             continue
         seen.add(states)
-        found.add(triplets(states))
+        found.add(sum(_shape_dim(st) == 3 for st in states))
         for i in range(len(slots)):
-            kinds = []
-            st = states[0][i][0]
-            if st == "u":
-                kinds = ["soft", "strong"]
-            elif st == "o":
-                kinds = ["strong_after_soft"]
-            for kind in kinds:
-                nxt = []
-                for mslots in states:
-                    for piece in break_multiplet(Multiplet(mslots, 1, ()), kind, i):
-                        nxt.append(piece.slots)
-                stack.append(tuple(sorted(nxt)))
+            for kind in _KINDS[states[0][i][0]]:
+                stack.append(tuple(sorted(st[:i] + (p,) + st[i + 1:] for st in states
+                                          for p, _ in _split(kind, st[i])[1])))
     return frozenset(found)
 
 
@@ -317,15 +295,12 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
     result = Phase2Result()
     seen_states = set()
 
-    def state_key(state: Phase2State):
-        return tuple(sorted((e.slots, e.history, e.mult) for e in state.entries))
-
     def walk(state, plan):
         for op in available_ops(state):
             child = apply_op(state, op)
             st = phase2_stats(child)
             violations = tuple(prune(st, 2))
-            terminal = all(e.dim() <= 6 for e in child.entries)
+            terminal = st.dim_histogram[0][0] <= 6  # largest dimension first
             masks = solve_freezing(state, op, target) if terminal else []
             new_plan = plan + (op,)
             assert len(new_plan) <= 2 * len(start.slot_names)
@@ -339,7 +314,8 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
             if violations:
                 result.pruned.append((new_plan, violations))
                 continue
-            key = (state_key(child), op.render())
+            key = (tuple(sorted((e.slots, e.history, e.mult) for e in child.entries)),
+                   op.render())
             if key in seen_states:
                 continue
             seen_states.add(key)
@@ -412,14 +388,10 @@ def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
     # the freezing-sound phase-2 criteria may stop the enumeration.
     blocking = tuple(prune(stats, 2))
     recorded = tuple(dict.fromkeys(prune(stats, 1) + list(blocking)))
-    facts = {}
-    for e in state.entries:
-        key = e.render()
-        if key not in facts:
-            facts[key] = {
-                "dim": e.dim(),
-                "triplet_counts": sorted(reachable_triplet_counts(e.slots)),
-            }
+    # Starting slots are all unbroken, so distinct shapes render distinctly.
+    facts = {"-".join(map(render_slot, slots)):
+             {"dim": dim, "triplet_counts": sorted(reachable_triplet_counts(slots))}
+             for slots, (dim, _) in state.shapes().items()}
     if blocking:
         return ChainReport(chain.chain_id, dist.stage.names, stats,
                            recorded, [], [], [], [], facts, chain.note)

@@ -318,15 +318,15 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
         acc[dom] = acc.get(dom, 0) + sign
     entries = []
     for dom, mult in acc.items():
-        if mult == 0:
-            continue
-        hw = vsub(_unscaled(dom, scale), sa.rho0)
+        # The Fraction highest weight is built only to be reported or returned.
+        hw = vsub(_unscaled(dom, scale), sa.rho0) if mult < 0 or not drop_charges else None
         if mult < 0:
             raise InvalidLabelsError(
                 f"negative multiplicity {mult} at {hw}: inconsistent root data")
-        entries.append(BranchEntry(sa.factor_labels(dom, scale), hw, mult))
-    entries.sort(key=lambda e: (-e.dim(sa), e.labels, e.weight))
-    return drop_abelian_charges(sa, entries) if drop_charges else entries
+        if mult:
+            entries.append(BranchEntry(sa.factor_labels(dom, scale), hw, mult))
+    return (drop_abelian_charges(sa, entries) if drop_charges  # it merges and sorts
+            else sorted(entries, key=lambda e: (-e.dim(sa), e.labels, e.weight)))
 
 
 def drop_abelian_charges(sa: SuperAlgebra, entries):

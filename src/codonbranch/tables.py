@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .embed_chains import apply_chain, render_labels
-from .phase2 import Multiplet, PhaseOp, break_multiplet
+from .phase2 import PhaseOp, break_multiplet
 from .search import apply_plan, freeze_groups, solve_freezing
 from .super_branch import UnknownNameError, branch_to_even, catalog_entry
 
@@ -180,8 +180,7 @@ def build_scheme_table(table: int) -> TableDoc:
                   frozen=render in frozen_groups,
                   neutral=render in neutral_groups)
         _descend(roots, index, path)[0].children.append(me)
-        for piece in break_multiplet(Multiplet(e.slots, 1, ()), final_op.kind,
-                                     state.slot_index(final_op.slot, final)):
+        for piece in break_multiplet(e, final_op.kind, state.slot_index(final_op.slot, final)):
             me.children.append(Node(piece.render(), piece.dim(),
                                     frozen=me.frozen, neutral=me.neutral))
     columns = ("sl(2)^3", "+".join(state.slot_names), "after " + " ".join(plan),

@@ -1,56 +1,79 @@
-"""Independent oracles used to cross-check the character engine.
+"""Independent oracles used to cross-check the character engine and the
+phase-2 statistics.
 
 These deliberately avoid the code paths they verify: characters come from an
 explicit alternating-sum quotient over a brute-force-enumerated Weyl group,
-not from the Freudenthal recursion.
+not from the Freudenthal recursion; phase-2 statistics and freeze groups come
+from ``slot_dim`` and ``slot_conjugate`` alone, multiplying every dimension
+out and reading the pieces' dimensions off the broken slot's.
 """
 
-from codonbranch.lie_core import RootSystem, vadd, vdot, vscale, vsub
+import heapq
+import math
+from collections import Counter
+from fractions import Fraction
+
+from codonbranch.lie_core import RootSystem, vdot, vscale, vsub
+from codonbranch.phase2 import slot_conjugate, slot_dim
+
+# (series, rank) -> the Weyl group of that root system on an integer lattice.
+_WEYL: dict = {}
+
+
+def _weyl(rs: RootSystem):
+    """The Weyl group of ``rs``, enumerated once per (series, rank).
+
+    Returns ``(scale, roots, tree, rho_orbit)``: every weight of ``rs`` times
+    ``scale`` is an integer vector; ``roots`` are the simple roots times
+    ``scale``; ``tree`` lists the group breadth-first over the free orbit of
+    rho0, each element after the first as ``(parent index, simple root
+    index, det)``; ``rho_orbit`` maps w(rho0) * scale to det(w).
+    """
+    key = (rs.series, rs.rank)
+    if key not in _WEYL:
+        scale = math.lcm(*(x.denominator for v in (rs.rho0, *rs.simple_roots,
+                                                   *rs.fundamental_weights) for x in v))
+        roots = [tuple(int(x * scale) for x in a) for a in rs.simple_roots]
+        start = tuple(int(x * scale) for x in rs.rho0)
+        images, dets, tree, index = [start], [1], [], {start: 0}
+        for k, v in enumerate(images):  # grows while it is walked: breadth first
+            for i, a in enumerate(roots):
+                w = _reflect(v, a)
+                if w not in index:
+                    index[w] = len(images)
+                    images.append(w)
+                    dets.append(-dets[k])
+                    tree.append((k, i, dets[-1]))
+        _WEYL[key] = scale, roots, tree, dict(zip(images, dets))
+    return _WEYL[key]
+
+
+def _reflect(v, a):
+    """Reflection of the integer vector ``v`` in the integer root ``a``."""
+    c, r = divmod(2 * sum(x * y for x, y in zip(v, a)), sum(y * y for y in a))
+    assert r == 0, (v, a)
+    return tuple(x - c * y for x, y in zip(v, a))
 
 
 def brute_weyl_elements(rs: RootSystem):
-    """All Weyl group elements as (matrix action on a regular orbit, det).
+    """All Weyl group elements, as a map from w(rho0) to det(w).
 
     Elements are closed under composition starting from the simple
-    reflections; each is represented by its action on a regular vector plus
-    an accumulated determinant, which is all the character oracle needs.
+    reflections; each is represented by its action on the regular vector
+    rho0 (times the lattice scale of :func:`_weyl`), which is all the
+    character oracle needs.
     """
-    def reflect_vec(v, a):
-        return vsub(v, vscale(a, 2 * vdot(v, a) / vdot(a, a)))
-
-    start = rs.rho0  # regular, so the orbit is free
-    seen = {start: 1}
-    frontier = [start]
-    parents = {start: None}
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for a in rs.simple_roots:
-                w = reflect_vec(v, a)
-                if w not in seen:
-                    seen[w] = -seen[v]
-                    nxt.append(w)
-        frontier = nxt
-    return seen  # map: w(rho0) -> det(w)
+    return _weyl(rs)[3]
 
 
-def alternating_sum(rs: RootSystem, v):
-    """N(v) = sum over the Weyl group of det(w) e^{w v}, as a weight dict."""
-    def reflect_vec(x, a):
-        return vsub(x, vscale(a, 2 * vdot(x, a) / vdot(a, a)))
-
-    terms = {v: 1}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a in rs.simple_roots:
-                y = reflect_vec(x, a)
-                if y not in terms:
-                    terms[y] = -terms[x]
-                    nxt.append(y)
-        frontier = nxt
-    return terms
+def _alternating_sum(rs: RootSystem, v):
+    """N(v) = sum over the Weyl group of det(w) e^{w v}, for a regular weight
+    ``v`` given as an integer vector on the lattice of :func:`_weyl`."""
+    _, roots, tree, _ = _weyl(rs)
+    images = [v]
+    for parent, i, _ in tree:
+        images.append(_reflect(images[parent], roots[i]))
+    return dict(zip(images, [1] + [det for _, _, det in tree]))
 
 
 def weyl_walk(w, simple_roots):
@@ -70,27 +93,82 @@ def weyl_walk(w, simple_roots):
 
 
 def weyl_quotient_character(rs: RootSystem, labels):
-    """Character by exact division of alternating sums (independent oracle)."""
+    """Character by exact division of alternating sums (independent oracle).
+
+    Long division of Laurent polynomials on the integer lattice of
+    :func:`_weyl`, leading terms first in the order (height, lexicographic),
+    which is compatible with addition; the denominator is the cached rho0
+    orbit.
+    """
+    scale, _, _, den = _weyl(rs)
     lam = rs.highest_weight(labels)
-    num = dict(alternating_sum(rs, vadd(lam, rs.rho0)))
-    den = alternating_sum(rs, rs.rho0)
+    num = _alternating_sum(rs, tuple(int((x + r) * scale) for x, r in zip(lam, rs.rho0)))
+    rho = tuple(int(x * scale) for x in rs.rho0)
 
-    def key(w):
-        return (vdot(w, rs.rho0), w)
+    def key(w):  # a min-heap key of the descending order
+        return (-sum(x * y for x, y in zip(w, rho)), tuple(-x for x in w))
 
-    den_top = max(den, key=key)
+    den_top = min(den, key=key)
+    heap = [key(w) for w in num]
+    heapq.heapify(heap)
     quotient = {}
-    while num:
-        w = max(num, key=key)
-        c = num[w]
-        q = vsub(w, den_top)
+    while heap:
+        w = tuple(-x for x in heapq.heappop(heap)[1])
+        c = num.get(w)
+        if not c:  # cancelled, or a stale duplicate
+            continue
+        q = tuple(x - y for x, y in zip(w, den_top))
         quotient[q] = quotient.get(q, 0) + c
         for dw, dc in den.items():
-            t = vadd(q, dw)
+            t = tuple(x + y for x, y in zip(q, dw))
             left = num.get(t, 0) - c * dc
             if left:
+                if t not in num:
+                    heapq.heappush(heap, key(t))
                 num[t] = left
             else:
                 num.pop(t, None)
     assert all(m > 0 for m in quotient.values())
-    return quotient
+    return {tuple(Fraction(x, scale) for x in q): m for q, m in quotient.items()}
+
+
+def _shape_dim(slots):
+    return math.prod(slot_dim(s) for s in slots)
+
+
+def phase2_stats_reference(entries) -> dict:
+    """The fields of ``phase2.Stats`` for ``(slots, mult)`` entries, every
+    dimension multiplied out from ``slot_dim``; a conjugation class is the set
+    of a shape and its ``slot_conjugate`` image."""
+    hist, classes = Counter(), Counter()
+    for slots, n in entries:
+        hist[_shape_dim(slots)] += n
+        classes[frozenset((slots, tuple(slot_conjugate(s) for s in slots)))] += n
+    return {"n_multiplets": sum(hist.values()),
+            "d3": sum(d * n for d, n in hist.items() if d % 3 == 0),
+            "n_singlets": hist[1],
+            "n_odd": sum(n for d, n in hist.items() if d % 2),
+            "total_pairing": bool(classes) and all(n % 2 == 0 for n in classes.values()),
+            "dim_histogram": tuple(sorted(hist.items(), reverse=True))}
+
+
+def freeze_groups_reference(entries, kind, idx) -> list:
+    """``(slots, count, dim, pieces, neutral)`` per distinct slot tuple of the
+    ``(slots, mult)`` entries, sorted by slots, for a break of slot ``idx``.
+
+    The pieces' dimension histogram is read off the broken slot's dimension
+    d alone: a soft break leaves d // 2 doublets and d % 2 singlets in that
+    slot, a strong one d singlets.
+    """
+    counts = Counter()
+    for slots, n in entries:
+        counts[slots] += n
+    out = []
+    for slots in sorted(counts):
+        dim = _shape_dim(slots)
+        d = slot_dim(slots[idx])
+        rest = dim // d
+        parts = {2 * rest: d // 2, rest: d % 2} if kind == "soft" else {rest: d}
+        pieces = tuple(sorted(((k, n) for k, n in parts.items() if n), reverse=True))
+        out.append((slots, counts[slots], dim, pieces, pieces == ((dim, 1),)))
+    return out

@@ -99,10 +99,7 @@ def _project_by_rows(emb, w):
 
 
 def _restriction_labels(rs):
-    """Labels of Weyl dimension <= 60; for A5, whose oracle characters take
-    seconds each, only the 6 and the 20."""
-    if rs.rank == 5:
-        return [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)]
+    """Labels of Weyl dimension <= 60."""
     return [l for l in itertools.product(range(3), repeat=rs.rank)
             if weyl_dimension(rs, l) <= 60]
 

@@ -1,9 +1,21 @@
+import dataclasses
+import math
 import random
 
 import pytest
 
 from codonbranch.embed_chains import CHAINS, apply_chain
-from codonbranch.phase2 import PhaseOp, SlotError, apply_op, available_ops, phase2_stats
+from codonbranch.phase2 import (
+    Multiplet,
+    Phase2State,
+    PhaseOp,
+    SlotError,
+    apply_op,
+    available_ops,
+    break_multiplet,
+    phase2_stats,
+    slot_dim,
+)
 from codonbranch.search import (
     FreezeMask,
     apply_plan,
@@ -17,6 +29,7 @@ from codonbranch.search import (
     report_to_dict,
     solve_freezing,
 )
+from oracles import freeze_groups_reference, phase2_stats_reference
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +211,57 @@ def test_freezing_rejects_unknown_slot():
                  lambda: final_state(state, op, FreezeMask(()))):
         with pytest.raises(SlotError, match="unknown slot '9' in soft:9; valid slots: 12, 3"):
             call()
+
+
+def _check_phase2_against_reference(state, op):
+    """``apply_op``, ``phase2_stats`` and ``freeze_groups`` at one option node
+    against the reference built from slot dimensions alone."""
+    child = apply_op(state, op)
+    for e in child.entries:
+        assert e.dim() == math.prod(slot_dim(s) for s in e.slots), e
+    rows = [(e.slots, e.mult) for e in child.entries]
+    assert dataclasses.asdict(phase2_stats(child)) == phase2_stats_reference(rows)
+    groups = [(g.slots, g.count, g.dim, g.pieces, g.neutral)
+              for g in freeze_groups(state, op)]
+    idx = state.slot_names.index(op.slot)
+    assert groups == freeze_groups_reference([(e.slots, e.mult) for e in state.entries],
+                                             op.kind, idx)
+    return child
+
+
+def test_phase2_matches_the_slot_dimension_reference_at_every_option_node(report):
+    nodes = 0
+    for a in report.algebras:
+        for c in a.chains:
+            for node in c.option_nodes:
+                _check_phase2_against_reference(apply_plan(c.chain_id, node.plan[:-1]),
+                                                node.plan[-1])
+                nodes += 1
+    assert nodes == 265
+    # Every plan of osp(5|2)/3, pruned or not.
+    frontier = [apply_plan("osp(5|2)/3", [])]
+    walked = 0
+    while frontier:
+        state = frontier.pop()
+        for op in available_ops(state):
+            frontier.append(_check_phase2_against_reference(state, op))
+            walked += 1
+    assert walked > len(report.chain_report("osp(5|2)/3").option_nodes)
+
+
+def test_hand_built_multiplets_multiply_their_dimension_out():
+    slots = (("u", 2), ("o", 1), ("s", -1))
+    hand = Multiplet(slots, 2, ("h",))
+    assert hand.dim() == 6
+    pieces = break_multiplet(hand, "soft", 0)
+    assert [p.dim() for p in pieces] == [4, 2]
+    assert pieces[0] == Multiplet((("o", 2),) + slots[1:], 2, ("h",))
+    conj = Multiplet((("u", 2), ("o", 1), ("s", 1)), 2, ("h",))
+    state = Phase2State(("1", "2", "3"), (), (hand, conj, Multiplet(slots, 1, ())))
+    rows = [(e.slots, e.mult) for e in state.entries]
+    assert dataclasses.asdict(phase2_stats(state)) == phase2_stats_reference(rows)
+    for op in available_ops(state):
+        groups = [(g.slots, g.count, g.dim, g.pieces, g.neutral)
+                  for g in freeze_groups(state, op)]
+        assert groups == freeze_groups_reference(rows, op.kind,
+                                                 state.slot_names.index(op.slot))
