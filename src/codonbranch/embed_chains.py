@@ -209,10 +209,9 @@ def branch_embedding(name: str, labels) -> tuple:
     if emb is None:
         raise UnknownNameError(f"unknown embedding {name!r}; registered: {list(REGISTRY)}")
     alg = emb.target_algebra()
-    scale = emb.source.scale
     proj: dict = {}
-    for w, m in irrep_character(emb.source, labels).items():
-        pw = emb.project_scaled(_scaled(w, scale))
+    for w, m in irrep_character(emb.source, labels).scaled_terms.items():
+        pw = emb.project_scaled(w)
         proj[pw] = proj.get(pw, 0) + m
     from .lie_core import peel  # local import to keep module load cheap
     out = peel(alg, FormalCharacter(proj))

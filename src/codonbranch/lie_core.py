@@ -14,18 +14,22 @@ orthonormal coordinate realization, one per series:
 so(4) is never built as a D-series object; use two A1 factors instead
 (see :func:`semisimple`).
 
-Fractions are kept at the boundaries: highest weights, Dynkin labels,
-the keys of :func:`irrep_character` and Casimirs.  The hot loops
-(Weyl-chamber walks, the weight-set search, the Freudenthal recursion,
-product characters and :func:`peel`) run on integer vectors instead: a
-weight times the system's ``scale``, the lcm of the denominators of its
-fundamental weights, so that every weight coordinate becomes an int; a
-weight of a product of factors concatenates its per-factor blocks, each on
-its own factor's scale.  The simple roots are integral and their squared
-lengths (a, a) are 1, 2 or 4, and 4 only for a = 2e_i, whose dot product
-with an integer vector is even.  So the reflection coefficient
-2(w, a) // (a, a) of an integer vector is exact, whether or not the vector
-is a scaled weight.
+Fractions are kept at the boundaries: public highest weights, labels of
+Fraction weights, the keys of :func:`irrep_character` and Casimirs.  The
+hot loops (chamber maps, the weight-set search, the Freudenthal recursion,
+Weyl dimensions, product characters, restriction and :func:`peel`) run on
+integer vectors instead: a weight times the system's ``scale``, the lcm of
+the denominators of its fundamental weights; a weight of a product of
+factors concatenates its per-factor blocks, each on its own factor's scale.
+Each character from :func:`irrep_character` carries this integer view as
+``scaled_terms``, which the restriction path reads.
+:meth:`RootSystem.to_dominant` is a closed form (a sort); the walks that
+stop on a wall (the dot action and the even Weyl groups of
+:mod:`.super_branch`) reflect step by step in :func:`_to_chamber`.  The
+simple roots are integral and their squared lengths (a, a) are 1, 2 or 4,
+and 4 only for a = 2e_i, whose dot product with an integer vector is even.
+So the reflection coefficient 2(w, a) // (a, a) of an integer vector is
+exact, whether or not the vector is a scaled weight.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, mul, sub
+from functools import lru_cache, partial, wraps
+from itertools import combinations, starmap
+from operator import add, lt, mul, sub
 
 Weight = tuple  # tuple[Fraction, ...]
 Labels = tuple  # tuple[int, ...], one entry per node
@@ -85,11 +90,12 @@ class FormalCharacter:
     as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "scaled_terms")
 
-    def __init__(self, terms=()):
+    def __init__(self, terms=(), scaled_terms=None):
         items = terms.items() if isinstance(terms, dict) else terms
         self.terms = {w: int(m) for w, m in items if m}
+        self.scaled_terms = scaled_terms  # keyed by scale * w; see irrep_character
 
     def total(self) -> int:
         return sum(self.terms.values())
@@ -146,20 +152,24 @@ def _chamber_roots(simple_roots) -> tuple:
 
 def _shifted_labels(v: tuple, roots: tuple, scale: int) -> tuple:
     """Labels of the weight ``v / scale - rho`` on the simple ``roots`` (see
-    :func:`_chamber_roots`), for the integer vector ``v``.  rho has label 1
-    on every simple root, so each label is 2(v, a) / ((a, a) scale) - 1."""
-    return tuple(Fraction(2 * sum(map(mul, v, a)) - aa * scale, aa * scale)
-                 for a, aa in roots)
+    :func:`_chamber_roots`), for the integer vector ``v``: ints, and a
+    Fraction for a label that is not integral.  rho has label 1 on every
+    simple root, so each label is 2(v, a) / ((a, a) scale) - 1."""
+    out = []
+    for a, aa in roots:
+        q, r = divmod(2 * sum(map(mul, v, a)) - aa * scale, aa * scale)
+        out.append(q + Fraction(r, aa * scale) if r else q)
+    return tuple(out)
 
 
-def _to_chamber(w: tuple, roots: tuple, regular: bool):
+def _to_chamber(w: tuple, roots: tuple):
     """Walk the integer vector ``w`` into the dominant chamber of the Weyl
     group generated by the reflections in ``roots`` (see
     :func:`_chamber_roots`).
 
-    Returns the chamber representative and the sign of the Weyl element used.
-    With ``regular`` set, returns ``None`` as soon as ``w`` lies on a wall:
-    walls are Weyl-invariant, so the representative would lie on one too.
+    Returns the chamber representative and the sign of the Weyl element
+    used, or ``None`` as soon as ``w`` lies on a wall: walls are
+    Weyl-invariant, so the representative would lie on one too.
     """
     sign = 1
     while True:
@@ -170,7 +180,7 @@ def _to_chamber(w: tuple, roots: tuple, regular: bool):
                 w = tuple([x - k * y for x, y in zip(w, a)])
                 sign = -sign
                 break
-            if regular and d == 0:
+            if d == 0:
                 return None
         else:
             return w, sign
@@ -188,14 +198,24 @@ class RootSystem:
     fundamental_weights: tuple
     rho0: Weight
     weyl_order: int
-    # Integer-vector data (see the module docstring), derived from the above.
+    # Integer-vector data (see the module docstring), derived from the above;
+    # sign_flips: the Weyl group also flips coordinate signs (A1, B, C).
     scale: int = field(init=False, repr=False, compare=False)
     chamber_roots: tuple = field(init=False, repr=False, compare=False)
+    int_positive_roots: tuple = field(init=False, repr=False, compare=False)
+    scaled_rho0: tuple = field(init=False, repr=False, compare=False)
+    scaled_fundamentals: tuple = field(init=False, repr=False, compare=False)
+    sign_flips: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        put = partial(object.__setattr__, self)
         scale = math.lcm(*(x.denominator for om in self.fundamental_weights for x in om))
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "chamber_roots", _chamber_roots(self.simple_roots))
+        put("scale", scale)
+        put("chamber_roots", _chamber_roots(self.simple_roots))
+        put("int_positive_roots", tuple(_scaled(a, 1) for a in self.positive_roots))
+        put("scaled_rho0", _scaled(self.rho0, scale))
+        put("scaled_fundamentals", tuple(_scaled(w, scale) for w in self.fundamental_weights))
+        put("sign_flips", self.series != "A" or self.rank == 1)
 
     def __hash__(self):
         # The series and rank fix the rest; hashing the Fraction root data
@@ -216,11 +236,11 @@ class RootSystem:
         return tuple(int(l) for l in labs)
 
     def highest_weight(self, labels: Labels) -> Weight:
+        return _unscaled(self.scaled_highest_weight(labels), self.scale)
+
+    def scaled_highest_weight(self, labels: Labels) -> tuple:
         self.check_dominant(labels)
-        v = zero(self.dim)
-        for l, om in zip(labels, self.fundamental_weights):
-            v = vadd(v, vscale(om, l))
-        return v
+        return tuple(sum(map(mul, labels, col)) for col in zip(*self.scaled_fundamentals))
 
     def check_dominant(self, labels: Labels) -> None:
         if len(labels) != self.rank:
@@ -241,10 +261,18 @@ class RootSystem:
 
     def to_dominant(self, w: tuple):
         """Dominant Weyl-chamber representative of the integer vector ``w``
-        (a weight times ``scale``) and the sign of the element used
-        (meaningful only for regular weights).  The representative is an
-        integer vector on the same scale."""
-        return _to_chamber(w, self.chamber_roots, False)
+        (a weight times ``scale``), on the same scale: the coordinates
+        (A_r, r >= 2) or their absolute values (A1, B, C) sorted in
+        descending order.  The sign, defined for every weight, walls
+        included, is (-1)^N for the N positive roots with a negative pairing:
+        the pairs i < j with w_i < w_j, and where signs flip also those with
+        w_i + w_j < 0 and the w_i < 0.  A reflection in a simple root with a
+        negative label lowers N by one, so a walk of them has this sign."""
+        n = sum(starmap(lt, combinations(w, 2)))
+        if self.sign_flips:
+            n += sum([x + y < 0 for x, y in combinations(w, 2)] + [x < 0 for x in w])
+            w = map(abs, w)
+        return tuple(sorted(w, reverse=True)), -1 if n & 1 else 1
 
     def root_coefficients(self, v: tuple) -> tuple:
         """Coordinates of the integer vector ``v`` in the simple-root basis
@@ -349,7 +377,15 @@ def _depth(rs: RootSystem, lam: tuple, mu: tuple) -> int:
     return sum(rs.root_coefficients(tuple(map(sub, lam, mu))))
 
 
-@lru_cache(maxsize=None)
+def _label_cache(fn):
+    """``lru_cache`` of ``fn(rs, labels)`` that also takes labels as a list."""
+    cached = lru_cache(maxsize=None)(fn)
+    call = wraps(fn)(lambda rs, labels: cached(rs, tuple(labels)))
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_label_cache
 def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
     """Character of the irrep with the given Dynkin labels (Freudenthal).
 
@@ -358,11 +394,11 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
     in the dominance order; dominant multiplicities then follow from the
     Freudenthal recursion and spread over Weyl orbits.  All of it runs on
     integer vectors scaled by ``rs.scale``; the keys of the result are
-    Fraction weights.
+    Fraction weights, and its ``scaled_terms`` holds the integer vectors.
     """
     scale = rs.scale
-    lam = _scaled(rs.highest_weight(labels), scale)
-    lowering = [_scaled(a, scale) for a in rs.simple_roots]
+    lam = rs.scaled_highest_weight(labels)
+    lowering = [tuple(scale * x for x in a) for a, _ in rs.chamber_roots]
     weights = {lam}
     queue = [lam]
     while queue:
@@ -380,8 +416,8 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
                        key=lambda w: _depth(rs, lam, w))
     # With w = scale * w', acc = scale * acc' and denom = scale^2 * denom',
     # so the multiplicity 2 acc' / denom' is 2 scale acc / denom.
-    raising = [(_scaled(a, 1), _scaled(a, scale)) for a in rs.positive_roots]
-    rho = _scaled(rs.rho0, scale)
+    raising = [(a, tuple(scale * x for x in a)) for a in rs.int_positive_roots]
+    rho = rs.scaled_rho0
     lam_rho = tuple(map(add, lam, rho))
     top = sum(map(mul, lam_rho, lam_rho))
     mult = {}
@@ -402,22 +438,20 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
             raise NotACharacterError(f"Freudenthal failure at {_unscaled(mu, scale)}: "
                                      f"{Fraction(2 * scale * acc, denom)}")
         mult[mu] = m
-    return FormalCharacter({_unscaled(w, scale): mult[rs.to_dominant(w)[0]]
-                            for w in weights})
+    scaled = {w: mult[rs.to_dominant(w)[0]] for w in weights}
+    return FormalCharacter({_unscaled(w, scale): m for w, m in scaled.items()}, scaled)
 
 
-@lru_cache(maxsize=None)
+@_label_cache
 def weyl_dimension(rs: RootSystem, labels: Labels) -> int:
     """Dimension of the irrep via the Weyl product formula."""
-    lam = rs.highest_weight(labels)
-    num, den = Fraction(1), Fraction(1)
-    shifted = vadd(lam, rs.rho0)
-    for a in rs.positive_roots:
-        num *= vdot(shifted, a)
-        den *= vdot(rs.rho0, a)
-    d = num / den
-    assert d.denominator == 1 and d > 0
-    return int(d)
+    shifted = tuple(map(add, rs.scaled_highest_weight(labels), rs.scaled_rho0))
+    num = math.prod(sum(map(mul, shifted, a)) for a in rs.int_positive_roots)
+    den = math.prod(sum(map(mul, rs.scaled_rho0, a)) for a in rs.int_positive_roots)
+    d, r = divmod(num, den)
+    if r or d <= 0:
+        raise NotACharacterError(f"Weyl dimension {Fraction(num, den)} of {labels}")
+    return d
 
 
 def virtual_character_decomp(rs: RootSystem, mu: Weight):
@@ -427,15 +461,15 @@ def virtual_character_decomp(rs: RootSystem, mu: Weight):
     ``(sign, labels)`` identifying the signed irreducible character equal to
     the alternating orbit sum of ``mu``.
     """
-    res = _to_chamber(_scaled(vadd(mu, rs.rho0), rs.scale), rs.chamber_roots, True)
+    res = _to_chamber(_scaled(vadd(mu, rs.rho0), rs.scale), rs.chamber_roots)
     if res is None:
         return None
     dom, sign = res
     labels = _shifted_labels(dom, rs.chamber_roots, rs.scale)
-    if any(l.denominator != 1 or l < 0 for l in labels):
+    if any(not isinstance(l, int) or l < 0 for l in labels):
         raise InvalidLabelsError("dot-dominant weight with labels "
                                  f"({', '.join(map(str, labels))}) is not dominant integral")
-    return sign, tuple(l.numerator for l in labels)
+    return sign, labels
 
 
 def casimir2(rs: RootSystem, labels: Labels) -> Fraction:
@@ -465,9 +499,6 @@ class SemisimpleAlgebra:
     def split(self, w: Weight):
         return tuple(w[s] for s in self.slices())
 
-    def highest_weight(self, labels) -> Weight:
-        return sum((f.highest_weight(l) for f, l in zip(self.factors, labels)), start=())
-
     def canonicalize(self, w: Weight) -> Weight:
         return sum((f.canonicalize(p) for f, p in zip(self.factors, self.split(w))), start=())
 
@@ -490,14 +521,14 @@ class SemisimpleAlgebra:
         """Product character, keyed by integer vectors: each factor's block
         is its weight times that factor's ``scale``."""
         self.check_arity(labels)
-        return _product_character(self, tuple(labels))
+        return _product_character(self, tuple(map(tuple, labels)))
 
 
 @lru_cache(maxsize=None)
 def _product_character(alg: SemisimpleAlgebra, labels) -> FormalCharacter:
     terms = {(): 1}
     for f, l in zip(alg.factors, labels):
-        block = [(_scaled(w, f.scale), m) for w, m in irrep_character(f, l).items()]
+        block = irrep_character(f, l).scaled_terms.items()
         # Distinct block pairs concatenate to distinct keys.
         terms = {w + v: m * n for w, m in terms.items() for v, n in block}
     return FormalCharacter(terms)
@@ -511,7 +542,7 @@ def _lattice(alg: SemisimpleAlgebra) -> tuple:
     height is positive on every positive root of every factor."""
     blocks = tuple((sl, tuple((a, aa * f.scale) for a, aa in f.chamber_roots))
                    for sl, f in zip(alg.slices(), alg.factors))
-    height = sum((_scaled(f.rho0, f.scale) for f in alg.factors), start=())
+    height = sum((f.scaled_rho0 for f in alg.factors), start=())
     return blocks, height
 
 

@@ -139,7 +139,7 @@ class SuperAlgebra:
         """Dominant chamber representative of the integer vector ``w`` (a
         super-space vector times any common scale) under the even Weyl group,
         with the sign of the reflecting element; ``None`` on a wall."""
-        return _to_chamber(w, self.chamber_roots, True)
+        return _to_chamber(w, self.chamber_roots)
 
     def factor_labels(self, v: tuple, scale: int) -> tuple:
         """Per-factor Dynkin labels of the even weight ``v / scale - rho0``
@@ -149,12 +149,12 @@ class SuperAlgebra:
         for name, roots in zip(self.factor_names, self.factor_chambers):
             labs = _shifted_labels(v, roots, scale)
             for l in labs:
-                if l.denominator != 1 or l < 0:
+                if not isinstance(l, int) or l < 0:
                     w = vsub(_unscaled(v, scale), self.rho0)
                     raise InvalidLabelsError(
                         f"{self.name}: {name} label {l} of the even highest weight "
                         f"({', '.join(map(str, w))}) is not a nonnegative integer")
-            out.append(tuple(l.numerator for l in labs))
+            out.append(labs)
         return tuple(out)
 
 

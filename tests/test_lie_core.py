@@ -9,6 +9,7 @@ from codonbranch.lie_core import (
     FormalCharacter,
     InvalidLabelsError,
     NotACharacterError,
+    RootSystem,
     SemisimpleAlgebra,
     UnsupportedAlgebraError,
     build_root_system,
@@ -19,6 +20,7 @@ from codonbranch.lie_core import (
     semisimple,
     sl2,
     vadd,
+    vdot,
     virtual_character_decomp,
     vscale,
     vsub,
@@ -313,3 +315,92 @@ def test_integer_chamber_walk_matches_fraction_reflections(series, rank, data):
     else:
         labels = rs.integer_labels_of(vsub(shifted, rs.rho0))
         assert virtual_character_decomp(rs, w) == (sign, labels)
+
+
+def _box_weights(rs):
+    """Every weight whose fundamental-weight coefficients lie in [-2, 2]
+    (rank <= 3) or [-1, 1] (A4, A5), walls included."""
+    k = 2 if rs.rank <= 3 else 1
+    for coeffs in itertools.product(range(-k, k + 1), repeat=rs.rank):
+        w = zero(rs.dim)
+        for c, om in zip(coeffs, rs.fundamental_weights):
+            w = vadd(w, vscale(om, c))
+        yield w
+
+
+def _ints(rs, w):
+    return tuple(int(rs.scale * x) for x in w)
+
+
+@pytest.mark.parametrize("series,rank", ALL_SYSTEMS)
+def test_closed_form_chamber_map_matches_the_reflection_walk(series, rank):
+    rs = build_root_system(series, rank)
+    for w in _box_weights(rs):
+        rep, sign = weyl_walk(w, rs.simple_roots)
+        assert rs.to_dominant(_ints(rs, w)) == (_ints(rs, rep), sign), w
+
+
+@pytest.mark.parametrize("series,rank", ALL_SYSTEMS)
+def test_chamber_sign_counts_the_negative_positive_roots(series, rank):
+    rs = build_root_system(series, rank)
+    for w in _box_weights(rs):
+        negative = sum(vdot(w, a) < 0 for a in rs.positive_roots)
+        assert rs.to_dominant(_ints(rs, w))[1] == (-1) ** negative, w
+
+
+def test_cold_search_characters_carry_their_integer_view(monkeypatch):
+    from codonbranch import embed_chains, lie_core, search
+
+    cached = lie_core.irrep_character
+    seen = set()
+
+    def recording(rs, labels):
+        seen.add((rs, tuple(labels)))
+        return cached(rs, labels)
+
+    for mod in (lie_core, embed_chains):
+        for obj in list(vars(mod).values()):
+            if callable(getattr(obj, "cache_clear", None)) and not isinstance(obj, type):
+                obj.cache_clear()
+        monkeypatch.setattr(mod, "irrep_character", recording)
+    search.full_search()
+    assert len(seen) == cached.cache_info().currsize > 0
+    for rs, labels in seen:
+        ch = cached(rs, labels)
+        # A Fraction equal to an int hashes like it, so the dicts compare.
+        assert ch.scaled_terms == {tuple(rs.scale * x for x in w): m for w, m in ch.items()}
+        assert all(type(x) is int for w in ch.scaled_terms for x in w)
+
+
+def test_labels_may_be_lists():
+    rs = build_root_system("A", 2)
+    assert irrep_character(rs, [1, 0]) is irrep_character(rs, (1, 0))
+    assert weyl_dimension(rs, [1, 0]) == 3
+    alg = semisimple("A1+A2")
+    assert alg.dimension([[1], [1, 0]]) == 6
+    assert alg.character([[1], [1, 0]]) == alg.character(((1,), (1, 0)))
+
+
+def test_weyl_dimension_rejects_bad_labels_with_a_typed_error():
+    rs = build_root_system("A", 2)
+    for labels in ([1.5, 0], [-1, 0], [1]):
+        with pytest.raises(InvalidLabelsError):
+            weyl_dimension(rs, labels)
+        with pytest.raises(InvalidLabelsError):
+            irrep_character(rs, labels)
+
+
+def test_non_integral_dot_dominant_labels_are_reported_as_fractions():
+    # mu = (1/3, -1/3, 0) has labels (2/3, -1/3): on the scaled lattice,
+    # but not integral.
+    with pytest.raises(InvalidLabelsError, match=r"labels \(2/3, -1/3\)"):
+        virtual_character_decomp(build_root_system("A", 2), (F(1, 3), F(-1, 3), F(0)))
+
+
+def test_weyl_dimension_checks_its_quotient_without_assert():
+    # Root data with a wrong rho0 makes the Weyl product 4/3, not an integer;
+    # the check is a raised error, so it holds under ``python -O`` too.
+    one = (F(1),)
+    bad = RootSystem("A", 1, 1, (one,), (one,), ((F(1, 2),),), (F(3, 2),), 2)
+    with pytest.raises(NotACharacterError, match="4/3"):
+        weyl_dimension(bad, (1,))
