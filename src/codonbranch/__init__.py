@@ -43,6 +43,7 @@ from .phase2 import (
 )
 from .search import (
     GENETIC_CODE_TARGET,
+    InvalidTargetError,
     apply_plan,
     enumerate_phase2,
     full_search,

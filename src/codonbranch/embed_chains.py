@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .lie_core import (
@@ -25,6 +24,7 @@ from .lie_core import (
     NotACharacterError,
     RootSystem,
     SemisimpleAlgebra,
+    _label_cache,
     _scaled,
     build_root_system,
     fr,
@@ -202,7 +202,7 @@ def builtin_registry():
     return list(_EMBEDDINGS)
 
 
-@lru_cache(maxsize=None)
+@_label_cache
 def branch_embedding(name: str, labels) -> tuple:
     """Restrict one source irrep through a registered embedding."""
     emb = REGISTRY.get(name)

@@ -378,9 +378,18 @@ def _depth(rs: RootSystem, lam: tuple, mu: tuple) -> int:
 
 
 def _label_cache(fn):
-    """``lru_cache`` of ``fn(rs, labels)`` that also takes labels as a list."""
+    """``lru_cache`` of ``fn(key, labels)`` that also takes labels as a list;
+    labels that are not a sequence of hashable values are invalid."""
     cached = lru_cache(maxsize=None)(fn)
-    call = wraps(fn)(lambda rs, labels: cached(rs, tuple(labels)))
+
+    @wraps(fn)
+    def call(key, labels):
+        try:
+            hash(labels := tuple(labels))
+        except TypeError:
+            raise InvalidLabelsError(f"labels must be a sequence of integers: {labels!r}") from None
+        return cached(key, labels)
+
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
     return call
 

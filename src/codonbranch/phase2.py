@@ -11,17 +11,18 @@ Values are stored doubled so half-integer spins stay integral.  Breaking
 operations apply distribution-wide; exempting individual multiplets is the
 job of final-step freezing in the search layer.
 
-A multiplet's dimension is multiplied out from its slots once, in
-``from_distribution`` (or on demand for a hand-built one); a break carries
-it to each piece, swapping the broken slot's factor.  Per-shape work goes
-through dicts local to each call, not a module-level cache keyed by slot
-tuples, which would keep every shape a search meets (~1.9 MB more RSS).
+Each state carries its entries folded by shape, with each shape's dimension
+multiplied out from its slots once; a break splits each shape once and
+carries the dimension to each piece, swapping the broken slot's factor.
+There is no module-level cache keyed by slot tuples, which would keep every
+shape a search meets (~1.9 MB more RSS).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 from fractions import Fraction
 
 from .embed_chains import Distribution
@@ -92,10 +93,9 @@ class Multiplet:
     slots: tuple
     mult: int
     history: tuple
-    carried_dim: int = field(default=0, compare=False, repr=False)  # 0: not carried
 
     def dim(self) -> int:
-        return self.carried_dim or _shape_dim(self.slots)
+        return _shape_dim(self.slots)
 
     def render(self) -> str:
         return "-".join(render_slot(s) for s in self.slots)
@@ -103,24 +103,44 @@ class Multiplet:
 
 @dataclass(frozen=True)
 class Phase2State:
-    """A distribution of multiplets over named sl(2) slots."""
+    """A distribution of multiplets over named sl(2) slots.
+
+    ``shapes`` folds the entries by slot tuple, ``{slots: [dim, total mult]}``
+    in entry order, and is read-only; statistics, freeze groups and breaking
+    read only it.  A state made by :func:`apply_op` splits its entries from
+    its parent's on first access: a search reads none, so it builds none.
+    """
 
     slot_names: tuple
     stages: tuple    # StageAlgebra history from the chain, for ancestry lookups
     entries: tuple   # Multiplet
+    shapes: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shapes", {})
+        for e in self.entries:
+            self.shapes.setdefault(e.slots, [e.dim(), 0])[1] += e.mult
+
+    def __getattr__(self, name):
+        # Only the entries of a state made by apply_op are ever missing.
+        if name != "entries" or "_split" not in vars(self):
+            raise AttributeError(name)
+        parent, pieces = vars(self).pop("_split")
+        vars(self)["entries"] = tuple(Multiplet(s, e.mult, e.history)
+                                      for e in parent.entries for s, _ in pieces[e.slots])
+        return self.entries
+
+    def statuses(self) -> tuple:
+        """Each slot's state, the same in every entry of a state that
+        distribution-wide operations made."""
+        first = next(iter(self.shapes), None)
+        return ("u",) * len(self.slot_names) if first is None else tuple(st for st, _ in first)
 
     def count(self) -> int:
-        return sum(e.mult for e in self.entries)
+        return sum(n for _, n in self.shapes.values())
 
     def total_dim(self) -> int:
-        return sum(e.mult * e.dim() for e in self.entries)
-
-    def shapes(self) -> dict:
-        """``{slots: [dim, total mult]}`` over the entries, in entry order."""
-        out: dict = {}
-        for e in self.entries:
-            out.setdefault(e.slots, [e.dim(), 0])[1] += e.mult
-        return out
+        return sum(d * n for d, n in self.shapes.values())
 
     def slot_index(self, slot: str, where: str) -> int:
         """Position of the named slot; an unknown name raises
@@ -136,11 +156,9 @@ def from_distribution(dist: Distribution) -> Phase2State:
     stage = dist.stage
     if not stage.all_sl2():
         raise SlotError(f"stage {stage.names} is not a sum of sl(2) factors")
-    entries = []
-    for e in dist.entries:
-        slots = tuple(("u", lab[0]) for lab in e.labels)
-        entries.append(Multiplet(slots, e.mult, e.history + (e.labels,), _shape_dim(slots)))
-    return Phase2State(stage.names, dist.stages, tuple(entries))
+    return Phase2State(stage.names, dist.stages,
+                       tuple(Multiplet(tuple(("u", lab[0]) for lab in e.labels), e.mult,
+                                       e.history + (e.labels,)) for e in dist.entries))
 
 
 # Breaking kinds by the slot state they act on.
@@ -156,25 +174,29 @@ def _split(kind: str, old: Slot):
     return slot_dim(old), [(p, slot_dim(p)) for p in rule(old)]
 
 
-def _break(entries, kind: str, idx: int) -> list:
-    """Pieces of the entries under a break of slot ``idx``, each carrying its
-    parent's dimension with the broken slot's factor swapped."""
+def _break(shapes: dict, kind: str, idx: int):
+    """The pieces ``{slots: [(piece slots, piece dim), ...]}`` of each shape
+    of a fold under a break of slot ``idx``, each carrying its parent's
+    dimension with the broken slot's factor swapped, and the pieces' fold."""
     splits: dict = {}
-    out = []
-    for e in entries:
-        old = e.slots[idx]
+    pieces: dict = {}
+    fold: dict = {}
+    for slots, (dim, n) in shapes.items():
+        old = slots[idx]
         if old not in splits:
             splits[old] = _split(kind, old)
         old_dim, parts = splits[old]
-        rest = e.dim() // old_dim
-        head, tail = e.slots[:idx], e.slots[idx + 1:]
-        out += [Multiplet(head + (p,) + tail, e.mult, e.history, rest * d) for p, d in parts]
-    return out
+        head, tail = slots[:idx], slots[idx + 1:]
+        pieces[slots] = [(head + (p,) + tail, dim // old_dim * d) for p, d in parts]
+        for s, d in pieces[slots]:
+            fold.setdefault(s, [d, 0])[1] += n
+    return pieces, fold
 
 
 def break_multiplet(m: Multiplet, kind: str, idx: int):
     """All pieces of one multiplet under a soft or strong break of slot ``idx``."""
-    return _break((m,), kind, idx)
+    pieces, _ = _break({m.slots: (m.dim(), m.mult)}, kind, idx)
+    return [Multiplet(s, m.mult, m.history) for s, _ in pieces[m.slots]]
 
 
 @dataclass(frozen=True)
@@ -201,21 +223,21 @@ def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
         raise SlotError(f"unknown breaking kind {op.kind!r}; kinds are {', '.join(_NEEDS)}")
     idx = state.slot_index(op.slot, op.render())
     want = _NEEDS[op.kind]
-    for e in state.entries:
-        if e.slots[idx][0] != want:
+    for slots in state.shapes:
+        if slots[idx][0] != want:
             raise SlotError(
-                f"{op.render()} needs state {want!r} in slot {op.slot}, "
-                f"found {e.slots[idx]}")
-    return Phase2State(state.slot_names, state.stages, tuple(_break(state.entries, op.kind, idx)))
+                f"{op.render()} needs state {want!r} in slot {op.slot}, found {slots[idx]}")
+    pieces, fold = _break(state.shapes, op.kind, idx)
+    child = object.__new__(Phase2State)  # its entries come from __getattr__
+    vars(child).update(slot_names=state.slot_names, stages=state.stages, shapes=fold,
+                       _split=(state, pieces))
+    return child
 
 
 def available_ops(state: Phase2State):
     """Operations applicable to the current slot states (uniform across entries)."""
-    ops = []
-    for i, name in enumerate(state.slot_names):
-        st = state.entries[0].slots[i][0] if state.entries else "u"
-        ops += [PhaseOp(kind, name) for kind in _KINDS[st]]
-    return ops
+    return [PhaseOp(kind, name) for name, st in zip(state.slot_names, state.statuses())
+            for kind in _KINDS[st]]
 
 
 @dataclass(frozen=True)
@@ -233,38 +255,38 @@ class Stats:
         return dict(self.dim_histogram)
 
 
-def _stats(rows) -> Stats:
-    """Statistics of (dim, key, conjugate key, mult) rows.  Keys identify a
-    multiplet and its conjugate; the distribution is totally paired when every
-    conjugation class has an even count."""
+def _add(counts: dict, key, n: int) -> None:
+    counts[key] = counts.get(key, 0) + n
+
+
+def _stats(rows, paired: bool) -> Stats:
+    """Statistics of (dim, mult) rows; ``paired``: every conjugation class
+    has an even count."""
     dims: dict = {}
-    classes: dict = {}
-    total = d3 = singlets = odd = 0
-    for d, key, conj, n in rows:
-        total += n
-        dims[d] = dims.get(d, 0) + n
-        if d % 3 == 0:
-            d3 += d * n
-        if d == 1:
-            singlets += n
-        if d % 2 == 1:
-            odd += n
-        cls = min(key, conj)
-        classes[cls] = classes.get(cls, 0) + n
-    pairing = bool(classes) and all(n % 2 == 0 for n in classes.values())
-    return Stats(total, d3, singlets, odd, pairing,
-                 tuple(sorted(dims.items(), reverse=True)))
+    for d, n in rows:
+        _add(dims, d, n)
+    hist = tuple(sorted(dims.items(), reverse=True))
+    return Stats(sum(dims.values()), sum(d * n for d, n in hist if d % 3 == 0),
+                 dims.get(1, 0), sum(n for d, n in hist if d % 2), bool(hist) and paired, hist)
 
 
 def phase2_stats(state: Phase2State) -> Stats:
-    return _stats((dim, slots, tuple(map(slot_conjugate, slots)), n)
-                  for slots, (dim, n) in state.shapes().items())
+    """Statistics of the state's fold.  A shape's conjugation class is the
+    shape and its conjugate, the signs of its strong slots flipped."""
+    shapes = state.shapes
+    flip = {s: slot_conjugate(s) for s in set(chain.from_iterable(shapes))}.__getitem__
+    return _stats(shapes.values(), all(
+        (n + (shapes[c][1] if (c := tuple(map(flip, s))) != s and c in shapes else 0)) % 2 == 0
+        for s, (_, n) in shapes.items()))
 
 
 def distribution_stats(dist: Distribution) -> Stats:
     stage = dist.stage
-    return _stats((stage.dimension(e.labels), e.labels, stage.conjugate(e.labels), e.mult)
-                  for e in dist.entries)
+    classes: dict = {}
+    for e in dist.entries:
+        _add(classes, min(e.labels, stage.conjugate(e.labels)), e.mult)
+    return _stats(((stage.dimension(e.labels), e.mult) for e in dist.entries),
+                  all(n % 2 == 0 for n in classes.values()))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import product
 
 from .embed_chains import (
     CHAINS,
@@ -38,7 +39,7 @@ from .phase2 import (
     PhaseOp,
     Stats,
     _KINDS,
-    _shape_dim,
+    _add,
     _split,
     apply_op,
     available_ops,
@@ -47,10 +48,29 @@ from .phase2 import (
     from_distribution,
     phase2_stats,
     render_slot,
+    slot_dim,
 )
 from .super_branch import CATALOG, UnknownNameError
 
 GENETIC_CODE_TARGET = {6: 3, 4: 5, 3: 2, 2: 9, 1: 2}
+
+
+class InvalidTargetError(ValueError):
+    """A target histogram that no 64-dimensional distribution can hit."""
+
+
+def _checked_target(target=None) -> dict:
+    """``target``, or the standard code for ``None``; a target must map
+    positive integer dimensions to positive integer counts, sum(d * n) == 64."""
+    if target is None:
+        return GENETIC_CODE_TARGET
+    pairs = target.items() if isinstance(target, dict) else [(0, 0)]
+    if not all(type(d) is type(n) is int and min(d, n) > 0 for d, n in pairs) \
+            or sum(d * n for d, n in pairs) != 64:
+        raise InvalidTargetError(f"target {target!r} is not a histogram of positive integer "
+                                 "dimensions and counts with sum(d * n) == 64")
+    return target
+
 
 TOTAL_PAIRING = "TotalPairing"
 TOO_MANY_SINGLETS = "TooManySinglets"
@@ -122,22 +142,28 @@ class FreezeMask:
                          for g, d, n in self.frozen)
 
 
-def freeze_groups(state: Phase2State, op: PhaseOp):
+def _group_rows(state: Phase2State, op: PhaseOp) -> list:
+    """``(slots, count, dim, pieces)`` per shape of the state's fold, in fold
+    order; ``pieces`` is the sorted dimension histogram of one copy after
+    ``op``, found once per broken slot and dimension."""
     idx = state.slot_index(op.slot, op.render())
-    splits: dict = {}  # broken slot -> its _split, once per distinct slot
-    groups = []
-    for slots, (dim, count) in sorted(state.shapes().items()):
-        old = slots[idx]
-        if old not in splits:
-            splits[old] = _split(op.kind, old)
-        old_dim, parts = splits[old]
-        pieces = {}
-        for _, d in parts:
-            d = dim // old_dim * d  # the group's dimension, the broken slot's factor swapped
-            pieces[d] = pieces.get(d, 0) + 1
-        pieces = tuple(sorted(pieces.items(), reverse=True))
-        groups.append(FreezeGroup(slots, count, dim, pieces, pieces == ((dim, 1),)))
-    return groups
+    histograms: dict = {}
+    rows = []
+    for slots, (dim, count) in state.shapes.items():
+        key = (slots[idx], dim)
+        if key not in histograms:
+            old_dim, parts = _split(op.kind, slots[idx])
+            pieces: dict = {}
+            for _, d in parts:  # the group's dimension, the broken slot's factor swapped
+                _add(pieces, dim // old_dim * d, 1)
+            histograms[key] = tuple(sorted(pieces.items(), reverse=True))
+        rows.append((slots, count, dim, histograms[key]))
+    return rows
+
+
+def freeze_groups(state: Phase2State, op: PhaseOp):
+    return [FreezeGroup(slots, count, dim, pieces, pieces == ((dim, 1),))
+            for slots, count, dim, pieces in sorted(_group_rows(state, op))]
 
 
 def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
@@ -153,42 +179,53 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     skipped: freezing them is meaningless and masks are reported without
     them.
     """
-    target = target or GENETIC_CODE_TARGET
-    groups = freeze_groups(state, op)
-    if any(g.dim > 6 and g.pieces[0][0] > 6 for g in groups):  # pieces: largest first
+    target = _checked_target(target)
+    left = dict(target)  # what the target still lacks, per dimension
+    gain: dict = {}      # the most the groups not yet placed can add, per dimension
+    active = []
+    for row in _group_rows(state, op):
+        _, count, dim, pieces = row
+        if dim > 6 and pieces[0][0] > 6:  # pieces: largest first
+            return []
+        if pieces == ((dim, 1),):  # neutral: its one piece keeps the group's dimension
+            _add(left, dim, -count)
+            continue
+        active.append(row)
+        for d, n in pieces + (((dim, 1),) if dim <= 6 else ()):
+            _add(gain, d, n * count)
+    if any(n < 0 or n > gain.get(d, 0) for d, n in left.items()):
         return []
-    active = [g for g in groups if not g.neutral]
-    base: dict = {}
-    for g in groups:
-        if g.neutral:  # its one piece keeps the group's dimension
-            base[g.dim] = base.get(g.dim, 0) + g.count
-
-    def fits(hist):
-        return all(d in target and hist[d] <= target[d] for d in hist)
-
-    if not fits(base):
-        return []
+    # A group adds its pieces when it breaks, or its own dimension when all
+    # its copies freeze (never above dimension 6); a move is checked on the
+    # dimensions it touches, and a branch stops once the groups left cannot
+    # fill the target.
+    moves = []
+    for slots, count, dim, pieces in sorted(active):
+        broken = ((), tuple((d, n * count) for d, n in pieces))
+        moves.append((broken,) if dim > 6 else (broken, (((slots, dim, count),), ((dim, count),))))
     masks = []
 
-    def rec(i, hist):
-        if i == len(active):
-            if hist == target:
-                masks.append(FreezeMask(tuple((g.render(), g.dim, k)
-                                              for g, k in zip(active, choices) if k)))
+    def rec(i, frozen):
+        if i == len(moves):
+            masks.append(FreezeMask(tuple(("-".join(map(render_slot, slots)), dim, k)
+                                          for slots, dim, k in frozen)))
             return
-        g = active[i]
-        options = (0,) if g.dim > 6 else (0, g.count)
-        for k in options:  # freeze all copies or none
-            new = dict(hist)
-            for d, n in ((g.dim, 1),) if k else g.pieces:
-                new[d] = new.get(d, 0) + n * g.count
-            if fits(new):
-                choices.append(k)
-                rec(i + 1, new)
-                choices.pop()
+        for _, added in moves[i]:  # group i is placed now
+            for d, n in added:
+                gain[d] -= n
+        for item, added in moves[i]:  # freeze all copies or none
+            for d, n in added:
+                left[d] = left.get(d, 0) - n
+            if all(left[d] >= 0 for d, _ in added) and \
+                    not any(n > gain.get(d, 0) for d, n in left.items()):
+                rec(i + 1, frozen + item)
+            for d, n in added:
+                left[d] += n
+        for _, added in moves[i]:
+            for d, n in added:
+                gain[d] += n
 
-    choices: list = []
-    rec(0, base)
+    rec(0, ())
     del rec  # a self-reference through the closure: free it now, not at the next gc
     return sorted(masks, key=lambda m: m.frozen)
 
@@ -196,19 +233,13 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
 def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2State:
     """Apply the final operation with the given mask (neutral groups frozen)."""
     idx = state.slot_index(op.slot, op.render())
-    quota = {g: k for g, _, k in mask.frozen}
-    groups = {g.slots: g for g in freeze_groups(state, op)}
+    quota = {g.render(): g.count for g in freeze_groups(state, op) if g.neutral}
+    quota.update((g, k) for g, _, k in mask.frozen)
     entries = []
     for e in state.entries:
-        g = groups[e.slots]
-        if g.neutral:
-            entries.append(e)
-            continue
-        key = g.render()
-        left = quota.get(key, 0)
-        take = min(left, e.mult)
+        take = min(quota.get(e.render(), 0), e.mult)
         if take:
-            quota[key] = left - take
+            quota[e.render()] -= take
             entries.append(replace(e, mult=take))
         if e.mult - take:
             entries.extend(break_multiplet(replace(e, mult=e.mult - take), op.kind, idx))
@@ -223,23 +254,24 @@ def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2Stat
 def reachable_triplet_counts(slots: tuple) -> frozenset:
     """Counts of dimension-3 pieces reachable from one multiplet.
 
-    Explores every sequence of slot operations applied to the multiplet's
-    own descendants (operations act on all pieces at once, as they do
-    distribution-wide); the count at every stopping point is collected.
+    An operation acts on every piece at once (as it does distribution-wide)
+    and each slot evolves on its own, so a stopping point is one status per
+    slot: as given, soft-broken (from ``u``) or strong-broken (from ``u`` or
+    ``o``); ``strong`` and ``soft`` then ``strong_after_soft`` leave the same
+    pieces.  The pieces at a stopping point are the products of one piece per
+    slot, and a product has dimension 3 only when one slot gives an unbroken
+    spin 1 and every other slot a dimension-1 piece.  So the count is
+    sum_j c3_j * prod_{i != j} c1_i, with c1 and c3 the slot's counts of
+    dimension-1 and dimension-3 pieces under its status: the x-coefficient of
+    prod_i (c1_i + c3_i x), collected over every combination of statuses.
     """
     found = set()
-    seen = set()
-    stack = [(slots,)]
-    while stack:
-        states = stack.pop()
-        if states in seen:
-            continue
-        seen.add(states)
-        found.add(sum(_shape_dim(st) == 3 for st in states))
-        for i in range(len(slots)):
-            for kind in _KINDS[states[0][i][0]]:
-                stack.append(tuple(sorted(st[:i] + (p,) + st[i + 1:] for st in states
-                                          for p, _ in _split(kind, st[i])[1])))
+    for combo in product(*([[slot_dim(s)]] + [[d for _, d in _split(kind, s)[1]]
+                                             for kind in _KINDS[s[0]]] for s in slots)):
+        none, one = 1, 0  # piece dimensions per slot status; prod_i (c1_i + c3_i x)
+        for dims in combo:
+            none, one = none * dims.count(1), one * dims.count(1) + none * dims.count(3)
+        found.add(one)
     return frozenset(found)
 
 
@@ -291,7 +323,7 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
     Each slot takes at most two operations (soft then strong, or strong), so
     plans are at most twice as long as there are slots.
     """
-    target = target or GENETIC_CODE_TARGET
+    target = _checked_target(target)
     result = Phase2Result()
     seen_states = set()
 
@@ -314,8 +346,9 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
             if violations:
                 result.pruned.append((new_plan, violations))
                 continue
-            key = (tuple(sorted((e.slots, e.history, e.mult) for e in child.entries)),
-                   op.render())
+            # Below the start a state is fixed by one status per slot: the
+            # two routes to strong-broken leave the same entries.
+            key = (child.statuses(), op)
             if key in seen_states:
                 continue
             seen_states.add(key)
@@ -391,7 +424,7 @@ def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
     # Starting slots are all unbroken, so distinct shapes render distinctly.
     facts = {"-".join(map(render_slot, slots)):
              {"dim": dim, "triplet_counts": sorted(reachable_triplet_counts(slots))}
-             for slots, (dim, _) in state.shapes().items()}
+             for slots, (dim, _) in state.shapes.items()}
     if blocking:
         return ChainReport(chain.chain_id, dist.stage.names, stats,
                            recorded, [], [], [], [], facts, chain.note)
@@ -407,7 +440,7 @@ def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
 
 def full_search(target=None) -> SearchReport:
     """Search every catalog representation through every registered chain."""
-    target = target or GENETIC_CODE_TARGET
+    target = _checked_target(target)
     algebras = []
     for entry in CATALOG:
         dist = first_step_distribution(entry.key)

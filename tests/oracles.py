@@ -5,7 +5,10 @@ These deliberately avoid the code paths they verify: characters come from an
 explicit alternating-sum quotient over a brute-force-enumerated Weyl group,
 not from the Freudenthal recursion; phase-2 statistics and freeze groups come
 from ``slot_dim`` and ``slot_conjugate`` alone, multiplying every dimension
-out and reading the pieces' dimensions off the broken slot's.
+out and reading the pieces' dimensions off the broken slot's; reachable
+triplet counts come from a search over tuples of piece states, freezing
+masks from a depth-first search that rechecks the whole histogram at every
+step.
 """
 
 import heapq
@@ -14,7 +17,13 @@ from collections import Counter
 from fractions import Fraction
 
 from codonbranch.lie_core import RootSystem, vdot, vscale, vsub
-from codonbranch.phase2 import slot_conjugate, slot_dim
+from codonbranch.phase2 import (
+    render_slot,
+    slot_conjugate,
+    slot_dim,
+    soft_break_slot,
+    strong_break_slot,
+)
 
 # (series, rank) -> the Weyl group of that root system on an integer lattice.
 _WEYL: dict = {}
@@ -172,3 +181,62 @@ def freeze_groups_reference(entries, kind, idx) -> list:
         pieces = tuple(sorted(((k, n) for k, n in parts.items() if n), reverse=True))
         out.append((slots, counts[slots], dim, pieces, pieces == ((dim, 1),)))
     return out
+
+
+# The slot rules each slot state admits: soft or strong breaking of an
+# unbroken slot, strong breaking of a soft-broken one.
+_RULES = {"u": (soft_break_slot, strong_break_slot), "o": (strong_break_slot,), "s": ()}
+
+
+def reachable_triplet_counts_bfs(slots) -> frozenset:
+    """Counts of dimension-3 pieces reachable from one multiplet, by a search
+    over tuples of piece states: every slot operation applies to all pieces
+    at once, and the count at every state reached is collected."""
+    found = set()
+    seen = set()
+    stack = [(tuple(slots),)]
+    while stack:
+        states = stack.pop()
+        if states in seen:
+            continue
+        seen.add(states)
+        found.add(sum(_shape_dim(st) == 3 for st in states))
+        for i in range(len(slots)):
+            for rule in _RULES[states[0][i][0]]:
+                stack.append(tuple(sorted(st[:i] + (p,) + st[i + 1:]
+                                          for st in states for p in rule(st[i]))))
+    return frozenset(found)
+
+
+def solve_freezing_reference(groups, target) -> list:
+    """The sorted ``frozen`` tuples of the freezing masks that hit ``target``,
+    for ``(slots, count, dim, pieces, neutral)`` groups: each non-neutral
+    group freezes all its copies or none (dimension > 6 always breaks), and
+    every step rechecks the whole histogram against the target."""
+    if any(dim > 6 and max(pieces)[0] > 6 for _, _, dim, pieces, _ in groups):
+        return []
+    base = Counter()
+    for _, count, dim, _, neutral in groups:
+        if neutral:
+            base[dim] += count
+    active = [g for g in groups if not g[4]]
+    masks = []
+
+    def fits(hist):
+        return all(d in target and n <= target[d] for d, n in hist.items())
+
+    def walk(i, hist, frozen):
+        if not fits(hist):
+            return
+        if i == len(active):
+            if hist == Counter(target):
+                masks.append(tuple(frozen))
+            return
+        slots, count, dim, pieces, _ = active[i]
+        walk(i + 1, hist + Counter({d: n * count for d, n in pieces}), frozen)
+        if dim <= 6:
+            walk(i + 1, hist + Counter({dim: count}),
+                 frozen + [("-".join(map(render_slot, slots)), dim, count)])
+
+    walk(0, base, [])
+    return sorted(masks)

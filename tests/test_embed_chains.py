@@ -17,7 +17,12 @@ from codonbranch.embed_chains import (
     first_step_distribution,
     validate_registry,
 )
-from codonbranch.lie_core import NotACharacterError, build_root_system, weyl_dimension
+from codonbranch.lie_core import (
+    InvalidLabelsError,
+    NotACharacterError,
+    build_root_system,
+    weyl_dimension,
+)
 from oracles import weyl_quotient_character
 
 
@@ -151,6 +156,18 @@ def test_unknown_embedding_is_a_typed_error():
     with pytest.raises(UnknownNameError, match="B2>A1") as err:
         branch_embedding("nope", (1, 0))
     assert isinstance(err.value, KeyError)
+
+
+def test_branch_embedding_takes_list_labels_and_rejects_bad_ones():
+    assert branch_embedding("A3>A2", [1, 0, 0]) == branch_embedding("A3>A2", (1, 0, 0))
+    for labels in (5, [[1], 0, 0], [1, 0]):
+        with pytest.raises(InvalidLabelsError):
+            branch_embedding("A3>A2", labels)
+    # Still an lru_cache underneath: the benchmark tracer and cache clearing
+    # read these.
+    assert branch_embedding.cache_info().currsize > 0
+    branch_embedding.cache_clear()
+    assert branch_embedding.cache_info().currsize == 0
 
 
 def test_diagonal_clebsch_examples():

@@ -390,6 +390,15 @@ def test_weyl_dimension_rejects_bad_labels_with_a_typed_error():
             irrep_character(rs, labels)
 
 
+def test_labels_that_are_not_a_sequence_are_a_typed_error():
+    rs = build_root_system("A", 2)
+    for fn in (weyl_dimension, irrep_character):
+        with pytest.raises(InvalidLabelsError, match="sequence of integers: 5"):
+            fn(rs, 5)
+        with pytest.raises(InvalidLabelsError, match="sequence of integers"):
+            fn(rs, [[1], 0])
+
+
 def test_non_integral_dot_dominant_labels_are_reported_as_fractions():
     # mu = (1/3, -1/3, 0) has labels (2/3, -1/3): on the scaled lattice,
     # but not integral.

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -101,6 +102,19 @@ def test_pairing_persists_under_uniform_ops():
     assert phase2_stats(state).total_pairing
     for op in available_ops(state):
         assert phase2_stats(apply_op(state, op)).total_pairing
+
+
+def test_a_state_split_by_apply_op_equals_the_state_of_its_entries():
+    state = from_distribution(apply_chain("osp(5|2)/3"))
+    for op in (PhaseOp("soft", "3"), PhaseOp("strong", "12")):
+        state = apply_op(state, op)
+    eager = Phase2State(state.slot_names, state.stages, state.entries)
+    assert state == eager and hash(state) == hash(eager)
+    assert list(state.shapes.items()) == list(eager.shapes.items())
+    assert state.statuses() == ("s", "o")
+    first = state.entries[0]
+    trimmed = dataclasses.replace(state, entries=(first,))
+    assert trimmed.shapes == {first.slots: [first.dim(), first.mult]}
 
 
 def test_strong_pairs_are_conjugate():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -13,13 +14,17 @@ from codonbranch.phase2 import (
     apply_op,
     available_ops,
     break_multiplet,
+    from_distribution,
     phase2_stats,
     slot_dim,
 )
 from codonbranch.search import (
+    GENETIC_CODE_TARGET,
     FreezeMask,
+    InvalidTargetError,
     apply_plan,
     can_yield_triplet,
+    enumerate_phase2,
     final_state,
     freeze_groups,
     full_search,
@@ -29,7 +34,12 @@ from codonbranch.search import (
     report_to_dict,
     solve_freezing,
 )
-from oracles import freeze_groups_reference, phase2_stats_reference
+from oracles import (
+    freeze_groups_reference,
+    phase2_stats_reference,
+    reachable_triplet_counts_bfs,
+    solve_freezing_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +129,130 @@ def test_triplet_reachability_facts():
     # osp(5|2) chain 2: (0)-(5) cannot; (2)-(3) can (0 or 4)
     assert not can_yield_triplet((("u", 0), ("u", 5)))
     assert reachable_triplet_counts((("u", 2), ("u", 3))) == frozenset({0, 4})
+
+
+def _starts():
+    """The phase-2 starting state of every all-sl(2) chain."""
+    out = []
+    for c in CHAINS:
+        dist = apply_chain(c.chain_id)
+        if dist.stage.all_sl2():
+            out.append((c.chain_id, from_distribution(dist)))
+    return out
+
+
+def test_triplet_counts_match_the_search_over_piece_states():
+    starts = {slots for _, state in _starts() for slots in state.shapes}
+    closed_form = reachable_triplet_counts.__wrapped__  # past the cache
+    for slots in sorted(starts):
+        assert closed_form(slots) == reachable_triplet_counts_bfs(slots), slots
+    values = ([("u", v) for v in range(5)] + [("o", v) for v in range(5)]
+              + [("s", v) for v in range(-2, 3)])
+    tuples = [t for k in (1, 2, 3) for t in itertools.product(values, repeat=k)]
+    assert len(tuples) == 3615
+    for slots in tuples:
+        assert closed_form(slots) == reachable_triplet_counts_bfs(slots), slots
+
+
+def test_status_key_partitions_the_unpruned_enumeration_like_the_entries():
+    """Below the start one status per slot fixes a state: over every plan of
+    every all-sl(2) chain, (slot statuses, op) and (sorted entries, op)
+    group the (state, op) pairs identically."""
+    pairs = 0
+    for chain_id, start in _starts():
+        by_status, by_entries = {}, {}
+        frontier = [start]
+        while frontier:
+            state = frontier.pop()
+            for op in available_ops(state):
+                child = apply_op(state, op)
+                status = (child.statuses(), op)
+                entries = (tuple(sorted((e.slots, e.history, e.mult) for e in child.entries)),
+                           op.render())
+                by_status.setdefault(status, set()).add(entries)
+                by_entries.setdefault(entries, set()).add(status)
+                frontier.append(child)
+                pairs += 1
+        assert all(len(v) == 1 for v in by_status.values()), chain_id
+        assert all(len(v) == 1 for v in by_entries.values()), chain_id
+    assert pairs == 2877
+
+
+def _plans_under_the_entry_key(start):
+    """The plans the enumeration visits when it deduplicates states by their
+    sorted entries."""
+    plans, seen = [], set()
+
+    def walk(state, plan):
+        for op in available_ops(state):
+            child = apply_op(state, op)
+            plans.append(plan + (op,))
+            if prune(phase2_stats(child), 2):
+                continue
+            key = (tuple(sorted((e.slots, e.history, e.mult) for e in child.entries)),
+                   op.render())
+            if key not in seen:
+                seen.add(key)
+                walk(child, plan + (op,))
+
+    walk(start, ())
+    return plans
+
+
+def test_enumeration_visits_the_plans_of_the_entry_key(report):
+    for chain_id, start in _starts():
+        nodes = report.chain_report(chain_id).option_nodes
+        if nodes:
+            assert [n.plan for n in nodes] == _plans_under_the_entry_key(start), chain_id
+
+
+@pytest.mark.parametrize("target", [GENETIC_CODE_TARGET, {4: 8, 2: 14, 1: 4},
+                                    {6: 2, 4: 7, 2: 12}, {6: 2, 4: 6, 3: 2, 2: 9, 1: 4}])
+def test_masks_match_the_reference_solver(target):
+    """At every terminal (state, op) of every plan of three osp(5|2) and
+    osp(4|2) chains."""
+    solved = 0
+    for chain_id in ("osp(5|2)/1", "osp(5|2)/3", "osp(4|2)(5,0,0)/3"):
+        frontier = [apply_plan(chain_id, [])]
+        while frontier:
+            state = frontier.pop()
+            for op in available_ops(state):
+                child = apply_op(state, op)
+                frontier.append(child)
+                if phase2_stats(child).dim_histogram[0][0] > 6:
+                    continue
+                groups = freeze_groups_reference(
+                    [(e.slots, e.mult) for e in state.entries], op.kind,
+                    state.slot_names.index(op.slot))
+                got = [m.frozen for m in solve_freezing(state, op, target)]
+                assert got == solve_freezing_reference(groups, target), (chain_id, op)
+                solved += len(got)
+    assert solved > 0
+
+
+@pytest.mark.parametrize("target, problem", [
+    ({6: 3, 4: 5, 3: 2, 2: 9, 1: 1}, "sum 63"),
+    ({6: "3", 4: 5, 3: 2, 2: 9, 1: 2}, "string count"),
+    ({6: 3.0, 4: 5, 3: 2, 2: 9, 1: 2}, "float count"),
+    ({6: 3, 4: 5, 3: 2, 2: 9, 1: 2, 5: 0}, "zero count"),
+    ({6: 3, 4: 5, 3: 2, 2: 10, 0: 1}, "zero dimension"),
+    ({6: 3, 4: 5, 3: 2, 2: 9, 1: True, -1: -1}, "bool and negative"),
+    ({}, "empty"),
+    ([(6, 3), (4, 5), (3, 2), (2, 9), (1, 2)], "not a dict"),
+])
+def test_malformed_targets_are_a_typed_error(target, problem):
+    state = apply_plan("osp(5|2)/3", ["soft:3"])
+    for call in (lambda: full_search(target), lambda: enumerate_phase2(state, target),
+                 lambda: solve_freezing(state, PhaseOp("soft", "12"), target)):
+        with pytest.raises(InvalidTargetError, match="sum\\(d \\* n\\) == 64"):
+            call()
+    assert issubclass(InvalidTargetError, ValueError)
+
+
+def test_other_valid_targets_are_searched():
+    rep = full_search({4: 8, 2: 14, 1: 4})
+    assert rep.target == {4: 8, 2: 14, 1: 4}
+    assert len(rep.survivors()) == 1
 
 
 def test_survivors_exactly_three(report):
@@ -219,6 +353,9 @@ def _check_phase2_against_reference(state, op):
     child = apply_op(state, op)
     for e in child.entries:
         assert e.dim() == math.prod(slot_dim(s) for s in e.slots), e
+    # The fold apply_op builds is the fold of the entries it leaves to split.
+    refold = Phase2State(child.slot_names, child.stages, child.entries).shapes
+    assert list(child.shapes.items()) == list(refold.items())
     rows = [(e.slots, e.mult) for e in child.entries]
     assert dataclasses.asdict(phase2_stats(child)) == phase2_stats_reference(rows)
     groups = [(g.slots, g.count, g.dim, g.pieces, g.neutral)
