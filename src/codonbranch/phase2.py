@@ -184,10 +184,11 @@ def _break(shapes: dict, kind: str, idx: int):
     for slots, (dim, n) in shapes.items():
         old = slots[idx]
         if old not in splits:
-            splits[old] = _split(kind, old)
+            old_dim, parts = _split(kind, old)
+            splits[old] = old_dim, [((p,), d) for p, d in parts]
         old_dim, parts = splits[old]
-        head, tail = slots[:idx], slots[idx + 1:]
-        pieces[slots] = [(head + (p,) + tail, dim // old_dim * d) for p, d in parts]
+        head, tail, rest = slots[:idx], slots[idx + 1:], dim // old_dim
+        pieces[slots] = [(head + p + tail, rest * d) for p, d in parts]
         for s, d in pieces[slots]:
             fold.setdefault(s, [d, 0])[1] += n
     return pieces, fold
@@ -264,7 +265,7 @@ def _stats(rows, paired: bool) -> Stats:
     has an even count."""
     dims: dict = {}
     for d, n in rows:
-        _add(dims, d, n)
+        dims[d] = dims.get(d, 0) + n
     hist = tuple(sorted(dims.items(), reverse=True))
     return Stats(sum(dims.values()), sum(d * n for d, n in hist if d % 3 == 0),
                  dims.get(1, 0), sum(n for d, n in hist if d % 2), bool(hist) and paired, hist)

@@ -151,12 +151,10 @@ def _group_rows(state: Phase2State, op: PhaseOp) -> list:
     rows = []
     for slots, (dim, count) in state.shapes.items():
         key = (slots[idx], dim)
-        if key not in histograms:
+        if key not in histograms:  # the group's dimension, the broken slot's factor swapped
             old_dim, parts = _split(op.kind, slots[idx])
-            pieces: dict = {}
-            for _, d in parts:  # the group's dimension, the broken slot's factor swapped
-                _add(pieces, dim // old_dim * d, 1)
-            histograms[key] = tuple(sorted(pieces.items(), reverse=True))
+            dims = [dim // old_dim * d for _, d in parts]
+            histograms[key] = tuple(sorted(((d, dims.count(d)) for d in set(dims)), reverse=True))
         rows.append((slots, count, dim, histograms[key]))
     return rows
 
@@ -192,7 +190,7 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
             continue
         active.append(row)
         for d, n in pieces + (((dim, 1),) if dim <= 6 else ()):
-            _add(gain, d, n * count)
+            gain[d] = gain.get(d, 0) + n * count
     if any(n < 0 or n > gain.get(d, 0) for d, n in left.items()):
         return []
     # A group adds its pieces when it breaks, or its own dimension when all
