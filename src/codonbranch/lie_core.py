@@ -385,10 +385,14 @@ def _label_cache(fn):
     @wraps(fn)
     def call(key, labels):
         try:
-            hash(labels := tuple(labels))
-        except TypeError:
-            raise InvalidLabelsError(f"labels must be a sequence of integers: {labels!r}") from None
-        return cached(key, labels)
+            return cached(key, tuple(labels))
+        except TypeError:  # from the labels, or from fn: only the first is bad input
+            try:
+                hash(tuple(labels))
+            except TypeError:
+                raise InvalidLabelsError(
+                    f"labels must be a sequence of integers: {labels!r}") from None
+            raise
 
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
     return call

@@ -399,6 +399,19 @@ def test_labels_that_are_not_a_sequence_are_a_typed_error():
             fn(rs, [[1], 0])
 
 
+def test_label_cache_reports_only_bad_labels_as_invalid():
+    from codonbranch.lie_core import _label_cache
+
+    @_label_cache
+    def broken(key, labels):
+        raise TypeError("inside")
+
+    with pytest.raises(TypeError, match="inside"):
+        broken("k", [1, 0])
+    with pytest.raises(InvalidLabelsError):
+        broken("k", 5)
+
+
 def test_non_integral_dot_dominant_labels_are_reported_as_fractions():
     # mu = (1/3, -1/3, 0) has labels (2/3, -1/3): on the scaled lattice,
     # but not integral.
