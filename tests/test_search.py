@@ -206,12 +206,12 @@ def test_enumeration_visits_the_plans_of_the_entry_key(report):
             assert [n.plan for n in nodes] == _plans_under_the_entry_key(start), chain_id
 
 
-@pytest.mark.parametrize("target", [GENETIC_CODE_TARGET, {4: 8, 2: 14, 1: 4},
-                                    {6: 2, 4: 7, 2: 12}, {6: 2, 4: 6, 3: 2, 2: 9, 1: 4}])
-def test_masks_match_the_reference_solver(target):
+def test_masks_match_the_reference_solver():
     """At every terminal (state, op) of every plan of three osp(5|2) and
-    osp(4|2) chains."""
-    solved = 0
+    osp(4|2) chains, for the standard code and three other targets."""
+    targets = (GENETIC_CODE_TARGET, {4: 8, 2: 14, 1: 4}, {6: 2, 4: 7, 2: 12},
+               {6: 2, 4: 6, 3: 2, 2: 9, 1: 4})
+    solved = [0] * len(targets)
     for chain_id in ("osp(5|2)/1", "osp(5|2)/3", "osp(4|2)(5,0,0)/3"):
         frontier = [apply_plan(chain_id, [])]
         while frontier:
@@ -224,10 +224,31 @@ def test_masks_match_the_reference_solver(target):
                 groups = freeze_groups_reference(
                     [(e.slots, e.mult) for e in state.entries], op.kind,
                     state.slot_names.index(op.slot))
-                got = [m.frozen for m in solve_freezing(state, op, target)]
-                assert got == solve_freezing_reference(groups, target), (chain_id, op)
-                solved += len(got)
-    assert solved > 0
+                for i, target in enumerate(targets):
+                    got = [m.frozen for m in solve_freezing(state, op, target)]
+                    assert got == solve_freezing_reference(groups, target), (chain_id, op, i)
+                    solved[i] += len(got)
+    assert all(solved), solved
+
+
+def test_masks_match_the_reference_solver_off_dimension_64():
+    """Hand-built states of total dimension other than 64: a mask needs
+    every count exact, which no dimension count alone can force."""
+    state = apply_plan("osp(5|2)/3", ["soft:3"])
+    variants = []
+    for i in range(len(state.entries)):
+        e = state.entries[i]
+        variants.append(state.entries[:i] + state.entries[i + 1:])
+        variants.append(state.entries + (Multiplet(e.slots, 1, e.history),))
+    for entries in variants:
+        hand = Phase2State(state.slot_names, state.stages, entries)
+        assert hand.total_dim() != 64
+        for op in available_ops(hand):
+            groups = freeze_groups_reference([(e.slots, e.mult) for e in entries], op.kind,
+                                             hand.slot_names.index(op.slot))
+            for target in (GENETIC_CODE_TARGET, {6: 2, 4: 6, 3: 2, 2: 9, 1: 4}):
+                got = [m.frozen for m in solve_freezing(hand, op, target)]
+                assert got == solve_freezing_reference(groups, target), (entries, op)
 
 
 @pytest.mark.parametrize("target, problem", [
