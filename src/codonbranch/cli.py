@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import sys
@@ -165,38 +166,33 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
-    data = _data_dir()
+    from .embed_chains import export_registry
+
+    def registry_diff(want):
+        got = export_registry()
+        return [] if want == got else [line.rstrip("\n") for line in difflib.unified_diff(
+            want.splitlines(True), got.splitlines(True), "fixture", "registry", n=0)]
+
+    # Each fixture: its name in the report, its file, how to parse it and
+    # how to list its differences from what the program builds now.
+    fixtures = [(f"table {t}", f"table{t}.json", tables_mod.parse_json,
+                 lambda want, t=t: tables_mod.table_diff(tables_mod.build_table(t), want))
+                for t in range(1, 10)]
+    fixtures.append(("embeddings.txt", "embeddings.txt", str, registry_diff))
     failures = 0
-    for t in range(1, 10):
-        path = os.path.join(data, f"table{t}.json")
+    for name, filename, parse, diff in fixtures:
         try:
-            with open(path, encoding="utf-8") as fh:
-                want = tables_mod.parse_json(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"table {t}: cannot read fixture: {exc}")
+            with open(os.path.join(_data_dir(), filename), encoding="utf-8") as fh:
+                want = parse(fh.read())
+        except (OSError, ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
+            print(f"{name}: cannot read fixture: {exc}")
             failures += 1
             continue
-        got = tables_mod.build_table(t)
-        diffs = tables_mod.table_diff(got, want)
-        if diffs:
-            failures += 1
-            print(f"table {t}: MISMATCH")
-            for d in diffs:
-                print(f"    {d}")
-        else:
-            print(f"table {t}: ok")
-    from .embed_chains import export_registry
-    reg_path = os.path.join(data, "embeddings.txt")
-    try:
-        with open(reg_path, encoding="utf-8") as fh:
-            if fh.read() != export_registry():
-                failures += 1
-                print("embeddings.txt: MISMATCH")
-            else:
-                print("embeddings.txt: ok")
-    except OSError as exc:
-        failures += 1
-        print(f"embeddings.txt: cannot read fixture: {exc}")
+        diffs = diff(want)
+        print(f"{name}: {'MISMATCH' if diffs else 'ok'}")
+        for d in diffs:
+            print(f"    {d}")
+        failures += bool(diffs)
     return 1 if failures else 0
 
 

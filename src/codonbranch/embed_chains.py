@@ -210,7 +210,7 @@ def branch_embedding(name: str, labels) -> tuple:
         raise UnknownNameError(f"unknown embedding {name!r}; registered: {list(REGISTRY)}")
     alg = emb.target_algebra()
     proj: dict = {}
-    for w, m in irrep_character(emb.source, labels).scaled_terms.items():
+    for w, m in irrep_character(emb.source, labels).terms.items():
         pw = emb.project_scaled(w)
         proj[pw] = proj.get(pw, 0) + m
     from .lie_core import peel  # local import to keep module load cheap
@@ -298,7 +298,8 @@ def apply_step(dist: Distribution, step: ChainStep) -> Distribution:
         emb = REGISTRY.get(step.embedding)
         if emb is None:
             raise ChainError(f"unknown embedding {step.embedding!r}")
-        if step.factor >= len(stage.factors) or stage.factors[step.factor] != emb.source:
+        if (not 0 <= step.factor < len(stage.factors)
+                or stage.factors[step.factor] != emb.source):
             raise ChainError(
                 f"{step.embedding} does not apply to factor {step.factor} of {stage.names}")
         factors = (stage.factors[:step.factor] + emb.targets

@@ -1,7 +1,7 @@
 """Exact root systems, characters and Casimirs for classical Lie algebras.
 
-No floating point anywhere.  Weights are tuples of Fractions in an
-orthonormal coordinate realization, one per series:
+No floating point anywhere.  Each series is built from integer unit vectors
+e_i in an orthonormal coordinate realization:
 
 * ``A1``: a single coordinate; weights are spin projections m, the simple
   root is (1), and the Dynkin label of a weight w is 2w.  This is the
@@ -14,15 +14,15 @@ orthonormal coordinate realization, one per series:
 so(4) is never built as a D-series object; use two A1 factors instead
 (see :func:`semisimple`).
 
-Fractions are kept at the boundaries: public highest weights, labels of
-Fraction weights, the keys of :func:`irrep_character` and Casimirs.  The
-hot loops (chamber maps, the weight-set search, the Freudenthal recursion,
+Roots are int vectors.  Fractions are kept at the boundaries: public
+highest weights and fundamental weights, labels of Fraction weights, the
+weights that :meth:`FormalCharacter.items` gives, and Casimirs.  The hot
+loops (chamber maps, the weight-set search, the Freudenthal recursion,
 Weyl dimensions, product characters, restriction and :func:`peel`) run on
 integer vectors instead: a weight times the system's ``scale``, the lcm of
 the denominators of its fundamental weights; a weight of a product of
 factors concatenates its per-factor blocks, each on its own factor's scale.
-Each character from :func:`irrep_character` carries this integer view as
-``scaled_terms``, which the restriction path reads.
+A :class:`FormalCharacter` is keyed by these integer vectors.
 :meth:`RootSystem.to_dominant` is a closed form (a sort); the walks that
 stop on a wall (the dot action and the even Weyl groups of
 :mod:`.super_branch`) reflect step by step in :func:`_to_chamber`.  The
@@ -86,47 +86,57 @@ def zero(dim: int) -> Weight:
 class FormalCharacter:
     """Finite formal sum of weights with signed integer multiplicities.
 
-    Zero multiplicities are dropped on construction.  Instances are treated
-    as immutable.
+    ``terms`` maps the integer vector ``scale * w`` of each weight ``w`` to
+    its multiplicity; zero multiplicities are dropped on construction.
+    :meth:`items` and :meth:`mult` speak of the weights ``w`` themselves,
+    as Fractions, built only when asked.  A product character (see
+    :meth:`SemisimpleAlgebra.character`) has scale 1: its keys concatenate
+    blocks that are each on their own factor's scale, and :meth:`items`
+    gives those blocks as they are.  Instances are treated as immutable.
     """
 
-    __slots__ = ("terms", "scaled_terms")
+    __slots__ = ("terms", "scale")
 
-    def __init__(self, terms=(), scaled_terms=None):
+    def __init__(self, terms=(), scale: int = 1):
         items = terms.items() if isinstance(terms, dict) else terms
-        self.terms = {w: int(m) for w, m in items if m}
-        self.scaled_terms = scaled_terms  # keyed by scale * w; see irrep_character
+        self.terms = {v: int(m) for v, m in items if m}
+        self.scale = scale
 
     def total(self) -> int:
         return sum(self.terms.values())
 
     def mult(self, w: Weight) -> int:
-        return self.terms.get(w, 0)
+        return self.terms.get(tuple(self.scale * x for x in w), 0)
 
-    def items(self):
-        return self.terms.items()
+    def items(self) -> list:
+        """The ``(weight, multiplicity)`` pairs, weights as Fractions."""
+        s = self.scale
+        return [(tuple(Fraction(x, s) for x in v), m) for v, m in self.terms.items()]
 
     def __len__(self):
         return len(self.terms)
 
     def __contains__(self, w):
-        return w in self.terms
+        return self.mult(w) != 0
 
     def __eq__(self, other):
-        return isinstance(other, FormalCharacter) and self.terms == other.terms
+        return (isinstance(other, FormalCharacter) and self.scale == other.scale
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.scale, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"FormalCharacter({len(self.terms)} weights, total {self.total()})"
 
 
 def char_add(a: FormalCharacter, b: FormalCharacter, sign: int = 1) -> FormalCharacter:
+    if a.scale != b.scale:
+        raise ValueError(f"characters on scales {a.scale} and {b.scale} do not add")
     terms = dict(a.terms)
-    for w, m in b.items():
-        terms[w] = terms.get(w, 0) + sign * m
-    return FormalCharacter(terms)
+    for v, m in b.terms.items():
+        terms[v] = terms.get(v, 0) + sign * m
+    return FormalCharacter(terms, a.scale)
 
 
 def _scaled(w: Weight, scale: int) -> tuple:
@@ -147,7 +157,22 @@ def _unscaled(v: tuple, scale: int) -> Weight:
 
 def _chamber_roots(simple_roots) -> tuple:
     """Integral simple roots as ``(root, (root, root))`` pairs of ints."""
-    return tuple((_scaled(a, 1), int(vdot(a, a))) for a in simple_roots)
+    return tuple((a, sum(map(mul, a, a))) for a in simple_roots)
+
+
+def _units(dim: int) -> list:
+    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+
+
+def _chain(e) -> tuple:
+    """The roots e_i - e_(i+1) along the unit vectors ``e``."""
+    return tuple(vsub(x, y) for x, y in zip(e, e[1:]))
+
+
+def _pairs(e, signs=(-1, 1)) -> list:
+    """The roots e_i + s e_j for i < j, for each sign s of ``signs`` in turn."""
+    return [tuple(x + s * y for x, y in zip(e[i], e[j]))
+            for s in signs for i, j in combinations(range(len(e)), 2)]
 
 
 def _shifted_labels(v: tuple, roots: tuple, scale: int) -> tuple:
@@ -188,7 +213,8 @@ def _to_chamber(w: tuple, roots: tuple):
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A simple classical root system in its orthonormal realization."""
+    """A simple classical root system in its orthonormal realization: int
+    simple and positive roots, Fraction fundamental weights and rho0."""
 
     series: str
     rank: int
@@ -202,7 +228,6 @@ class RootSystem:
     # sign_flips: the Weyl group also flips coordinate signs (A1, B, C).
     scale: int = field(init=False, repr=False, compare=False)
     chamber_roots: tuple = field(init=False, repr=False, compare=False)
-    int_positive_roots: tuple = field(init=False, repr=False, compare=False)
     scaled_rho0: tuple = field(init=False, repr=False, compare=False)
     scaled_fundamentals: tuple = field(init=False, repr=False, compare=False)
     sign_flips: bool = field(init=False, repr=False, compare=False)
@@ -212,7 +237,6 @@ class RootSystem:
         scale = math.lcm(*(x.denominator for om in self.fundamental_weights for x in om))
         put("scale", scale)
         put("chamber_roots", _chamber_roots(self.simple_roots))
-        put("int_positive_roots", tuple(_scaled(a, 1) for a in self.positive_roots))
         put("scaled_rho0", _scaled(self.rho0, scale))
         put("scaled_fundamentals", tuple(_scaled(w, scale) for w in self.fundamental_weights))
         put("sign_flips", self.series != "A" or self.rank == 1)
@@ -276,8 +300,9 @@ class RootSystem:
 
     def root_coefficients(self, v: tuple) -> tuple:
         """Coordinates of the integer vector ``v`` in the simple-root basis
-        (closed forms), for ``v`` in ``scale`` times the root lattice; the
-        coordinates are then multiples of ``scale``."""
+        (closed forms), for ``v`` in the root lattice (a root, say) or in
+        ``scale`` times it, where the coordinates are multiples of
+        ``scale``."""
         if self.series == "A" and self.rank == 1:
             return (v[0],)
         partial = list(itertools.accumulate(v))
@@ -295,52 +320,15 @@ class RootSystem:
         return tuple(labels)
 
 
-def _a1() -> RootSystem:
-    one = (Fraction(1),)
-    half = (Fraction(1, 2),)
-    return RootSystem("A", 1, 1, (one,), (one,), (half,), half, 2)
-
-
-def _a_series(r: int) -> RootSystem:
-    n = r + 1
-    e = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    simple = tuple(vsub(e[i], e[i + 1]) for i in range(r))
-    positive = tuple(vsub(e[i], e[j]) for i in range(n) for j in range(i + 1, n))
-    fund = []
-    for i in range(1, n):
-        v = [Fraction(1) if k < i else Fraction(0) for k in range(n)]
-        mean = Fraction(i, n)
-        fund.append(tuple(x - mean for x in v))
-    rho = tuple(sum(col, start=Fraction(0)) for col in zip(*fund))
-    return RootSystem("A", r, n, simple, positive, tuple(fund), rho, math.factorial(n))
-
-
-def _bc_series(series: str, r: int) -> RootSystem:
-    e = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
-    simple = [vsub(e[i], e[i + 1]) for i in range(r - 1)]
-    positive = [vsub(e[i], e[j]) for i in range(r) for j in range(i + 1, r)]
-    positive += [vadd(e[i], e[j]) for i in range(r) for j in range(i + 1, r)]
-    if series == "B":
-        simple.append(e[r - 1])
-        positive += [e[i] for i in range(r)]
-        fund = [tuple(Fraction(int(k < i)) for k in range(r)) for i in range(1, r)]
-        fund.append((Fraction(1, 2),) * r)
-    else:
-        simple.append(vscale(e[r - 1], 2))
-        positive += [vscale(e[i], 2) for i in range(r)]
-        fund = [tuple(Fraction(int(k < i)) for k in range(r)) for i in range(1, r + 1)]
-    rho = tuple(sum(col, start=Fraction(0)) for col in zip(*fund))
-    return RootSystem(series, r, r, tuple(simple), tuple(positive), tuple(fund), rho,
-                      2 ** r * math.factorial(r))
-
-
 _SUPPORTED = {("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
               ("B", 2), ("C", 2), ("C", 3)}
 
 
 @lru_cache(maxsize=None)
 def build_root_system(series: str, rank: int) -> RootSystem:
-    """Root system for the requested classical series at desk-scale ranks."""
+    """Root system for the requested classical series at desk-scale ranks,
+    built on the integer unit vectors e_i.  A1 is built like B1: one
+    coordinate, with the short root e_1."""
     if series in ("B", "C") and rank == 1:
         # so(3) and sp(2) are used as plain sl(2) factors.
         return build_root_system("A", 1)
@@ -349,9 +337,24 @@ def build_root_system(series: str, rank: int) -> RootSystem:
             "so(4) is modeled as the product A1+A1, not as a D-series system")
     if (series, rank) not in _SUPPORTED:
         raise UnsupportedAlgebraError(f"unsupported series/rank: {series}{rank}")
-    if series == "A":
-        return _a1() if rank == 1 else _a_series(rank)
-    return _bc_series(series, rank)
+    if series == "A" and rank >= 2:
+        e = _units(rank + 1)
+        simple, positive = _chain(e), _pairs(e, (-1,))
+        # e_1 + ... + e_i, moved into the trace-zero slice
+        fund = [[x - Fraction(i, rank + 1) for x in v]
+                for i, v in enumerate(itertools.accumulate(e, vadd), 1)][:rank]
+        order = math.factorial(rank + 1)
+    else:
+        e = _units(rank)
+        ends = [vadd(x, x) for x in e] if series == "C" else e  # 2 e_i or e_i
+        simple, positive = _chain(e) + (ends[-1],), _pairs(e) + ends
+        fund = list(itertools.accumulate(e, vadd))
+        if series != "C":
+            fund[-1] = vscale(fund[-1], Fraction(1, 2))
+        order = 2 ** rank * math.factorial(rank)
+    fund = tuple(tuple(map(fr, w)) for w in fund)
+    rho = tuple(sum(col, start=Fraction(0)) for col in zip(*fund))
+    return RootSystem(series, rank, len(e), simple, tuple(positive), fund, rho, order)
 
 
 def sl2() -> RootSystem:
@@ -406,8 +409,7 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
     highest weight, keeping points whose dominant representative is below it
     in the dominance order; dominant multiplicities then follow from the
     Freudenthal recursion and spread over Weyl orbits.  All of it runs on
-    integer vectors scaled by ``rs.scale``; the keys of the result are
-    Fraction weights, and its ``scaled_terms`` holds the integer vectors.
+    integer vectors scaled by ``rs.scale``, the scale of the result.
     """
     scale = rs.scale
     lam = rs.scaled_highest_weight(labels)
@@ -429,7 +431,7 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
                        key=lambda w: _depth(rs, lam, w))
     # With w = scale * w', acc = scale * acc' and denom = scale^2 * denom',
     # so the multiplicity 2 acc' / denom' is 2 scale acc / denom.
-    raising = [(a, tuple(scale * x for x in a)) for a in rs.int_positive_roots]
+    raising = [(a, tuple(scale * x for x in a)) for a in rs.positive_roots]
     rho = rs.scaled_rho0
     lam_rho = tuple(map(add, lam, rho))
     top = sum(map(mul, lam_rho, lam_rho))
@@ -451,16 +453,15 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
             raise NotACharacterError(f"Freudenthal failure at {_unscaled(mu, scale)}: "
                                      f"{Fraction(2 * scale * acc, denom)}")
         mult[mu] = m
-    scaled = {w: mult[rs.to_dominant(w)[0]] for w in weights}
-    return FormalCharacter({_unscaled(w, scale): m for w, m in scaled.items()}, scaled)
+    return FormalCharacter({w: mult[rs.to_dominant(w)[0]] for w in weights}, scale)
 
 
 @_label_cache
 def weyl_dimension(rs: RootSystem, labels: Labels) -> int:
     """Dimension of the irrep via the Weyl product formula."""
     shifted = tuple(map(add, rs.scaled_highest_weight(labels), rs.scaled_rho0))
-    num = math.prod(sum(map(mul, shifted, a)) for a in rs.int_positive_roots)
-    den = math.prod(sum(map(mul, rs.scaled_rho0, a)) for a in rs.int_positive_roots)
+    num = math.prod(sum(map(mul, shifted, a)) for a in rs.positive_roots)
+    den = math.prod(sum(map(mul, rs.scaled_rho0, a)) for a in rs.positive_roots)
     d, r = divmod(num, den)
     if r or d <= 0:
         raise NotACharacterError(f"Weyl dimension {Fraction(num, den)} of {labels}")
@@ -532,7 +533,8 @@ class SemisimpleAlgebra:
 
     def character(self, labels) -> FormalCharacter:
         """Product character, keyed by integer vectors: each factor's block
-        is its weight times that factor's ``scale``."""
+        is its weight times that factor's ``scale`` (the character's own
+        scale is 1)."""
         self.check_arity(labels)
         return _product_character(self, tuple(map(tuple, labels)))
 
@@ -541,7 +543,7 @@ class SemisimpleAlgebra:
 def _product_character(alg: SemisimpleAlgebra, labels) -> FormalCharacter:
     terms = {(): 1}
     for f, l in zip(alg.factors, labels):
-        block = irrep_character(f, l).scaled_terms.items()
+        block = irrep_character(f, l).terms.items()
         # Distinct block pairs concatenate to distinct keys.
         terms = {w + v: m * n for w, m in terms.items() for v, n in block}
     return FormalCharacter(terms)
@@ -589,7 +591,7 @@ def peel(alg: SemisimpleAlgebra, ch: FormalCharacter):
                 lab.append(q)
             labels.append(tuple(lab))
         labels = tuple(labels)
-        for w2, m2 in alg.character(labels).items():
+        for w2, m2 in alg.character(labels).terms.items():
             left = work.get(w2, 0) - m * m2
             if left < 0:
                 raise NotACharacterError(f"negative multiplicity {left} at {w2}")

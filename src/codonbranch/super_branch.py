@@ -26,15 +26,17 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 from .lie_core import (
     InvalidLabelsError,
     SemisimpleAlgebra,
+    _chain,
     _chamber_roots,
     _scaled,
     _shifted_labels,
     _to_chamber,
+    _units,
     _unscaled,
     build_root_system,
     fr,
@@ -78,24 +80,26 @@ class SuperAlgebra:
     """Distinguished root data of one basic classical Lie superalgebra.
 
     Stored, as int vectors: the distinguished simple roots (one per
-    Kac-Dynkin node, in label order), the even and odd positive roots, the
-    even factors as (RootSystem, simple roots, name) triples and, for
-    sl(m|n), the ``gauge`` coordinate that is 0 in every Kac weight.
+    Kac-Dynkin node, in label order), the odd positive roots, the even
+    factors as (RootSystem, simple roots, name) triples and, for sl(m|n),
+    the ``gauge`` coordinate that is 0 in every Kac weight.
 
-    Derived once: ``dim``; ``rho0``, ``rho1`` and ``rho`` as Fractions; the
-    tuples ``factor_systems``, ``factor_simples`` and ``factor_names``; each
-    factor's ``(root, (root, root))`` chamber pairs and their concatenation
+    Derived once: ``dim``; the even positive roots, each positive root of
+    each factor written on that factor's simple roots; ``rho0``, ``rho1``
+    and ``rho`` as Fractions; the tuples ``factor_systems``,
+    ``factor_simples`` and ``factor_names``; each factor's
+    ``(root, (root, root))`` chamber pairs and their concatenation
     ``chamber_roots``; and ``kac_inverse``, the inverse of :func:`kac_labels`.
     """
 
     name: str
     form_signs: tuple
     simple_roots: tuple
-    even_positive_roots: tuple
     odd_positive_roots: tuple
     factors: tuple
     gauge: int | None = None
     dim: int = field(init=False, repr=False, compare=False)
+    even_positive_roots: tuple = field(init=False, repr=False, compare=False)
     rho0: tuple = field(init=False, repr=False, compare=False)
     rho1: tuple = field(init=False, repr=False, compare=False)
     rho: tuple = field(init=False, repr=False, compare=False)
@@ -112,10 +116,13 @@ class SuperAlgebra:
 
         dim = len(self.form_signs)
         put("dim", dim)
+        systems, simples, names = zip(*self.factors)
+        put("even_positive_roots", tuple(
+            tuple(sum(map(mul, rs.root_coefficients(a), col)) for col in zip(*simple))
+            for rs, simple in zip(systems, simples) for a in rs.positive_roots))
         put("rho0", _half_sum(self.even_positive_roots, dim))
         put("rho1", _half_sum(self.odd_positive_roots, dim))
         put("rho", vsub(self.rho0, self.rho1))
-        systems, simples, names = zip(*self.factors)
         put("factor_systems", systems)
         put("factor_simples", simples)
         put("factor_names", names)
@@ -158,32 +165,14 @@ class SuperAlgebra:
         return tuple(out)
 
 
-def _units(dim: int) -> list:
-    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-
-
-def _chain(e) -> tuple:
-    """The roots e_i - e_(i+1) along the unit vectors ``e``."""
-    return tuple(vsub(x, y) for x, y in zip(e, e[1:]))
-
-
-def _pairs(e) -> list:
-    """The roots e_i - e_j, then e_i + e_j, for i < j."""
-    idx = [(i, j) for i in range(len(e)) for j in range(i + 1, len(e))]
-    return [vsub(e[i], e[j]) for i, j in idx] + [vadd(e[i], e[j]) for i, j in idx]
-
-
 def _sl(m: int, n: int) -> SuperAlgebra:
     e = _units(m + n)
-    blocks = [b for b in (e[:m], e[m:]) if len(b) >= 2]
-    even_pos = [vsub(b[i], b[j]) for b in blocks
-                for i in range(len(b)) for j in range(i + 1, len(b))]
     factors = [(build_root_system("A", len(b) - 1), _chain(b), f"sl({len(b)})")
-               for b in blocks]
+               for b in (e[:m], e[m:]) if len(b) >= 2]
     odd = [vsub(x, y) for x in e[:m] for y in e[m:]]
     # The distinguished simple roots are e_i - e_(i+1); e_(m-1) - e_m is odd.
     return SuperAlgebra(f"sl({m}|{n})", (1,) * m + (-1,) * n, _chain(e),
-                        tuple(even_pos), tuple(odd), tuple(factors), gauge=m - 1)
+                        tuple(odd), tuple(factors), gauge=m - 1)
 
 
 def _osp(M: int, N: int) -> SuperAlgebra:
@@ -196,7 +185,6 @@ def _osp(M: int, N: int) -> SuperAlgebra:
         # Coordinates (delta_1 .. delta_n | epsilon_1 .. epsilon_m).
         delta, eps, signs = e[:n], e[n:], (1,) * n + (-1,) * m
     sp_simple = _chain(delta) + (vadd(delta[-1], delta[-1]),)
-    even_pos = _pairs(delta) + [vadd(d, d) for d in delta]
     factors = [(build_root_system("C", n), sp_simple, f"sp({N})")]
     if M == 2:
         simple = (vsub(eps[0], delta[0]),) + sp_simple
@@ -204,18 +192,15 @@ def _osp(M: int, N: int) -> SuperAlgebra:
     else:
         if M % 2:
             so_simple = _chain(eps) + (eps[-1],)
-            even_pos += _pairs(eps) + list(eps)
             factors.append((build_root_system("B", m), so_simple, f"so({M})"))
             odd = list(delta)  # the non-isotropic odd roots
         else:  # so(4) = sl(2) + sl(2)
             so_simple = (vsub(eps[0], eps[1]), vadd(eps[0], eps[1]))
-            even_pos += list(so_simple)
             factors += [(build_root_system("A", 1), (a,), "sl(2)") for a in so_simple]
             odd = []
         odd += [f(d, x) for d in delta for x in eps for f in (vsub, vadd)]
         simple = sp_simple[:-1] + (vsub(delta[-1], eps[0]),) + so_simple
-    return SuperAlgebra(f"osp({M}|{N})", signs, simple, tuple(even_pos), tuple(odd),
-                        tuple(factors))
+    return SuperAlgebra(f"osp({M}|{N})", signs, simple, tuple(odd), tuple(factors))
 
 
 _KIND_RE = re.compile(r"(sl|osp)\((\d+)\|(\d+)\)")

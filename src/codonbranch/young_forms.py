@@ -26,6 +26,8 @@ class YoungDiagram:
 
     def __post_init__(self):
         rows = tuple(int(r) for r in self.rows)
+        if rows != tuple(self.rows):
+            raise IllegalDiagramError(f"rows must be integers: {self.rows}")
         if any(r <= 0 for r in rows):
             raise IllegalDiagramError(f"rows must be positive: {rows}")
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):

@@ -169,6 +169,39 @@ def test_cli_verify_golden_reports_unparsable_fixture(tmp_path, capsys, monkeypa
     assert "table 4: cannot read fixture" in capsys.readouterr().out
 
 
+def _corrupted_copy(tmp_path, monkeypatch, name, content: bytes):
+    for f in os.listdir(DATA):
+        shutil.copy(os.path.join(DATA, f), tmp_path / f)
+    (tmp_path / name).write_bytes(content)
+    monkeypatch.setenv("CODONBRANCH_DATA", str(tmp_path))
+
+
+@pytest.mark.parametrize("name,report", [(f"table{t}.json", f"table {t}") for t in range(1, 10)]
+                         + [("embeddings.txt", "embeddings.txt")])
+def test_cli_verify_golden_reports_a_non_utf8_fixture(name, report, tmp_path, capsys,
+                                                      monkeypatch):
+    _corrupted_copy(tmp_path, monkeypatch, name, b"\xff\xfe not utf-8")
+    assert main(["verify-golden"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 10
+    for line in out:
+        if line.startswith(report + ":"):
+            assert line.startswith(f"{report}: cannot read fixture: 'utf-8' codec")
+        else:
+            assert line.endswith(": ok")
+
+
+def test_cli_verify_golden_shows_the_registry_difference(tmp_path, capsys, monkeypatch):
+    text = open(os.path.join(DATA, "embeddings.txt"), encoding="utf-8").read()
+    bad = text.replace("  row: 1 0 0 0\n", "  row: 1 0 0 9\n", 1)
+    assert bad != text
+    _corrupted_copy(tmp_path, monkeypatch, "embeddings.txt", bad.encode())
+    assert main(["verify-golden"]) == 1
+    out = capsys.readouterr().out
+    assert "embeddings.txt: MISMATCH\n" in out
+    assert "    -  row: 1 0 0 9\n    +  row: 1 0 0 0\n" in out
+
+
 def test_cli_tables_text(capsys):
     assert main(["tables", "--id", "6"]) == 0
     out = capsys.readouterr().out

@@ -238,6 +238,14 @@ def test_restrict_requires_matching_factor():
         apply_step(dist, ChainStep("restrict", embedding="C2>A1", factor=1))
 
 
+def test_restrict_rejects_a_negative_factor():
+    # Python would read factor -1 as the last factor, so(5), and build a stage.
+    from codonbranch.embed_chains import ChainStep, apply_step
+    dist = first_step_distribution("osp(5|2)")
+    with pytest.raises(ChainError):
+        apply_step(dist, ChainStep("restrict", embedding="B2>A1", factor=-1))
+
+
 def test_export_registry_is_stable_and_complete():
     text = export_registry()
     assert text == export_registry()

@@ -108,9 +108,21 @@ def test_negative_label_rejected():
 
 def test_sl2_spin1_weight_string():
     ch = irrep_character(sl2(), (2,))
-    labels = sorted(2 * w[0] for w in ch.terms)
+    labels = sorted(2 * w[0] for w, _ in ch.items())
     assert labels == [-2, 0, 2]
-    assert all(m == 1 for m in ch.terms.values())
+    assert all(m == 1 for _, m in ch.items())
+
+
+def test_characters_are_keyed_by_lattice_vectors():
+    rs = build_root_system("B", 2)
+    ch = irrep_character(rs, (0, 1))  # the spinor: weights (+-1/2, +-1/2)
+    assert ch.scale == 2
+    assert set(ch.terms) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    assert sorted(ch.items()) == [((F(s, 2), F(t, 2)), 1) for s in (-1, 1) for t in (-1, 1)]
+    assert (F(1, 2), F(-1, 2)) in ch and ch.mult((F(1, 2), F(-1, 2))) == 1
+    assert (F(1), F(0)) not in ch
+    with pytest.raises(ValueError):
+        char_add(ch, FormalCharacter({}))
 
 
 def test_so5_adjoint16_against_quotient_oracle():
@@ -120,7 +132,7 @@ def test_so5_adjoint16_against_quotient_oracle():
     # zero weight is absent; the inner dominant weight carries multiplicity 2
     assert ch.mult((F(0), F(0))) == 0
     assert ch.mult((F(1, 2), F(1, 2))) == 2
-    assert dict(ch.terms) == weyl_quotient_character(rs, (1, 1))
+    assert dict(ch.items()) == weyl_quotient_character(rs, (1, 1))
 
 
 @pytest.mark.parametrize("series,rank,labels", [
@@ -129,7 +141,7 @@ def test_so5_adjoint16_against_quotient_oracle():
 ])
 def test_freudenthal_matches_quotient_oracle(series, rank, labels):
     rs = build_root_system(series, rank)
-    assert dict(irrep_character(rs, labels).terms) == \
+    assert dict(irrep_character(rs, labels).items()) == \
         weyl_quotient_character(rs, labels)
 
 
@@ -368,8 +380,9 @@ def test_cold_search_characters_carry_their_integer_view(monkeypatch):
     for rs, labels in seen:
         ch = cached(rs, labels)
         # A Fraction equal to an int hashes like it, so the dicts compare.
-        assert ch.scaled_terms == {tuple(rs.scale * x for x in w): m for w, m in ch.items()}
-        assert all(type(x) is int for w in ch.scaled_terms for x in w)
+        assert ch.scale == rs.scale
+        assert ch.terms == {tuple(rs.scale * x for x in w): m for w, m in ch.items()}
+        assert all(type(x) is int for w in ch.terms for x in w)
 
 
 def test_labels_may_be_lists():

@@ -29,6 +29,14 @@ def test_sl_labels_row_limit():
         sl_labels_from_diagram(YoungDiagram((1, 1, 1)), 2)
 
 
+@pytest.mark.parametrize("rows", [(2.5, 1), (Fraction(5, 2),), (3, 1.5)])
+def test_non_integral_rows_are_rejected(rows):
+    with pytest.raises(IllegalDiagramError):
+        YoungDiagram(rows)
+    with pytest.raises(IllegalDiagramError):
+        sl_superdiagram(rows)
+
+
 def test_sl_super_labels_examples():
     d = sl_superdiagram((3, 2, 1))
     assert sl_super_labels_from_diagram(d, 3, 1) == (1, 1, 1)
