@@ -169,9 +169,9 @@ def cmd_verify_golden(args) -> int:
     from .embed_chains import export_registry
 
     def registry_diff(want):
-        got = export_registry()
-        return [] if want == got else [line.rstrip("\n") for line in difflib.unified_diff(
-            want.splitlines(True), got.splitlines(True), "fixture", "registry", n=0)]
+        got = export_registry().splitlines(True)
+        return [line.rstrip("\n") for line in difflib.unified_diff(
+            want.splitlines(True), got, "fixture", "registry", n=0)]
 
     # Each fixture: its name in the report, its file, how to parse it and
     # how to list its differences from what the program builds now.
@@ -181,10 +181,11 @@ def cmd_verify_golden(args) -> int:
     fixtures.append(("embeddings.txt", "embeddings.txt", str, registry_diff))
     failures = 0
     for name, filename, parse, diff in fixtures:
+        # UnicodeDecodeError is a ValueError; misshapen JSON raises KeyError or TypeError.
         try:
             with open(os.path.join(_data_dir(), filename), encoding="utf-8") as fh:
                 want = parse(fh.read())
-        except (OSError, ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"{name}: cannot read fixture: {exc}")
             failures += 1
             continue

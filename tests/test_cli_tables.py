@@ -191,6 +191,16 @@ def test_cli_verify_golden_reports_a_non_utf8_fixture(name, report, tmp_path, ca
             assert line.endswith(": ok")
 
 
+@pytest.mark.parametrize("content", [b"[]", b'{"table": 1, "kind": "chain", "rows": [5]}'])
+def test_cli_verify_golden_reports_json_of_the_wrong_shape(content, tmp_path, capsys,
+                                                           monkeypatch):
+    _corrupted_copy(tmp_path, monkeypatch, "table1.json", content)
+    assert main(["verify-golden"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("table 1: cannot read fixture: ")
+    assert all(line.endswith(": ok") for line in out[1:]) and len(out) == 10
+
+
 def test_cli_verify_golden_shows_the_registry_difference(tmp_path, capsys, monkeypatch):
     text = open(os.path.join(DATA, "embeddings.txt"), encoding="utf-8").read()
     bad = text.replace("  row: 1 0 0 0\n", "  row: 1 0 0 9\n", 1)
