@@ -120,6 +120,8 @@ class Phase2State:
         object.__setattr__(self, "shapes", {})
         for e in self.entries:
             self.shapes.setdefault(e.slots, [e.dim(), 0])[1] += e.mult
+        if not self.shapes:
+            raise SlotError("a phase-2 state needs at least one multiplet")
 
     def __getattr__(self, name):
         # Only the entries of a state made by apply_op are ever missing.
@@ -133,8 +135,7 @@ class Phase2State:
     def statuses(self) -> tuple:
         """Each slot's state, the same in every entry of a state that
         distribution-wide operations made."""
-        first = next(iter(self.shapes), None)
-        return ("u",) * len(self.slot_names) if first is None else tuple(st for st, _ in first)
+        return tuple(st for st, _ in next(iter(self.shapes)))
 
     def count(self) -> int:
         return sum(n for _, n in self.shapes.values())
@@ -166,25 +167,28 @@ _KINDS = {"u": ("soft", "strong"), "o": ("strong_after_soft",), "s": ()}
 _NEEDS = {kind: st for st, kinds in _KINDS.items() for kind in kinds}
 
 
-def _split(kind: str, old: Slot):
-    """Dimension of slot ``old`` and ``(piece, dim)`` of each of its pieces."""
+def _split(kind: str, old: Slot, slot):
+    """Dimension of slot ``old``, named ``slot``, and ``(piece, dim)`` of each
+    of its pieces; every split checks here that ``kind`` acts on its state."""
     if kind not in _NEEDS:
-        raise SlotError(f"unknown breaking kind {kind!r}")
+        raise SlotError(f"unknown breaking kind {kind!r}; kinds are {', '.join(_NEEDS)}")
+    if old[0] != _NEEDS[kind]:
+        raise SlotError(f"{kind}:{slot} needs state {_NEEDS[kind]!r} in slot {slot}, found {old}")
     rule = soft_break_slot if kind == "soft" else strong_break_slot
     return slot_dim(old), [(p, slot_dim(p)) for p in rule(old)]
 
 
-def _break(shapes: dict, kind: str, idx: int):
+def _break(shapes: dict, kind: str, idx: int, slot):
     """The pieces ``{slots: [(piece slots, piece dim), ...]}`` of each shape
-    of a fold under a break of slot ``idx``, each carrying its parent's
-    dimension with the broken slot's factor swapped, and the pieces' fold."""
+    of a fold under a break of slot ``idx`` (named ``slot``), each carrying
+    its parent's dimension with the broken slot's factor swapped, and the fold."""
     splits: dict = {}
     pieces: dict = {}
     fold: dict = {}
     for slots, (dim, n) in shapes.items():
         old = slots[idx]
         if old not in splits:
-            old_dim, parts = _split(kind, old)
+            old_dim, parts = _split(kind, old, slot)
             splits[old] = old_dim, [((p,), d) for p, d in parts]
         old_dim, parts = splits[old]
         head, tail, rest = slots[:idx], slots[idx + 1:], dim // old_dim
@@ -196,7 +200,7 @@ def _break(shapes: dict, kind: str, idx: int):
 
 def break_multiplet(m: Multiplet, kind: str, idx: int):
     """All pieces of one multiplet under a soft or strong break of slot ``idx``."""
-    pieces, _ = _break({m.slots: (m.dim(), m.mult)}, kind, idx)
+    pieces, _ = _break({m.slots: (m.dim(), m.mult)}, kind, idx, idx)
     return [Multiplet(s, m.mult, m.history) for s, _ in pieces[m.slots]]
 
 
@@ -220,15 +224,8 @@ class PhaseOp:
 
 
 def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
-    if op.kind not in _NEEDS:
-        raise SlotError(f"unknown breaking kind {op.kind!r}; kinds are {', '.join(_NEEDS)}")
     idx = state.slot_index(op.slot, op.render())
-    want = _NEEDS[op.kind]
-    for slots in state.shapes:
-        if slots[idx][0] != want:
-            raise SlotError(
-                f"{op.render()} needs state {want!r} in slot {op.slot}, found {slots[idx]}")
-    pieces, fold = _break(state.shapes, op.kind, idx)
+    pieces, fold = _break(state.shapes, op.kind, idx, op.slot)
     child = object.__new__(Phase2State)  # its entries come from __getattr__
     vars(child).update(slot_names=state.slot_names, stages=state.stages, shapes=fold,
                        _split=(state, pieces))

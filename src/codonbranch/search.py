@@ -2,24 +2,24 @@
 
 The search walks every registered chain, then enumerates second-phase plans
 depth-first.  After each operation the fully-broken state is examined: when
-no multiplet of dimension > 6 remains, that operation can serve as the last
-step and the freezing masks hitting the genetic-code histogram are solved
-exactly; independently, the branch continues deeper unless a monotone
-statistic already rules every continuation out.
+no multiplet above the target's largest dimension remains, that operation
+can serve as the last step and the freezing masks hitting the target are
+solved exactly; independently, the branch continues deeper unless a
+monotone statistic already rules every continuation out.
 
-The monotone continuation prunes (all sound in the presence of last-step
-freezing, because frozen multiplets are a subset of the pre-final state):
+Every bound is read off the target's own statistics, its goal.  The
+continuation prunes are sound under last-step freezing, because frozen
+multiplets are a subset of the pre-final state:
 
-* more than 2 singlets: singlets are indestructible;
-* more than 4 odd-dimensional multiplets: every odd multiplet keeps at
-  least one odd descendant under any breaking;
-* d3 < 24: breaking never raises d3, and the target needs exactly 24;
-* more than 21 multiplets: breaking never lowers the count, and the target
-  has exactly 21.
+* more singlets than the goal: singlets are indestructible;
+* more odd-dimensional multiplets than the goal: every odd multiplet keeps
+  at least one odd descendant under any breaking;
+* d3 below the goal's: breaking never raises d3;
+* more multiplets than the goal: breaking never lowers the count.
 
-Total pairing is a first-phase exclusion criterion only.  Uniform breaking
-preserves it, but last-step freezing can separate the two halves of a
-conjugate pair, so inside the second phase it must not cut continuations.
+Total pairing excludes at the first phase only, and only when the goal is
+not itself totally paired: uniform breaking preserves it, but last-step
+freezing can separate the two halves of a conjugate pair.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .phase2 import (
     _KINDS,
     _add,
     _split,
+    _stats,
     apply_op,
     available_ops,
     break_multiplet,
@@ -59,17 +60,20 @@ class InvalidTargetError(ValueError):
     """A target histogram that no 64-dimensional distribution can hit."""
 
 
-def _checked_target(target=None) -> dict:
-    """``target``, or the standard code for ``None``; a target must map
-    positive integer dimensions to positive integer counts, sum(d * n) == 64."""
-    if target is None:
-        return GENETIC_CODE_TARGET
+def _goal(target=None) -> Stats:
+    """The goal: the statistics of ``target`` (the standard code for
+    ``None``), totally paired when every count is even; a goal passes
+    through.  A target maps positive integer dimensions to positive integer
+    counts with sum(d * n) == 64."""
+    if isinstance(target, Stats):
+        return target
+    target = GENETIC_CODE_TARGET if target is None else target
     pairs = target.items() if isinstance(target, dict) else [(0, 0)]
     if not all(type(d) is type(n) is int and min(d, n) > 0 for d, n in pairs) \
             or sum(d * n for d, n in pairs) != 64:
         raise InvalidTargetError(f"target {target!r} is not a histogram of positive integer "
                                  "dimensions and counts with sum(d * n) == 64")
-    return target
+    return _stats(target.items(), all(n % 2 == 0 for n in target.values()))
 
 
 TOTAL_PAIRING = "TotalPairing"
@@ -80,35 +84,31 @@ TOO_MANY_MULTIPLETS = "TooManyMultiplets"
 NO_SURVIVING_SCHEME = "NoSurvivingScheme"
 
 
-def target_count(target=None) -> int:
-    target = target or GENETIC_CODE_TARGET
-    return sum(target.values())
+def prune(stats: Stats, phase: int, target=None):
+    """Violated exclusion criteria, each a bound read off the target's goal.
 
-
-def prune(stats: Stats, phase: int):
-    """Violated exclusion criteria for a distribution at the given phase.
-
-    Phase 1 is the chain-level check with the three bulleted criteria;
+    Phase 1 is the chain-level check (total pairing, singlets, odd count);
     phase 2 is the continuation check inside the breaking tree, where only
     criteria that survive final-step freezing may appear.
     """
+    goal = _goal(target)
     out = []
-    if phase == 1 and stats.total_pairing:
+    if phase == 1 and stats.total_pairing and not goal.total_pairing:
         out.append(TOTAL_PAIRING)
-    if stats.n_singlets > 2:
+    if stats.n_singlets > goal.n_singlets:
         out.append(TOO_MANY_SINGLETS)
-    if stats.n_odd > 4:
+    if stats.n_odd > goal.n_odd:
         out.append(TOO_MANY_ODD)
     if phase == 2:
-        if stats.d3 < 24:
+        if stats.d3 < goal.d3:
             out.append(D3_TOO_SMALL)
-        if stats.n_multiplets > target_count():
+        if stats.n_multiplets > goal.n_multiplets:
             out.append(TOO_MANY_MULTIPLETS)
     return out
 
 
 def match_target(stats: Stats, target=None) -> bool:
-    return stats.histogram() == (target or GENETIC_CODE_TARGET)
+    return stats.dim_histogram == _goal(target).dim_histogram
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def _group_rows(state: Phase2State, op: PhaseOp) -> list:
     for slots, (dim, count) in state.shapes.items():
         key = (slots[idx], dim)
         if key not in histograms:  # the group's dimension, the broken slot's factor swapped
-            old_dim, parts = _split(op.kind, slots[idx])
+            old_dim, parts = _split(op.kind, slots[idx], op.slot)
             dims = [dim // old_dim * d for _, d in parts]
             histograms[key] = tuple(sorted(((d, dims.count(d)) for d in set(dims)), reverse=True))
         rows.append((slots, count, dim, histograms[key]))
@@ -170,37 +170,38 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     Identical multiplets (same slot states) freeze all-or-none: the breaking
     perturbation cannot distinguish copies of the same multiplet, which is
     also what makes the "two identical multiplets together break into four
-    triplets or none" style of exclusion argument exact.  Multiplets of
-    dimension > 6 must break, and their pieces must all be <= 6 for the
-    operation to qualify as a last step at all (otherwise the empty list is
-    returned).  Groups whose pieces reproduce their own histogram are
-    skipped: freezing them is meaningless and masks are reported without
-    them.
+    triplets or none" style of exclusion argument exact.  Multiplets larger
+    than the target's largest dimension must break, and their pieces must
+    all fit under it for the operation to qualify as a last step at all
+    (otherwise the empty list is returned).  Groups whose pieces reproduce
+    their own histogram are skipped: freezing them is meaningless and masks
+    are reported without them.
     """
-    target = _checked_target(target)
-    left = dict(target)  # what the target still lacks, per dimension
+    left = _goal(target).histogram()  # what the target still lacks, per dimension
+    top = max(left)      # the target's largest dimension
     gain: dict = {}      # the most the groups not yet placed can add, per dimension
     active = []
     for row in _group_rows(state, op):
         _, count, dim, pieces = row
-        if dim > 6 and pieces[0][0] > 6:  # pieces: largest first
+        if dim > top and pieces[0][0] > top:  # pieces: largest first
             return []
         if pieces == ((dim, 1),):  # neutral: its one piece keeps the group's dimension
             _add(left, dim, -count)
             continue
         active.append(row)
-        for d, n in pieces + (((dim, 1),) if dim <= 6 else ()):
+        for d, n in pieces + (((dim, 1),) if dim <= top else ()):
             gain[d] = gain.get(d, 0) + n * count
     if any(n < 0 or n > gain.get(d, 0) for d, n in left.items()):
         return []
     # A group adds its pieces when it breaks, or its own dimension when all
-    # its copies freeze (never above dimension 6); a move is checked on the
+    # its copies freeze (never above ``top``); a move is checked on the
     # dimensions it touches, and a branch stops once the groups left cannot
     # fill the target.
     moves = []
     for slots, count, dim, pieces in sorted(active):
         broken = ((), tuple((d, n * count) for d, n in pieces))
-        moves.append((broken,) if dim > 6 else (broken, (((slots, dim, count),), ((dim, count),))))
+        freeze = (((slots, dim, count),), ((dim, count),))
+        moves.append((broken,) if dim > top else (broken, freeze))
     masks = []
 
     def rec(i, frozen):
@@ -264,8 +265,9 @@ def reachable_triplet_counts(slots: tuple) -> frozenset:
     prod_i (c1_i + c3_i x), collected over every combination of statuses.
     """
     found = set()
-    for combo in product(*([[slot_dim(s)]] + [[d for _, d in _split(kind, s)[1]]
-                                             for kind in _KINDS[s[0]]] for s in slots)):
+    for combo in product(*([[slot_dim(s)]] + [[d for _, d in _split(kind, s, i)[1]]
+                                             for kind in _KINDS[s[0]]]
+                           for i, s in enumerate(slots))):
         none, one = 1, 0  # piece dimensions per slot status; prod_i (c1_i + c3_i x)
         for dims in combo:
             none, one = none * dims.count(1), one * dims.count(1) + none * dims.count(3)
@@ -288,7 +290,7 @@ class OptionNode:
     plan: tuple          # PhaseOp sequence
     stats: Stats
     violations: tuple    # continuation prunes triggered at this node
-    terminal: bool       # eligible as a last step (no dimension > 6 remains)
+    terminal: bool       # eligible as a last step (nothing above the target's dimensions)
     mask_count: int
 
     def plan_render(self):
@@ -321,7 +323,7 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
     Each slot takes at most two operations (soft then strong, or strong), so
     plans are at most twice as long as there are slots.
     """
-    target = _checked_target(target)
+    goal = _goal(target)
     result = Phase2Result()
     seen_states = set()
 
@@ -329,9 +331,9 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
         for op in available_ops(state):
             child = apply_op(state, op)
             st = phase2_stats(child)
-            violations = tuple(prune(st, 2))
-            terminal = st.dim_histogram[0][0] <= 6  # largest dimension first
-            masks = solve_freezing(state, op, target) if terminal else []
+            violations = tuple(prune(st, 2, goal))
+            terminal = st.dim_histogram[0][0] <= goal.dim_histogram[0][0]  # largest first
+            masks = solve_freezing(state, op, goal) if terminal else []
             new_plan = plan + (op,)
             assert len(new_plan) <= 2 * len(start.slot_names)
             result.nodes.append(OptionNode(new_plan, st, violations, terminal,
@@ -339,7 +341,7 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
             if masks:
                 result.schemes.append((new_plan, op, masks, state.count(),
                                        st.n_multiplets))
-            if terminal and not masks and st.n_multiplets == target_count(target):
+            if terminal and not masks and st.n_multiplets == goal.n_multiplets:
                 result.near_misses.append((new_plan, st.histogram()))
             if violations:
                 result.pruned.append((new_plan, violations))
@@ -408,17 +410,18 @@ class SearchReport:
 
 
 def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
+    goal = _goal(target)
     dist = apply_chain(chain.chain_id)
     stats = distribution_stats(dist)
     if not dist.stage.all_sl2():
         return ChainReport(chain.chain_id, dist.stage.names, stats,
-                           tuple(prune(stats, 1)), [], [], [], [], {},
+                           tuple(prune(stats, 1, goal)), [], [], [], [], {},
                            chain.note)
     state = from_distribution(dist)
     # Chain-end verdict shows every criterion the end state trips, but only
     # the freezing-sound phase-2 criteria may stop the enumeration.
-    blocking = tuple(prune(stats, 2))
-    recorded = tuple(dict.fromkeys(prune(stats, 1) + list(blocking)))
+    blocking = tuple(prune(stats, 2, goal))
+    recorded = tuple(dict.fromkeys(prune(stats, 1, goal) + list(blocking)))
     # Starting slots are all unbroken, so distinct shapes render distinctly.
     facts = {"-".join(map(render_slot, slots)):
              {"dim": dim, "triplet_counts": sorted(reachable_triplet_counts(slots))}
@@ -426,7 +429,7 @@ def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
     if blocking:
         return ChainReport(chain.chain_id, dist.stage.names, stats,
                            recorded, [], [], [], [], facts, chain.note)
-    res = enumerate_phase2(state, target)
+    res = enumerate_phase2(state, goal)
     # Each plan is one path of the enumeration tree, so no scheme repeats.
     schemes = [Scheme(chain.chain_id, plan[:-1], op, tuple(masks), pre_count, full_count)
                for plan, op, masks, pre_count, full_count in res.schemes]
@@ -438,15 +441,15 @@ def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
 
 def full_search(target=None) -> SearchReport:
     """Search every catalog representation through every registered chain."""
-    target = _checked_target(target)
+    goal = _goal(target)
     algebras = []
     for entry in CATALOG:
         dist = first_step_distribution(entry.key)
         stats = distribution_stats(dist)
-        phase1 = tuple(prune(stats, 1))
-        chains = [analyze_chain(c, target) for c in CHAINS if c.rep_key == entry.key]
+        phase1 = tuple(prune(stats, 1, goal))
+        chains = [analyze_chain(c, goal) for c in CHAINS if c.rep_key == entry.key]
         algebras.append(AlgebraReport(entry.key, stats, phase1, chains))
-    return SearchReport(dict(target), algebras)
+    return SearchReport(goal.histogram(), algebras)
 
 
 def apply_plan(chain_id: str, plan) -> Phase2State:

@@ -8,7 +8,8 @@ from ``slot_dim`` and ``slot_conjugate`` alone, multiplying every dimension
 out and reading the pieces' dimensions off the broken slot's; reachable
 triplet counts come from a search over tuples of piece states, freezing
 masks from a depth-first search that rechecks the whole histogram at every
-step.
+step, and the schemes of a target from a walk over every plan with no
+pruning at all.
 """
 
 import heapq
@@ -183,9 +184,10 @@ def freeze_groups_reference(entries, kind, idx) -> list:
     return out
 
 
-# The slot rules each slot state admits: soft or strong breaking of an
-# unbroken slot, strong breaking of a soft-broken one.
-_RULES = {"u": (soft_break_slot, strong_break_slot), "o": (strong_break_slot,), "s": ()}
+# The slot rules each slot state admits, by breaking kind: soft or strong
+# breaking of an unbroken slot, strong breaking of a soft-broken one.
+_RULES = {"u": (("soft", soft_break_slot), ("strong", strong_break_slot)),
+          "o": (("strong_after_soft", strong_break_slot),), "s": ()}
 
 
 def reachable_triplet_counts_bfs(slots) -> frozenset:
@@ -202,7 +204,7 @@ def reachable_triplet_counts_bfs(slots) -> frozenset:
         seen.add(states)
         found.add(sum(_shape_dim(st) == 3 for st in states))
         for i in range(len(slots)):
-            for rule in _RULES[states[0][i][0]]:
+            for _, rule in _RULES[states[0][i][0]]:
                 stack.append(tuple(sorted(st[:i] + (p,) + st[i + 1:]
                                           for st in states for p in rule(st[i]))))
     return frozenset(found)
@@ -211,9 +213,11 @@ def reachable_triplet_counts_bfs(slots) -> frozenset:
 def solve_freezing_reference(groups, target) -> list:
     """The sorted ``frozen`` tuples of the freezing masks that hit ``target``,
     for ``(slots, count, dim, pieces, neutral)`` groups: each non-neutral
-    group freezes all its copies or none (dimension > 6 always breaks), and
-    every step rechecks the whole histogram against the target."""
-    if any(dim > 6 and max(pieces)[0] > 6 for _, _, dim, pieces, _ in groups):
+    group freezes all its copies or none (a dimension above the target's
+    largest always breaks), and every step rechecks the whole histogram
+    against the target."""
+    top = max(target)
+    if any(dim > top and max(pieces)[0] > top for _, _, dim, pieces, _ in groups):
         return []
     base = Counter()
     for _, count, dim, _, neutral in groups:
@@ -234,9 +238,44 @@ def solve_freezing_reference(groups, target) -> list:
             return
         slots, count, dim, pieces, _ = active[i]
         walk(i + 1, hist + Counter({d: n * count for d, n in pieces}), frozen)
-        if dim <= 6:
+        if dim <= top:
             walk(i + 1, hist + Counter({dim: count}),
                  frozen + [("-".join(map(render_slot, slots)), dim, count)])
 
     walk(0, base, [])
     return sorted(masks)
+
+
+def schemes_reference(slot_names, fold, target) -> set:
+    """``(pre-final fold, final op, masks)`` of every scheme reachable from
+    the ``{slots: mult}`` fold of a phase-2 start, by a walk over every plan
+    with no pruning.
+
+    Every op breaks the named slot of every shape with the slot rules; a
+    fold is expanded once, however it was reached.  An op is a last step
+    when no piece is larger than the target's largest dimension, and its
+    masks come from :func:`freeze_groups_reference` and
+    :func:`solve_freezing_reference`.  A pre-final fold is the sorted tuple
+    of its ``(slots, mult)`` items, an op its ``kind:slot`` token and the
+    masks their ``frozen`` tuples.
+    """
+    found, seen, stack = set(), set(), [dict(fold)]
+    while stack:
+        fold = stack.pop()
+        key = tuple(sorted(fold.items()))
+        if key in seen:
+            continue
+        seen.add(key)
+        for i, name in enumerate(slot_names):
+            for kind, rule in _RULES[key[0][0][i][0]]:
+                child = Counter()
+                for slots, n in key:
+                    for piece in rule(slots[i]):
+                        child[slots[:i] + (piece,) + slots[i + 1:]] += n
+                stack.append(child)
+                if max(map(_shape_dim, child)) <= max(target):
+                    masks = solve_freezing_reference(freeze_groups_reference(key, kind, i),
+                                                     target)
+                    if masks:
+                        found.add((key, f"{kind}:{name}", tuple(masks)))
+    return found

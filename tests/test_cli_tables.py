@@ -202,7 +202,8 @@ def test_cli_verify_golden_reports_json_of_the_wrong_shape(content, tmp_path, ca
 
 
 def test_cli_verify_golden_shows_the_registry_difference(tmp_path, capsys, monkeypatch):
-    text = open(os.path.join(DATA, "embeddings.txt"), encoding="utf-8").read()
+    with open(os.path.join(DATA, "embeddings.txt"), encoding="utf-8") as fh:
+        text = fh.read()
     bad = text.replace("  row: 1 0 0 0\n", "  row: 1 0 0 9\n", 1)
     assert bad != text
     _corrupted_copy(tmp_path, monkeypatch, "embeddings.txt", bad.encode())

@@ -11,6 +11,7 @@ from codonbranch.phase2 import (
     Phase2State,
     PhaseOp,
     SlotError,
+    Stats,
     apply_op,
     available_ops,
     break_multiplet,
@@ -38,8 +39,21 @@ from oracles import (
     freeze_groups_reference,
     phase2_stats_reference,
     reachable_triplet_counts_bfs,
+    schemes_reference,
     solve_freezing_reference,
 )
+
+# The standard code, two hand-written histograms and NCBI translation tables
+# 2, 4, 6 and 5, each with the (schemes, masks) that full_search reports.
+TARGETS = [
+    pytest.param(GENETIC_CODE_TARGET, 3, 3, id="standard"),
+    pytest.param({4: 8, 2: 14, 1: 4}, 65, 790, id="4:8,2:14,1:4"),
+    pytest.param({6: 2, 4: 6, 3: 2, 2: 9, 1: 4}, 9, 9, id="6:2,4:6,3:2,2:9,1:4"),
+    pytest.param({6: 2, 4: 7, 2: 12}, 36, 84, id="ncbi2"),
+    pytest.param({6: 3, 4: 5, 3: 1, 2: 11, 1: 1}, 0, 0, id="ncbi4"),
+    pytest.param({6: 3, 4: 6, 3: 1, 2: 8, 1: 3}, 0, 0, id="ncbi6"),
+    pytest.param({8: 1, 6: 1, 4: 6, 2: 13}, 34, 124, id="ncbi5"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +74,31 @@ def test_prune_examples(report):
     assert "D3TooSmall" in osp32.verdict_codes
     sl41 = report.chain_report("sl(4|1)/1")
     assert {"TooManySinglets", "TooManyOdd"} <= set(sl41.verdict_codes)
+
+
+@pytest.mark.parametrize("target, goal", [
+    (GENETIC_CODE_TARGET, (21, 24, 2, 4, False)),
+    ({6: 2, 4: 6, 3: 2, 2: 10, 1: 2}, (22, 18, 2, 4, True)),
+])
+def test_prune_bounds_are_read_off_the_target(target, goal):
+    """Each bound sits exactly at the target's own statistic: ``goal`` is
+    (multiplets, d3, singlets, odd, totally paired)."""
+    m, d3, singlets, odd, paired = goal
+
+    def hits(phase, **past):
+        fields = dict(n_multiplets=m, d3=d3, n_singlets=singlets, n_odd=odd,
+                      total_pairing=False, dim_histogram=())
+        return prune(Stats(**{**fields, **past}), phase, target)
+
+    for phase in (1, 2):
+        assert hits(phase) == []
+        assert hits(phase, n_singlets=singlets + 1) == ["TooManySinglets"]
+        assert hits(phase, n_odd=odd + 1) == ["TooManyOdd"]
+    assert hits(2, d3=d3 - 1) == ["D3TooSmall"] and hits(1, d3=d3 - 1) == []
+    assert hits(2, n_multiplets=m + 1) == ["TooManyMultiplets"]
+    assert hits(1, n_multiplets=m + 1) == []
+    assert hits(1, total_pairing=True) == ([] if paired else ["TotalPairing"])
+    assert hits(2, total_pairing=True) == []
 
 
 def test_match_target_examples():
@@ -208,7 +247,8 @@ def test_enumeration_visits_the_plans_of_the_entry_key(report):
 
 def test_masks_match_the_reference_solver():
     """At every terminal (state, op) of every plan of three osp(5|2) and
-    osp(4|2) chains, for the standard code and three other targets."""
+    osp(4|2) chains, for the standard code and three other targets; an op is
+    terminal when no piece is larger than the target's largest dimension."""
     targets = (GENETIC_CODE_TARGET, {4: 8, 2: 14, 1: 4}, {6: 2, 4: 7, 2: 12},
                {6: 2, 4: 6, 3: 2, 2: 9, 1: 4})
     solved = [0] * len(targets)
@@ -219,12 +259,13 @@ def test_masks_match_the_reference_solver():
             for op in available_ops(state):
                 child = apply_op(state, op)
                 frontier.append(child)
-                if phase2_stats(child).dim_histogram[0][0] > 6:
-                    continue
+                largest = phase2_stats(child).dim_histogram[0][0]
                 groups = freeze_groups_reference(
                     [(e.slots, e.mult) for e in state.entries], op.kind,
                     state.slot_names.index(op.slot))
                 for i, target in enumerate(targets):
+                    if largest > max(target):
+                        continue
                     got = [m.frozen for m in solve_freezing(state, op, target)]
                     assert got == solve_freezing_reference(groups, target), (chain_id, op, i)
                     solved[i] += len(got)
@@ -263,8 +304,10 @@ def test_masks_match_the_reference_solver_off_dimension_64():
 ])
 def test_malformed_targets_are_a_typed_error(target, problem):
     state = apply_plan("osp(5|2)/3", ["soft:3"])
+    stats = phase2_stats(state)
     for call in (lambda: full_search(target), lambda: enumerate_phase2(state, target),
-                 lambda: solve_freezing(state, PhaseOp("soft", "12"), target)):
+                 lambda: solve_freezing(state, PhaseOp("soft", "12"), target),
+                 lambda: match_target(stats, target), lambda: prune(stats, 2, target)):
         with pytest.raises(InvalidTargetError, match="sum\\(d \\* n\\) == 64"):
             call()
     assert issubclass(InvalidTargetError, ValueError)
@@ -273,7 +316,31 @@ def test_malformed_targets_are_a_typed_error(target, problem):
 def test_other_valid_targets_are_searched():
     rep = full_search({4: 8, 2: 14, 1: 4})
     assert rep.target == {4: 8, 2: 14, 1: 4}
-    assert len(rep.survivors()) == 1
+    assert len(rep.survivors()) == 65  # every one of them found by the oracle below
+
+
+def _fold(state):
+    return tuple(sorted((slots, n) for slots, (_, n) in state.shapes.items()))
+
+
+@pytest.mark.parametrize("target, n_schemes, n_masks", TARGETS)
+def test_search_finds_what_the_unpruned_oracle_finds(target, n_schemes, n_masks):
+    """The (chain, pre-final fold, final op, masks) of every scheme, against
+    a walk over every plan of every all-sl(2) chain with no pruning."""
+    rep = full_search(target)
+    got = {(s.chain_id, _fold(apply_plan(s.chain_id, s.plan)), s.final_op.render(),
+            tuple(m.frozen for m in s.masks)) for s in rep.survivors()}
+    want = {(chain_id,) + scheme for chain_id, start in _starts()
+            for scheme in schemes_reference(start.slot_names, dict(_fold(start)), target)}
+    assert got == want
+    assert (len(rep.survivors()), sum(len(s.masks) for s in rep.survivors())) \
+        == (n_schemes, n_masks)
+
+
+def test_enumerate_rejects_an_empty_start():
+    start = apply_plan("osp(5|2)/3", [])
+    with pytest.raises(SlotError, match="a phase-2 state needs at least one multiplet"):
+        enumerate_phase2(Phase2State(start.slot_names, start.stages, ()))
 
 
 def test_survivors_exactly_three(report):
@@ -366,6 +433,20 @@ def test_freezing_rejects_unknown_slot():
                  lambda: final_state(state, op, FreezeMask(()))):
         with pytest.raises(SlotError, match="unknown slot '9' in soft:9; valid slots: 12, 3"):
             call()
+
+
+def test_the_slot_state_rule_holds_wherever_a_slot_splits():
+    state = apply_plan("osp(5|2)/3", ["soft:3"])
+    op = PhaseOp("strong", "3")
+    for call in (lambda: apply_op(state, op), lambda: solve_freezing(state, op),
+                 lambda: freeze_groups(state, op),
+                 lambda: final_state(state, op, FreezeMask(()))):
+        with pytest.raises(SlotError, match=r"strong:3 needs state 'u' in slot 3, found \('o', "):
+            call()
+    unbroken = state.entries[0]
+    assert unbroken.slots[0][0] == "u"  # slot 12
+    with pytest.raises(SlotError, match=r"needs state 'o' in slot 0, found \('u', "):
+        break_multiplet(unbroken, "strong_after_soft", 0)
 
 
 def _check_phase2_against_reference(state, op):
