@@ -14,15 +14,16 @@ job of final-step freezing in the search layer.
 Each state carries its entries folded by shape, with each shape's dimension
 multiplied out from its slots once; a break splits each shape once and
 carries the dimension to each piece, swapping the broken slot's factor.
-There is no module-level cache keyed by slot tuples, which would keep every
-shape a search meets (~1.9 MB more RSS).
+How one slot splits is read from a table keyed by (kind, slot), which a
+search and tables 1-9 fill with 34 entries; there is no cache keyed by slot
+tuples, which would keep every shape a search meets (~1.9 MB more RSS).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import lru_cache
 from fractions import Fraction
 
 from .embed_chains import Distribution
@@ -167,15 +168,20 @@ _KINDS = {"u": ("soft", "strong"), "o": ("strong_after_soft",), "s": ()}
 _NEEDS = {kind: st for st, kinds in _KINDS.items() for kind in kinds}
 
 
+@lru_cache(maxsize=None)
+def _split_table(kind: str, old: Slot) -> tuple:
+    rule = soft_break_slot if kind == "soft" else strong_break_slot
+    return slot_dim(old), tuple(((p,), slot_dim(p)) for p in rule(old))
+
+
 def _split(kind: str, old: Slot, slot):
-    """Dimension of slot ``old``, named ``slot``, and ``(piece, dim)`` of each
-    of its pieces; every split checks here that ``kind`` acts on its state."""
+    """Dimension of slot ``old``, named ``slot``, and ``((piece,), dim)`` per
+    piece; every split checks here that ``kind`` acts on its state."""
     if kind not in _NEEDS:
         raise SlotError(f"unknown breaking kind {kind!r}; kinds are {', '.join(_NEEDS)}")
     if old[0] != _NEEDS[kind]:
         raise SlotError(f"{kind}:{slot} needs state {_NEEDS[kind]!r} in slot {slot}, found {old}")
-    rule = soft_break_slot if kind == "soft" else strong_break_slot
-    return slot_dim(old), [(p, slot_dim(p)) for p in rule(old)]
+    return _split_table(kind, old)
 
 
 def _break(shapes: dict, kind: str, idx: int, slot):
@@ -188,8 +194,7 @@ def _break(shapes: dict, kind: str, idx: int, slot):
     for slots, (dim, n) in shapes.items():
         old = slots[idx]
         if old not in splits:
-            old_dim, parts = _split(kind, old, slot)
-            splits[old] = old_dim, [((p,), d) for p, d in parts]
+            splits[old] = _split(kind, old, slot)
         old_dim, parts = splits[old]
         head, tail, rest = slots[:idx], slots[idx + 1:], dim // old_dim
         pieces[slots] = [(head + p + tail, rest * d) for p, d in parts]
@@ -270,12 +275,14 @@ def _stats(rows, paired: bool) -> Stats:
 
 def phase2_stats(state: Phase2State) -> Stats:
     """Statistics of the state's fold.  A shape's conjugation class is the
-    shape and its conjugate, the signs of its strong slots flipped."""
-    shapes = state.shapes
-    flip = {s: slot_conjugate(s) for s in set(chain.from_iterable(shapes))}.__getitem__
-    return _stats(shapes.values(), all(
-        (n + (shapes[c][1] if (c := tuple(map(flip, s))) != s and c in shapes else 0)) % 2 == 0
-        for s, (_, n) in shapes.items()))
+    shape and its conjugate, the signs of its strong slots flipped.  Every
+    class has an even count exactly when no odd-count shape is its own
+    conjugate and the odd-count shapes pair off under conjugation (the two
+    shapes of a class have counts of equal parity), so only the odd-count
+    shapes are conjugated."""
+    odd = {s for s, (_, n) in state.shapes.items() if n % 2}
+    return _stats(state.shapes.values(), all(
+        (c := tuple(map(slot_conjugate, s))) != s and c in odd for s in odd))
 
 
 def distribution_stats(dist: Distribution) -> Stats:

@@ -12,7 +12,9 @@ invariant form is +1 on sp-type (delta) coordinates and -1 on so-type
 the second.  The Kac-Dynkin labels and the typicality test use this signed
 form.  Each even factor's roots lie in coordinates of one sign, so the even
 reflections, dominance and Dynkin labels are ratios that the plain dot
-product gives as well; they run on integer vectors (see :mod:`lie_core`).
+product gives as well.  All of it runs on integer vectors over a common
+scale (see :mod:`lie_core`); Fractions are read from labels and built only
+for weights that are returned or reported.
 
 Branching to the even part is done by expanding the typical character as a
 signed sum of virtual even characters over subsets of the positive odd
@@ -26,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import mul, sub
 
 from .lie_core import (
@@ -56,23 +59,25 @@ class UnknownNameError(KeyError):
         return str(self.args[0]) if self.args else ""
 
 
-def _half_sum(roots, dim) -> tuple:
-    return tuple(Fraction(sum(a[i] for a in roots), 2) for i in range(dim))
-
-
-def _inverse(rows) -> list:
-    """Inverse of a square rational matrix, by Gauss-Jordan elimination."""
+def _inverse(rows, cols: int) -> tuple:
+    """``(b, d)``: the first ``cols`` columns of the inverse of an invertible
+    square integer matrix are the integer rows ``b`` over the least ``d > 0``,
+    by fraction-free Gauss-Jordan elimination."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     for c in range(n):
         p = next(r for r in range(c, n) if aug[r][c])
         aug[c], aug[p] = aug[p], aug[c]
-        aug[c] = [x / aug[c][c] for x in aug[c]]
         for r in range(n):
             if r != c and aug[r][c]:
-                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+                a, b = aug[c][c], aug[r][c]
+                aug[r] = [a * x - b * y for x, y in zip(aug[r], aug[c])]
+    # The left half is now diagonal: row i of the inverse is row i's right
+    # half over its pivot.
+    d = math.lcm(*(row[i] for i, row in enumerate(aug)))
+    inv = [[d // row[i] * x for x in row[n:n + cols]] for i, row in enumerate(aug)]
+    g = math.gcd(d, *chain.from_iterable(inv))
+    return tuple(tuple(x // g for x in row) for row in inv), d // g
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,12 @@ class SuperAlgebra:
 
     Derived once: ``dim``; the even positive roots, each positive root of
     each factor written on that factor's simple roots; ``rho0``, ``rho1``
-    and ``rho`` as Fractions; the tuples ``factor_systems``,
-    ``factor_simples`` and ``factor_names``; each factor's
-    ``(root, (root, root))`` chamber pairs and their concatenation
-    ``chamber_roots``; and ``kac_inverse``, the inverse of :func:`kac_labels`.
+    and ``rho`` as Fractions, and ``two_rho0`` and ``two_rho`` (twice rho0
+    and rho) as ints; the tuples ``factor_systems``, ``factor_simples`` and
+    ``factor_names``; each factor's ``(root, (root, root))`` chamber pairs
+    and their concatenation ``chamber_roots``; and the inverse of
+    :func:`kac_labels` as integer rows ``kac_inverse`` (one per coordinate,
+    one column per label) over the least positive ``kac_denominator``.
     """
 
     name: str
@@ -103,12 +110,15 @@ class SuperAlgebra:
     rho0: tuple = field(init=False, repr=False, compare=False)
     rho1: tuple = field(init=False, repr=False, compare=False)
     rho: tuple = field(init=False, repr=False, compare=False)
+    two_rho0: tuple = field(init=False, repr=False, compare=False)
+    two_rho: tuple = field(init=False, repr=False, compare=False)
     factor_systems: tuple = field(init=False, repr=False, compare=False)
     factor_simples: tuple = field(init=False, repr=False, compare=False)
     factor_names: tuple = field(init=False, repr=False, compare=False)
     factor_chambers: tuple = field(init=False, repr=False, compare=False)
     chamber_roots: tuple = field(init=False, repr=False, compare=False)
     kac_inverse: tuple = field(init=False, repr=False, compare=False)
+    kac_denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def put(name, value):
@@ -120,24 +130,27 @@ class SuperAlgebra:
         put("even_positive_roots", tuple(
             tuple(sum(map(mul, rs.root_coefficients(a), col)) for col in zip(*simple))
             for rs, simple in zip(systems, simples) for a in rs.positive_roots))
-        put("rho0", _half_sum(self.even_positive_roots, dim))
-        put("rho1", _half_sum(self.odd_positive_roots, dim))
-        put("rho", vsub(self.rho0, self.rho1))
+        put("two_rho0", tuple(map(sum, zip(*self.even_positive_roots))))
+        two_rho1 = tuple(map(sum, zip(*self.odd_positive_roots)))
+        put("two_rho", vsub(self.two_rho0, two_rho1))
+        put("rho0", _unscaled(self.two_rho0, 2))
+        put("rho1", _unscaled(two_rho1, 2))
+        put("rho", _unscaled(self.two_rho, 2))
         put("factor_systems", systems)
         put("factor_simples", simples)
         put("factor_names", names)
         put("factor_chambers", tuple(_chamber_roots(s) for s in simples))
         put("chamber_roots", sum(self.factor_chambers, ()))
-        # Row i of the label map holds the i-th labels of the unit vectors;
-        # the sl gauge adds the row that reads coordinate ``gauge``.  Its
-        # label is always 0, so its column is dropped from the inverse.
+        # Row i of the label map holds the i-th (integer) labels of the unit
+        # vectors; the sl gauge adds the row that reads coordinate ``gauge``.
+        # Its label is always 0, so its column is dropped from the inverse.
         units = _units(dim)
-        rows = list(zip(*(kac_labels(self, u) for u in units)))
+        rows = list(zip(*(_scaled(kac_labels(self, u), 1) for u in units)))
         if self.gauge is not None:
             rows.append(units[self.gauge])
-        nodes = len(self.simple_roots)
-        put("kac_inverse", tuple(tuple((j, c) for j, c in enumerate(row[:nodes]) if c)
-                                 for row in _inverse(rows)))
+        inv, den = _inverse(rows, len(self.simple_roots))
+        put("kac_inverse", inv)
+        put("kac_denominator", den)
 
     def sdot(self, a, b):
         return sum(s * x * y for s, x, y in zip(self.form_signs, a, b))
@@ -235,27 +248,32 @@ def kac_labels(sa: SuperAlgebra, w) -> tuple:
     return tuple(out)
 
 
-def kac_weight(sa: SuperAlgebra, labels) -> tuple:
-    """Highest weight vector from distinguished Kac-Dynkin labels: the
-    inverse of :func:`kac_labels`, with the sl(m|n) gauge coordinate 0."""
+def _kac_vector(sa: SuperAlgebra, labels) -> tuple:
+    """``(v, scale)``: the highest weight of distinguished Kac-Dynkin labels
+    is the integer vector ``v`` over ``scale``."""
     labels = tuple(fr(x) for x in labels)
     if len(labels) != len(sa.simple_roots):
         raise InvalidLabelsError(
             f"{sa.name} takes {len(sa.simple_roots)} labels, got {len(labels)}")
-    return tuple(sum((c * labels[j] for j, c in row), start=Fraction(0))
-                 for row in sa.kac_inverse)
+    q = math.lcm(*(x.denominator for x in labels))
+    ints = [x.numerator * (q // x.denominator) for x in labels]
+    return tuple(sum(map(mul, row, ints)) for row in sa.kac_inverse), q * sa.kac_denominator
 
 
-def _typical(sa: SuperAlgebra, lam) -> bool:
-    lam_rho = vadd(lam, sa.rho)
-    # Only whether each product is 0 matters, so take them on ints.
-    v = _scaled(lam_rho, math.lcm(*(x.denominator for x in lam_rho)))
-    return all(sa.sdot(v, b) for b in sa.odd_positive_roots if sa.sdot(b, b) == 0)
+def kac_weight(sa: SuperAlgebra, labels) -> tuple:
+    """Highest weight vector from distinguished Kac-Dynkin labels: the
+    inverse of :func:`kac_labels`, with the sl(m|n) gauge coordinate 0."""
+    return _unscaled(*_kac_vector(sa, labels))
+
+
+def _typical(sa: SuperAlgebra, v: tuple, scale: int) -> bool:
+    w = tuple(2 * x + scale * r for x, r in zip(v, sa.two_rho))  # 2 scale (Lambda + rho)
+    return all(sa.sdot(w, b) for b in sa.odd_positive_roots if sa.sdot(b, b) == 0)
 
 
 def is_typical(sa: SuperAlgebra, labels) -> bool:
     """Typicality: (Lambda + rho, beta) != 0 for every isotropic odd root."""
-    return _typical(sa, kac_weight(sa, labels))
+    return _typical(sa, *_kac_vector(sa, labels))
 
 
 @dataclass(frozen=True)
@@ -278,17 +296,18 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
     at Lambda - sum(S).  Signs must cancel to a nonnegative multiset; a
     residual negative multiplicity means the root data is wrong and raises.
     A highest weight whose even part is not dominant integral raises
-    :class:`InvalidLabelsError` before the expansion.
+    :class:`InvalidLabelsError` before the expansion, and so does one whose
+    expansion cancels to nothing.
     """
-    lam = kac_weight(sa, labels)
-    if not _typical(sa, lam):
+    v, scale = _kac_vector(sa, labels)
+    if not _typical(sa, v, scale):
         raise AtypicalError(
             f"{sa.name} weight ({', '.join(map(str, labels))}) is atypical")
-    # The expansion runs on integer vectors: Lambda + rho0 times the lcm of
-    # its denominators, and the odd roots (integral) times the same scale.
-    shifted = vadd(lam, sa.rho0)
-    scale = math.lcm(*(x.denominator for x in shifted))
-    top = _scaled(shifted, scale)
+    # The expansion runs on integer vectors: Lambda + rho0 over its least
+    # common denominator, and the odd roots (integral) times the same scale.
+    top = tuple(2 * x + scale * r for x, r in zip(v, sa.two_rho0))
+    g = math.gcd(2 * scale, *top)
+    top, scale = tuple(x // g for x in top), 2 * scale // g
     sa.factor_labels(top, scale)
     terms = [top]
     for beta in sa.odd_positive_roots:
@@ -310,6 +329,9 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
                 f"negative multiplicity {mult} at {hw}: inconsistent root data")
         if mult:
             entries.append(BranchEntry(sa.factor_labels(dom, scale), hw, mult))
+    if not entries:
+        raise InvalidLabelsError(f"{sa.name} weight ({', '.join(map(str, labels))}) has an "
+                                 "empty even part: its signed expansion cancels to nothing")
     return (drop_abelian_charges(sa, entries) if drop_charges  # it merges and sorts
             else sorted(entries, key=lambda e: (-e.dim(sa), e.labels, e.weight)))
 

@@ -3,13 +3,14 @@ phase-2 statistics.
 
 These deliberately avoid the code paths they verify: characters come from an
 explicit alternating-sum quotient over a brute-force-enumerated Weyl group,
-not from the Freudenthal recursion; phase-2 statistics and freeze groups come
-from ``slot_dim`` and ``slot_conjugate`` alone, multiplying every dimension
-out and reading the pieces' dimensions off the broken slot's; reachable
-triplet counts come from a search over tuples of piece states, freezing
-masks from a depth-first search that rechecks the whole histogram at every
-step, and the schemes of a target from a walk over every plan with no
-pruning at all.
+not from the Freudenthal recursion; typicality from Fraction inner products,
+not from the integer vectors of ``super_branch``; phase-2 statistics and
+freeze groups from ``slot_dim`` and ``slot_conjugate`` alone, multiplying
+every dimension out and reading the pieces' dimensions off the broken
+slot's; reachable triplet counts from a search over tuples of piece
+states, freezing masks from a depth-first search that rechecks the whole
+histogram at every step, and the schemes of a target from a walk over every
+plan with no pruning at all.
 """
 
 import heapq
@@ -25,6 +26,7 @@ from codonbranch.phase2 import (
     soft_break_slot,
     strong_break_slot,
 )
+from codonbranch.super_branch import kac_weight
 
 # (series, rank) -> the Weyl group of that root system on an integer lattice.
 _WEYL: dict = {}
@@ -140,6 +142,18 @@ def weyl_quotient_character(rs: RootSystem, labels):
                 num.pop(t, None)
     assert all(m > 0 for m in quotient.values())
     return {tuple(Fraction(x, scale) for x in q): m for q, m in quotient.items()}
+
+
+def is_typical_reference(sa, labels) -> bool:
+    """Typicality in Fractions: (Lambda + rho, beta) != 0 for every isotropic
+    odd positive root beta, in the algebra's signed form.  Lambda is the
+    public ``kac_weight`` (pinned by ``kac_weight.json``); rho is half the sum
+    of the even positive roots minus the odd ones, summed here."""
+    lam = kac_weight(sa, labels)
+    roots = [(1, a) for a in sa.even_positive_roots] + [(-1, b) for b in sa.odd_positive_roots]
+    rho = [sum(Fraction(s * a[i], 2) for s, a in roots) for i in range(sa.dim)]
+    lam_rho = [x + r for x, r in zip(lam, rho)]
+    return all(sa.sdot(lam_rho, b) != 0 for b in sa.odd_positive_roots if sa.sdot(b, b) == 0)
 
 
 def _shape_dim(slots):

@@ -1,7 +1,9 @@
 import dataclasses
+import fractions
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from codonbranch.phase2 import (
     PhaseOp,
     SlotError,
     Stats,
+    _split_table,
     apply_op,
     available_ops,
     break_multiplet,
@@ -35,6 +38,7 @@ from codonbranch.search import (
     report_to_dict,
     solve_freezing,
 )
+from codonbranch.tables import build_table
 from oracles import (
     freeze_groups_reference,
     phase2_stats_reference,
@@ -504,3 +508,30 @@ def test_hand_built_multiplets_multiply_their_dimension_out():
                   for g in freeze_groups(state, op)]
         assert groups == freeze_groups_reference(rows, op.kind,
                                                  state.slot_names.index(op.slot))
+
+
+def test_a_warm_search_reads_fractions_only_at_the_boundary():
+    # Catalog labels are Fractions; a search reads their numerators and
+    # denominators and does every sum and product on ints.
+    full_search()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            called.add(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        full_search()
+    finally:
+        sys.setprofile(previous)
+    assert called <= {"numerator", "denominator"}, sorted(called)
+
+
+def test_the_per_slot_split_table_stays_small():
+    # One entry per (breaking kind, slot) met anywhere: a search and tables 1-9.
+    full_search()
+    for table in range(1, 10):
+        build_table(table)
+    assert 0 < _split_table.cache_info().currsize < 100

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -6,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codonbranch.lie_core import vadd, vdot, vsub
+from codonbranch.cli import main
+from codonbranch.lie_core import InvalidLabelsError, _units, vadd, vdot, vsub
 from codonbranch.super_branch import (
     CATALOG,
     AtypicalError,
+    _inverse,
     branch_to_even,
     build_super,
     catalog_entry,
@@ -20,7 +24,7 @@ from codonbranch.super_branch import (
     typical_dimension,
 )
 
-from oracles import weyl_walk
+from oracles import is_typical_reference, weyl_walk
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "codonbranch", "data")
 
@@ -260,3 +264,58 @@ def test_kac_weight_matches_pinned_values():
         got = kac_weight(sa, labels)
         assert list(map(str, got)) == weight, (algebra, labels)
         assert kac_labels(sa, got) == labels
+
+
+def test_the_integer_inverse_divides_out_a_common_factor():
+    # Elimination leaves the pivots 2 and 1, but the inverse is integral.
+    assert _inverse([[2, 1], [1, 1]], 2) == (((1, -1), (-1, 2)), 1)
+    assert _inverse([[2, 0], [0, 4]], 2) == (((2, 0), (0, 1)), 4)
+    assert _inverse([[2, 0], [0, 4]], 1) == (((1,), (0,)), 2)
+
+
+@pytest.mark.parametrize("kind", sorted(ODD_COUNTS))
+def test_kac_inverse_is_integral_over_the_least_denominator(kind):
+    sa = build_super(kind)
+    nodes, d, inv = len(sa.simple_roots), sa.kac_denominator, sa.kac_inverse
+    labels = list(zip(*(kac_labels(sa, u) for u in _units(sa.dim))))  # nodes x dim
+    assert all(type(x) is int for row in inv for x in row) and type(d) is int
+    assert d > 0 and math.gcd(d, *itertools.chain.from_iterable(inv)) == 1
+    assert [[sum(labels[i][k] * inv[k][j] for k in range(sa.dim)) for j in range(nodes)]
+            for i in range(nodes)] == [[d * (i == j) for j in range(nodes)] for i in range(nodes)]
+
+
+@pytest.mark.parametrize("kind", sorted(ODD_COUNTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_is_typical_matches_the_fraction_reference(kind, data):
+    sa = build_super(kind)
+    n = len(sa.simple_roots)
+    twice = data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    labels = tuple(Fraction(x, 2) for x in twice)
+    assert is_typical(sa, labels) == is_typical_reference(sa, labels)
+
+
+@pytest.mark.parametrize("kind,hw", [("osp(4|2)", "3/2,0,1"), ("osp(3|4)", "0,1/2,1")])
+def test_labels_with_an_empty_even_part_are_rejected(kind, hw, capsys):
+    # Typical and with a dominant integral even part, but the signed subset
+    # expansion cancels to nothing.
+    sa, labels = build_super(kind), tuple(map(Fraction, hw.split(",")))
+    assert is_typical(sa, labels)
+    with pytest.raises(InvalidLabelsError, match="empty even part"):
+        branch_to_even(sa, labels)
+    with pytest.raises(InvalidLabelsError, match="empty even part"):
+        typical_dimension(sa, labels)
+    assert main(["branch", "--algebra", kind, "--hw", hw]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty even part" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["osp(4|2)", "osp(3|4)"])
+def test_every_label_set_in_a_box_is_rejected_or_has_a_positive_dimension(kind):
+    sa = build_super(kind)
+    box = [Fraction(k, 2) for k in range(9)]  # 0, 1/2, ..., 4
+    for labels in itertools.product(box, repeat=len(sa.simple_roots)):
+        try:
+            assert typical_dimension(sa, labels) > 0, labels
+        except (AtypicalError, InvalidLabelsError):
+            pass
