@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import tables as tables_mod
 from .embed_chains import ChainError, apply_chain, render_labels
 from .lie_core import InvalidLabelsError
 from .phase2 import SlotError, distribution_stats, phase2_stats
@@ -60,10 +58,11 @@ def _catalog_diagram(entry):
 
 
 def cmd_list_catalog(args) -> int:
+    from .tables import render_hw
     from .young_forms import render_diagram
     for e in CATALOG:
         total = typical_dimension(e.build(), e.labels)
-        hw = tables_mod.render_hw(e.labels)
+        hw = render_hw(e.labels)
         print(f"{e.key:22s} table {e.table}  highest weight ({hw})  dim {total}")
         if args.diagrams:
             diagram = _catalog_diagram(e)
@@ -83,8 +82,9 @@ def cmd_branch(args) -> int:
         print(json.dumps({"algebra": args.algebra, "highest_weight": args.hw,
                           "entries": rows}, indent=1))
     elif args.format == "csv":
-        print(tables_mod._csv((args.algebra, r["labels"], r["dim"], r["mult"])
-                              for r in rows), end="")
+        from .tables import _csv
+        print(_csv((args.algebra, r["labels"], r["dim"], r["mult"])
+                   for r in rows), end="")
     else:
         print(f"{args.algebra} ({args.hw}) -> " + "+".join(sa.factor_names))
         for r in rows:
@@ -106,10 +106,10 @@ def cmd_chain(args) -> int:
                "stats": {"multiplets": stats.n_multiplets, "d3": stats.d3}}
         print(json.dumps(doc, indent=1))
     elif args.format == "csv":
+        from .tables import _csv
         stage = "+".join(dist.stage.names)
-        print(tables_mod._csv((stage, render_labels(e.labels),
-                               dist.stage.dimension(e.labels), e.mult)
-                              for e in dist.entries), end="")
+        print(_csv((stage, render_labels(e.labels), dist.stage.dimension(e.labels), e.mult)
+                   for e in dist.entries), end="")
     else:
         print(f"{args.chain_id}: " + " -> ".join("+".join(s.names) for s in dist.stages))
         for e in dist.entries:
@@ -155,6 +155,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from . import tables as tables_mod
     doc = tables_mod.build_table(args.id)
     if args.format == "structured":
         print(tables_mod.emit_json(doc), end="")
@@ -166,6 +167,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
+    import difflib
+
+    from . import tables as tables_mod
     from .embed_chains import export_registry
 
     def registry_diff(want):

@@ -15,13 +15,13 @@ a diagonal contraction of two sl(2) factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
 from .lie_core import (
     FormalCharacter,
     NotACharacterError,
+    Record,
     RootSystem,
     SemisimpleAlgebra,
     _label_cache,
@@ -38,43 +38,48 @@ class ChainError(ValueError):
     """Chain steps that do not compose, or unknown chain ids."""
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """A named subalgebra inclusion realized as a weight projection.
 
-    ``matrix / denominator`` sends the source's scaled weight ``scale * w``
-    to the concatenated target blocks ``t.scale * t.canonicalize(P_t w)``,
+    ``projection`` has rows over target coordinates and columns over source
+    coordinates; ``defining_decomposition`` is ``((per-factor labels, mult),
+    ...)``.  ``matrix / denominator``, derived from the projection and
+    ignored by equality, sends the source's scaled weight ``scale * w`` to
+    the concatenated target blocks ``t.scale * t.canonicalize(P_t w)``,
     where ``P_t`` is the block of ``projection`` rows for target ``t``.
     """
 
-    name: str
-    source: RootSystem
-    targets: tuple
-    projection: tuple  # rows over target coordinates, columns over source
-    defining_decomposition: tuple  # ((per-factor labels, mult), ...)
-    validation_vectors: tuple = ()
-    matrix: tuple = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "source", "targets", "projection", "defining_decomposition",
+                 "validation_vectors", "matrix", "denominator")
 
-    def __post_init__(self):
-        src = self.source
-        n_rows = sum(t.dim for t in self.targets)
-        if (len(self.projection) != n_rows
-                or any(len(row) != src.dim for row in self.projection)):
-            raise ChainError(f"{self.name}: the projection must be {n_rows} rows "
-                             f"of {src.dim} entries")
+    def __init__(self, name: str, source: RootSystem, targets: tuple, projection: tuple,
+                 defining_decomposition: tuple, validation_vectors: tuple = ()):
+        self.name = name
+        self.source = source
+        self.targets = targets
+        self.projection = projection
+        self.defining_decomposition = defining_decomposition
+        self.validation_vectors = validation_vectors
+        n_rows = sum(t.dim for t in targets)
+        if (len(projection) != n_rows
+                or any(len(row) != source.dim for row in projection)):
+            raise ChainError(f"{name}: the projection must be {n_rows} rows "
+                             f"of {source.dim} entries")
         rows, start = [], 0
-        for t in self.targets:
-            block = self.projection[start:start + t.dim]
+        for t in targets:
+            block = projection[start:start + t.dim]
             start += t.dim
             # canonicalize is linear, so it applies column by column.
             cols = [t.canonicalize(col) for col in zip(*block)]
-            ratio = Fraction(t.scale, src.scale)
+            ratio = Fraction(t.scale, source.scale)
             rows += [[x * ratio for x in row] for row in zip(*cols)]
         den = math.lcm(*(x.denominator for row in rows for x in row))
-        object.__setattr__(self, "matrix", tuple(tuple(int(x * den) for x in row)
-                                                 for row in rows))
-        object.__setattr__(self, "denominator", den)
+        self.matrix = tuple(tuple(int(x * den) for x in row) for row in rows)
+        self.denominator = den
+
+    def _key(self):
+        return (self.name, self.source, self.targets, self.projection,
+                self.defining_decomposition, self.validation_vectors)
 
     def target_algebra(self) -> SemisimpleAlgebra:
         return SemisimpleAlgebra(self.targets)
@@ -228,11 +233,18 @@ def diagonal_clebsch(a: int, b: int) -> tuple:
     return tuple((c,) for c in range(a + b, abs(a - b) - 1, -2))
 
 
-@dataclass(frozen=True)
 class StageAlgebra(SemisimpleAlgebra):
-    """The residual symmetry at one point of a chain."""
+    """The residual symmetry at one point of a chain, with a display name
+    per factor; pure-sl(2) stages use slot names "1", "12", ..."""
 
-    names: tuple    # display names; pure-sl(2) stages use slot names "1", "12", ...
+    __slots__ = ("names",)
+
+    def __init__(self, factors: tuple, names: tuple):
+        self.factors = factors
+        self.names = names
+
+    def _key(self):
+        return (self.factors, self.names)
 
     def all_sl2(self) -> bool:
         return all(f.series == "A" and f.rank == 1 for f in self.factors)
@@ -243,19 +255,34 @@ def render_labels(labels) -> str:
     return "-".join("(" + ",".join(str(v) for v in lab) + ")" for lab in labels)
 
 
-@dataclass(frozen=True)
-class DistEntry:
-    """One multiplet instance with its ancestry through earlier stages."""
+class DistEntry(Record):
+    """One multiplet instance with its ancestry through earlier stages: its
+    per-factor labels at the current stage, its multiplicity, and its
+    labels at each earlier stage, oldest first."""
 
-    labels: tuple   # per-factor labels at the current stage
-    mult: int
-    history: tuple  # labels tuple at each earlier stage, oldest first
+    __slots__ = ("labels", "mult", "history")
+
+    def __init__(self, labels: tuple, mult: int, history: tuple):
+        self.labels = labels
+        self.mult = mult
+        self.history = history
+
+    def _key(self):
+        return (self.labels, self.mult, self.history)
 
 
-@dataclass(frozen=True)
-class Distribution:
-    stages: tuple   # StageAlgebra per visited stage; last is current
-    entries: tuple  # DistEntry
+class Distribution(Record):
+    """The ``StageAlgebra`` of each visited stage, the last one current,
+    and the :class:`DistEntry` tuple at the current stage."""
+
+    __slots__ = ("stages", "entries")
+
+    def __init__(self, stages: tuple, entries: tuple):
+        self.stages = stages
+        self.entries = entries
+
+    def _key(self):
+        return (self.stages, self.entries)
 
     @property
     def stage(self) -> StageAlgebra:
@@ -284,12 +311,21 @@ def _positional_names(stage: StageAlgebra) -> StageAlgebra:
     return stage
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    kind: str        # "restrict" | "diagonal"
-    embedding: str = ""
-    factor: int = 0
-    pair: tuple = ()  # for diagonal steps: positions of the two sl(2) factors
+class ChainStep(Record):
+    """A ``"restrict"`` step through a registered embedding on one factor,
+    or a ``"diagonal"`` step on the ``pair`` of positions of two sl(2)
+    factors."""
+
+    __slots__ = ("kind", "embedding", "factor", "pair")
+
+    def __init__(self, kind: str, embedding: str = "", factor: int = 0, pair: tuple = ()):
+        self.kind = kind
+        self.embedding = embedding
+        self.factor = factor
+        self.pair = pair
+
+    def _key(self):
+        return (self.kind, self.embedding, self.factor, self.pair)
 
 
 def apply_step(dist: Distribution, step: ChainStep) -> Distribution:
@@ -337,14 +373,19 @@ def apply_step(dist: Distribution, step: ChainStep) -> Distribution:
     raise ChainError(f"unknown step kind {step.kind!r}")
 
 
-@dataclass(frozen=True)
-class ChainDef:
+class ChainDef(Record):
     """A registered symmetry-breaking chain for one catalog representation."""
 
-    chain_id: str
-    rep_key: str
-    steps: tuple
-    note: str = ""
+    __slots__ = ("chain_id", "rep_key", "steps", "note")
+
+    def __init__(self, chain_id: str, rep_key: str, steps: tuple, note: str = ""):
+        self.chain_id = chain_id
+        self.rep_key = rep_key
+        self.steps = steps
+        self.note = note
+
+    def _key(self):
+        return (self.chain_id, self.rep_key, self.steps, self.note)
 
 
 def _restrict(name, factor=0):

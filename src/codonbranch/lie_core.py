@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from itertools import combinations, starmap
 from operator import add, lt, mul, sub
 
@@ -211,35 +210,60 @@ def _to_chamber(w: tuple, roots: tuple):
             return w, sign
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class Record:
+    """Base of the package's record classes: instances of exactly the same
+    class are equal when the tuples their ``_key`` returns are, and hash as
+    that tuple.  An instance never equals one of a subclass or a base class.
+    A record that callers may change sets ``__hash__ = None``."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class RootSystem(Record):
     """A simple classical root system in its orthonormal realization: int
-    simple and positive roots, Fraction fundamental weights and rho0."""
+    simple and positive roots, Fraction fundamental weights and rho0.
 
-    series: str
-    rank: int
-    dim: int
-    simple_roots: tuple
-    positive_roots: tuple
-    fundamental_weights: tuple
-    rho0: Weight
-    weyl_order: int
-    # Integer-vector data (see the module docstring), derived from the above;
-    # sign_flips: the Weyl group also flips coordinate signs (A1, B, C).
-    scale: int = field(init=False, repr=False, compare=False)
-    chamber_roots: tuple = field(init=False, repr=False, compare=False)
-    scaled_rho0: tuple = field(init=False, repr=False, compare=False)
-    scaled_fundamentals: tuple = field(init=False, repr=False, compare=False)
-    sign_flips: bool = field(init=False, repr=False, compare=False)
+    Derived from these, on integer vectors (see the module docstring):
+    ``scale``, ``chamber_roots``, ``scaled_rho0``, ``scaled_fundamentals``
+    and ``sign_flips`` (the Weyl group also flips coordinate signs: A1, B,
+    C).  Equality ignores them."""
 
-    def __post_init__(self):
-        put = partial(object.__setattr__, self)
-        scale = math.lcm(*(x.denominator for om in self.fundamental_weights for x in om))
-        put("scale", scale)
-        put("chamber_roots", _chamber_roots(self.simple_roots))
-        put("scaled_rho0", _scaled(self.rho0, scale))
-        put("scaled_fundamentals", tuple(_scaled(w, scale) for w in self.fundamental_weights))
-        put("sign_flips", self.series != "A" or self.rank == 1)
+    __slots__ = ("series", "rank", "dim", "simple_roots", "positive_roots",
+                 "fundamental_weights", "rho0", "weyl_order", "scale", "chamber_roots",
+                 "scaled_rho0", "scaled_fundamentals", "sign_flips")
+
+    def __init__(self, series: str, rank: int, dim: int, simple_roots: tuple,
+                 positive_roots: tuple, fundamental_weights: tuple, rho0: Weight,
+                 weyl_order: int):
+        self.series = series
+        self.rank = rank
+        self.dim = dim
+        self.simple_roots = simple_roots
+        self.positive_roots = positive_roots
+        self.fundamental_weights = fundamental_weights
+        self.rho0 = rho0
+        self.weyl_order = weyl_order
+        scale = math.lcm(*(x.denominator for om in fundamental_weights for x in om))
+        self.scale = scale
+        self.chamber_roots = _chamber_roots(simple_roots)
+        self.scaled_rho0 = _scaled(rho0, scale)
+        self.scaled_fundamentals = tuple(_scaled(w, scale) for w in fundamental_weights)
+        self.sign_flips = series != "A" or rank == 1
+
+    def _key(self):
+        return (self.series, self.rank, self.dim, self.simple_roots, self.positive_roots,
+                self.fundamental_weights, self.rho0, self.weyl_order)
 
     def __hash__(self):
         # The series and rank fix the rest; hashing the Fraction root data
@@ -492,11 +516,16 @@ def casimir2(rs: RootSystem, labels: Labels) -> Fraction:
     return vdot(lam, vadd(lam, vscale(rs.rho0, 2)))
 
 
-@dataclass(frozen=True)
-class SemisimpleAlgebra:
+class SemisimpleAlgebra(Record):
     """Ordered direct sum of simple factors; weights are concatenated."""
 
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
+
+    def _key(self):
+        return (self.factors,)
 
     @property
     def dim(self) -> int:

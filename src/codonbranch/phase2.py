@@ -22,12 +22,11 @@ tuples, which would keep every shape a search meets (~1.9 MB more RSS).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 
 from .embed_chains import Distribution
-from .lie_core import build_root_system, casimir2, fr
+from .lie_core import Record, build_root_system, casimir2, fr
 
 Slot = tuple  # (state, value)
 
@@ -87,13 +86,18 @@ def _shape_dim(slots: tuple) -> int:
     return math.prod(map(slot_dim, slots))
 
 
-@dataclass(frozen=True)
-class Multiplet:
+class Multiplet(Record):
     """Product of slot states with a multiplicity and its ancestry."""
 
-    slots: tuple
-    mult: int
-    history: tuple
+    __slots__ = ("slots", "mult", "history")
+
+    def __init__(self, slots: tuple, mult: int, history: tuple):
+        self.slots = slots
+        self.mult = mult
+        self.history = history
+
+    def _key(self):
+        return (self.slots, self.mult, self.history)
 
     def dim(self) -> int:
         return _shape_dim(self.slots)
@@ -102,27 +106,29 @@ class Multiplet:
         return "-".join(render_slot(s) for s in self.slots)
 
 
-@dataclass(frozen=True)
-class Phase2State:
-    """A distribution of multiplets over named sl(2) slots.
+class Phase2State(Record):
+    """A distribution of :class:`Multiplet` entries over named sl(2) slots,
+    with the chain's ``StageAlgebra`` history for ancestry lookups.
 
     ``shapes`` folds the entries by slot tuple, ``{slots: [dim, total mult]}``
     in entry order, and is read-only; statistics, freeze groups and breaking
-    read only it.  A state made by :func:`apply_op` splits its entries from
-    its parent's on first access: a search reads none, so it builds none.
+    read only it, and equality ignores it.  A state made by :func:`apply_op`
+    splits its entries from its parent's on first access (so it keeps an
+    instance dict): a search reads none, so it builds none.
     """
 
-    slot_names: tuple
-    stages: tuple    # StageAlgebra history from the chain, for ancestry lookups
-    entries: tuple   # Multiplet
-    shapes: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "shapes", {})
-        for e in self.entries:
+    def __init__(self, slot_names: tuple, stages: tuple, entries: tuple):
+        self.slot_names = slot_names
+        self.stages = stages
+        self.entries = entries
+        self.shapes = {}
+        for e in entries:
             self.shapes.setdefault(e.slots, [e.dim(), 0])[1] += e.mult
         if not self.shapes:
             raise SlotError("a phase-2 state needs at least one multiplet")
+
+    def _key(self):
+        return (self.slot_names, self.stages, self.entries)
 
     def __getattr__(self, name):
         # Only the entries of a state made by apply_op are ever missing.
@@ -209,12 +215,18 @@ def break_multiplet(m: Multiplet, kind: str, idx: int):
     return [Multiplet(s, m.mult, m.history) for s, _ in pieces[m.slots]]
 
 
-@dataclass(frozen=True)
-class PhaseOp:
-    """One distribution-wide breaking operation, by slot name."""
+class PhaseOp(Record):
+    """One distribution-wide breaking operation, by slot name; the kind is
+    ``"soft"``, ``"strong"`` or ``"strong_after_soft"``."""
 
-    kind: str  # "soft" | "strong" | "strong_after_soft"
-    slot: str
+    __slots__ = ("kind", "slot")
+
+    def __init__(self, kind: str, slot: str):
+        self.kind = kind
+        self.slot = slot
+
+    def _key(self):
+        return (self.kind, self.slot)
 
     @classmethod
     def parse(cls, token: str) -> "PhaseOp":
@@ -243,16 +255,25 @@ def available_ops(state: Phase2State):
             for kind in _KINDS[st]]
 
 
-@dataclass(frozen=True)
-class Stats:
-    """Summary statistics driving the exclusion criteria."""
+class Stats(Record):
+    """Summary statistics driving the exclusion criteria; ``dim_histogram``
+    is ``((dim, count), ...)``, largest dimension first."""
 
-    n_multiplets: int
-    d3: int
-    n_singlets: int
-    n_odd: int
-    total_pairing: bool
-    dim_histogram: tuple  # sorted ((dim, count), ...)
+    __slots__ = ("n_multiplets", "d3", "n_singlets", "n_odd", "total_pairing",
+                 "dim_histogram")
+
+    def __init__(self, n_multiplets: int, d3: int, n_singlets: int, n_odd: int,
+                 total_pairing: bool, dim_histogram: tuple):
+        self.n_multiplets = n_multiplets
+        self.d3 = d3
+        self.n_singlets = n_singlets
+        self.n_odd = n_odd
+        self.total_pairing = total_pairing
+        self.dim_histogram = dim_histogram
+
+    def _key(self):
+        return (self.n_multiplets, self.d3, self.n_singlets, self.n_odd,
+                self.total_pairing, self.dim_histogram)
 
     def histogram(self) -> dict:
         return dict(self.dim_histogram)
@@ -294,18 +315,27 @@ def distribution_stats(dist: Distribution) -> Stats:
                   all(n % 2 == 0 for n in classes.values()))
 
 
-@dataclass(frozen=True)
-class Couplings:
+_ZERO = Fraction(0)
+
+
+class Couplings(Record):
     """Coefficients of the model Hamiltonian, all exact rationals."""
 
-    h0: Fraction = Fraction(0)
-    lam: Fraction = Fraction(0)
-    a1: Fraction = Fraction(0)
-    a2: Fraction = Fraction(0)
-    a3: Fraction = Fraction(0)
-    a12: Fraction = Fraction(0)
-    b3: Fraction = Fraction(0)
-    g12: Fraction = Fraction(0)
+    __slots__ = ("h0", "lam", "a1", "a2", "a3", "a12", "b3", "g12")
+
+    def __init__(self, h0=_ZERO, lam=_ZERO, a1=_ZERO, a2=_ZERO, a3=_ZERO, a12=_ZERO,
+                 b3=_ZERO, g12=_ZERO):
+        self.h0 = h0
+        self.lam = lam
+        self.a1 = a1
+        self.a2 = a2
+        self.a3 = a3
+        self.a12 = a12
+        self.b3 = b3
+        self.g12 = g12
+
+    def _key(self):
+        return (self.h0, self.lam, self.a1, self.a2, self.a3, self.a12, self.b3, self.g12)
 
     @classmethod
     def of(cls, *vals):

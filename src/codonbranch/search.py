@@ -24,7 +24,6 @@ freezing can separate the two halves of a conjugate pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
@@ -34,7 +33,9 @@ from .embed_chains import (
     apply_chain,
     first_step_distribution,
 )
+from .lie_core import Record
 from .phase2 import (
+    Multiplet,
     Phase2State,
     PhaseOp,
     Stats,
@@ -115,25 +116,38 @@ def match_target(stats: Stats, target=None) -> bool:
 # freezing masks
 
 
-@dataclass(frozen=True)
-class FreezeGroup:
-    """All copies of one multiplet shape at the pre-final state."""
+class FreezeGroup(Record):
+    """All copies of one multiplet shape at the pre-final state: ``pieces``
+    is the sorted dimension histogram of one copy after the final op, and a
+    ``neutral`` group's breaking leaves that histogram unchanged."""
 
-    slots: tuple
-    count: int
-    dim: int
-    pieces: tuple        # sorted dim histogram of one copy after the final op
-    neutral: bool        # breaking leaves the dimension histogram unchanged
+    __slots__ = ("slots", "count", "dim", "pieces", "neutral")
+
+    def __init__(self, slots: tuple, count: int, dim: int, pieces: tuple, neutral: bool):
+        self.slots = slots
+        self.count = count
+        self.dim = dim
+        self.pieces = pieces
+        self.neutral = neutral
+
+    def _key(self):
+        return (self.slots, self.count, self.dim, self.pieces, self.neutral)
 
     def render(self) -> str:
         return "-".join(render_slot(s) for s in self.slots)
 
 
-@dataclass(frozen=True)
-class FreezeMask:
-    """Freeze counts per non-neutral group at the final operation."""
+class FreezeMask(Record):
+    """Freeze counts per non-neutral group at the final operation:
+    ``((group render, parent dim, count), ...)`` with count > 0."""
 
-    frozen: tuple  # ((group render, parent dim, count), ...) with count > 0
+    __slots__ = ("frozen",)
+
+    def __init__(self, frozen: tuple):
+        self.frozen = frozen
+
+    def _key(self):
+        return (self.frozen,)
 
     def render(self) -> str:
         if not self.frozen:
@@ -239,9 +253,10 @@ def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2Stat
         take = min(quota.get(e.render(), 0), e.mult)
         if take:
             quota[e.render()] -= take
-            entries.append(replace(e, mult=take))
+            entries.append(Multiplet(e.slots, take, e.history))
         if e.mult - take:
-            entries.extend(break_multiplet(replace(e, mult=e.mult - take), op.kind, idx))
+            entries.extend(break_multiplet(Multiplet(e.slots, e.mult - take, e.history),
+                                           op.kind, idx))
     return Phase2State(state.slot_names, state.stages, tuple(entries))
 
 
@@ -283,38 +298,65 @@ def can_yield_triplet(slots: tuple) -> bool:
 # enumeration
 
 
-@dataclass(frozen=True)
-class OptionNode:
-    """One explored plan prefix with the statistics after full application."""
+class OptionNode(Record):
+    """One explored plan prefix (a :class:`PhaseOp` sequence) with the
+    statistics after full application, the continuation prunes it
+    triggered, whether it is eligible as a last step (nothing above the
+    target's dimensions), and its number of freezing masks."""
 
-    plan: tuple          # PhaseOp sequence
-    stats: Stats
-    violations: tuple    # continuation prunes triggered at this node
-    terminal: bool       # eligible as a last step (nothing above the target's dimensions)
-    mask_count: int
+    __slots__ = ("plan", "stats", "violations", "terminal", "mask_count")
+
+    def __init__(self, plan: tuple, stats: Stats, violations: tuple, terminal: bool,
+                 mask_count: int):
+        self.plan = plan
+        self.stats = stats
+        self.violations = violations
+        self.terminal = terminal
+        self.mask_count = mask_count
+
+    def _key(self):
+        return (self.plan, self.stats, self.violations, self.terminal, self.mask_count)
 
     def plan_render(self):
         return tuple(op.render() for op in self.plan)
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Record):
     """A surviving breaking scheme: plan, final op, and its freezing masks."""
 
-    chain_id: str
-    plan: tuple
-    final_op: PhaseOp
-    masks: tuple
-    pre_final_count: int
-    full_break_count: int
+    __slots__ = ("chain_id", "plan", "final_op", "masks", "pre_final_count",
+                 "full_break_count")
+
+    def __init__(self, chain_id: str, plan: tuple, final_op: PhaseOp, masks: tuple,
+                 pre_final_count: int, full_break_count: int):
+        self.chain_id = chain_id
+        self.plan = plan
+        self.final_op = final_op
+        self.masks = masks
+        self.pre_final_count = pre_final_count
+        self.full_break_count = full_break_count
+
+    def _key(self):
+        return (self.chain_id, self.plan, self.final_op, self.masks, self.pre_final_count,
+                self.full_break_count)
 
 
-@dataclass
-class Phase2Result:
-    nodes: list = field(default_factory=list)
-    schemes: list = field(default_factory=list)
-    near_misses: list = field(default_factory=list)  # (plan, histogram)
-    pruned: list = field(default_factory=list)       # (plan, violations)
+class Phase2Result(Record):
+    """What :func:`enumerate_phase2` found, in lists it appends to: option
+    nodes, schemes, ``(plan, histogram)`` near misses and ``(plan,
+    violations)`` prunes."""
+
+    __slots__ = ("nodes", "schemes", "near_misses", "pruned")
+    __hash__ = None
+
+    def __init__(self):
+        self.nodes = []
+        self.schemes = []
+        self.near_misses = []
+        self.pruned = []
+
+    def _key(self):
+        return (self.nodes, self.schemes, self.near_misses, self.pruned)
 
 
 def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
@@ -363,36 +405,66 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
 # full search
 
 
-@dataclass
-class ChainReport:
-    chain_id: str
-    end_stage: tuple
-    end_stats: Stats
-    verdict_codes: tuple
-    schemes: list
-    near_misses: list
-    option_nodes: list
-    pruned: list
-    triplet_facts: dict
-    note: str = ""
+class ChainReport(Record):
+    """What the search found for one chain."""
+
+    __slots__ = ("chain_id", "end_stage", "end_stats", "verdict_codes", "schemes",
+                 "near_misses", "option_nodes", "pruned", "triplet_facts", "note")
+    __hash__ = None
+
+    def __init__(self, chain_id: str, end_stage: tuple, end_stats: Stats,
+                 verdict_codes: tuple, schemes: list, near_misses: list,
+                 option_nodes: list, pruned: list, triplet_facts: dict, note: str = ""):
+        self.chain_id = chain_id
+        self.end_stage = end_stage
+        self.end_stats = end_stats
+        self.verdict_codes = verdict_codes
+        self.schemes = schemes
+        self.near_misses = near_misses
+        self.option_nodes = option_nodes
+        self.pruned = pruned
+        self.triplet_facts = triplet_facts
+        self.note = note
+
+    def _key(self):
+        return (self.chain_id, self.end_stage, self.end_stats, self.verdict_codes,
+                self.schemes, self.near_misses, self.option_nodes, self.pruned,
+                self.triplet_facts, self.note)
 
     @property
     def survived(self) -> bool:
         return bool(self.schemes)
 
 
-@dataclass
-class AlgebraReport:
-    key: str
-    first_step_stats: Stats
-    phase1_violations: tuple
-    chains: list
+class AlgebraReport(Record):
+    """What the search found for one catalog representation."""
+
+    __slots__ = ("key", "first_step_stats", "phase1_violations", "chains")
+    __hash__ = None
+
+    def __init__(self, key: str, first_step_stats: Stats, phase1_violations: tuple,
+                 chains: list):
+        self.key = key
+        self.first_step_stats = first_step_stats
+        self.phase1_violations = phase1_violations
+        self.chains = chains
+
+    def _key(self):
+        return (self.key, self.first_step_stats, self.phase1_violations, self.chains)
 
 
-@dataclass
-class SearchReport:
-    target: dict
-    algebras: list
+class SearchReport(Record):
+    """The target histogram and one :class:`AlgebraReport` per catalog entry."""
+
+    __slots__ = ("target", "algebras")
+    __hash__ = None
+
+    def __init__(self, target: dict, algebras: list):
+        self.target = target
+        self.algebras = algebras
+
+    def _key(self):
+        return (self.target, self.algebras)
 
     def survivors(self):
         out = []

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import mul, sub
 
 from .lie_core import (
     InvalidLabelsError,
+    Record,
     SemisimpleAlgebra,
     _chain,
     _chamber_roots,
@@ -80,8 +80,7 @@ def _inverse(rows, cols: int) -> tuple:
     return tuple(tuple(x // g for x in row) for row in inv), d // g
 
 
-@dataclass(frozen=True)
-class SuperAlgebra:
+class SuperAlgebra(Record):
     """Distinguished root data of one basic classical Lie superalgebra.
 
     Stored, as int vectors: the distinguished simple roots (one per
@@ -89,68 +88,61 @@ class SuperAlgebra:
     factors as (RootSystem, simple roots, name) triples and, for sl(m|n),
     the ``gauge`` coordinate that is 0 in every Kac weight.
 
-    Derived once: ``dim``; the even positive roots, each positive root of
-    each factor written on that factor's simple roots; ``rho0``, ``rho1``
-    and ``rho`` as Fractions, and ``two_rho0`` and ``two_rho`` (twice rho0
-    and rho) as ints; the tuples ``factor_systems``, ``factor_simples`` and
-    ``factor_names``; each factor's ``(root, (root, root))`` chamber pairs
-    and their concatenation ``chamber_roots``; and the inverse of
-    :func:`kac_labels` as integer rows ``kac_inverse`` (one per coordinate,
-    one column per label) over the least positive ``kac_denominator``.
+    Derived once, and ignored by equality: ``dim``; the even positive roots,
+    each positive root of each factor written on that factor's simple roots;
+    ``rho0``, ``rho1`` and ``rho`` as Fractions, and ``two_rho0`` and
+    ``two_rho`` (twice rho0 and rho) as ints; the tuples ``factor_systems``,
+    ``factor_simples`` and ``factor_names``; the even part ``even_algebra``,
+    the :class:`SemisimpleAlgebra` of ``factor_systems``; each factor's
+    ``(root, (root, root))`` chamber pairs and their concatenation
+    ``chamber_roots``; and the inverse of :func:`kac_labels` as integer rows
+    ``kac_inverse`` (one per coordinate, one column per label) over the least
+    positive ``kac_denominator``.
     """
 
-    name: str
-    form_signs: tuple
-    simple_roots: tuple
-    odd_positive_roots: tuple
-    factors: tuple
-    gauge: int | None = None
-    dim: int = field(init=False, repr=False, compare=False)
-    even_positive_roots: tuple = field(init=False, repr=False, compare=False)
-    rho0: tuple = field(init=False, repr=False, compare=False)
-    rho1: tuple = field(init=False, repr=False, compare=False)
-    rho: tuple = field(init=False, repr=False, compare=False)
-    two_rho0: tuple = field(init=False, repr=False, compare=False)
-    two_rho: tuple = field(init=False, repr=False, compare=False)
-    factor_systems: tuple = field(init=False, repr=False, compare=False)
-    factor_simples: tuple = field(init=False, repr=False, compare=False)
-    factor_names: tuple = field(init=False, repr=False, compare=False)
-    factor_chambers: tuple = field(init=False, repr=False, compare=False)
-    chamber_roots: tuple = field(init=False, repr=False, compare=False)
-    kac_inverse: tuple = field(init=False, repr=False, compare=False)
-    kac_denominator: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "form_signs", "simple_roots", "odd_positive_roots", "factors",
+                 "gauge", "dim", "even_positive_roots", "rho0", "rho1", "rho", "two_rho0",
+                 "two_rho", "factor_systems", "factor_simples", "factor_names",
+                 "even_algebra", "factor_chambers", "chamber_roots", "kac_inverse",
+                 "kac_denominator")
 
-    def __post_init__(self):
-        def put(name, value):
-            object.__setattr__(self, name, value)
-
-        dim = len(self.form_signs)
-        put("dim", dim)
-        systems, simples, names = zip(*self.factors)
-        put("even_positive_roots", tuple(
+    def __init__(self, name: str, form_signs: tuple, simple_roots: tuple,
+                 odd_positive_roots: tuple, factors: tuple, gauge: int | None = None):
+        self.name = name
+        self.form_signs = form_signs
+        self.simple_roots = simple_roots
+        self.odd_positive_roots = odd_positive_roots
+        self.factors = factors
+        self.gauge = gauge
+        dim = self.dim = len(form_signs)
+        systems, simples, names = zip(*factors)
+        self.even_positive_roots = tuple(
             tuple(sum(map(mul, rs.root_coefficients(a), col)) for col in zip(*simple))
-            for rs, simple in zip(systems, simples) for a in rs.positive_roots))
-        put("two_rho0", tuple(map(sum, zip(*self.even_positive_roots))))
-        two_rho1 = tuple(map(sum, zip(*self.odd_positive_roots)))
-        put("two_rho", vsub(self.two_rho0, two_rho1))
-        put("rho0", _unscaled(self.two_rho0, 2))
-        put("rho1", _unscaled(two_rho1, 2))
-        put("rho", _unscaled(self.two_rho, 2))
-        put("factor_systems", systems)
-        put("factor_simples", simples)
-        put("factor_names", names)
-        put("factor_chambers", tuple(_chamber_roots(s) for s in simples))
-        put("chamber_roots", sum(self.factor_chambers, ()))
+            for rs, simple in zip(systems, simples) for a in rs.positive_roots)
+        self.two_rho0 = tuple(map(sum, zip(*self.even_positive_roots)))
+        two_rho1 = tuple(map(sum, zip(*odd_positive_roots)))
+        self.two_rho = vsub(self.two_rho0, two_rho1)
+        self.rho0 = _unscaled(self.two_rho0, 2)
+        self.rho1 = _unscaled(two_rho1, 2)
+        self.rho = _unscaled(self.two_rho, 2)
+        self.factor_systems = systems
+        self.factor_simples = simples
+        self.factor_names = names
+        self.even_algebra = SemisimpleAlgebra(systems)
+        self.factor_chambers = tuple(_chamber_roots(s) for s in simples)
+        self.chamber_roots = sum(self.factor_chambers, ())
         # Row i of the label map holds the i-th (integer) labels of the unit
         # vectors; the sl gauge adds the row that reads coordinate ``gauge``.
         # Its label is always 0, so its column is dropped from the inverse.
         units = _units(dim)
         rows = list(zip(*(_scaled(kac_labels(self, u), 1) for u in units)))
-        if self.gauge is not None:
-            rows.append(units[self.gauge])
-        inv, den = _inverse(rows, len(self.simple_roots))
-        put("kac_inverse", inv)
-        put("kac_denominator", den)
+        if gauge is not None:
+            rows.append(units[gauge])
+        self.kac_inverse, self.kac_denominator = _inverse(rows, len(simple_roots))
+
+    def _key(self):
+        return (self.name, self.form_signs, self.simple_roots, self.odd_positive_roots,
+                self.factors, self.gauge)
 
     def sdot(self, a, b):
         return sum(s * x * y for s, x, y in zip(self.form_signs, a, b))
@@ -276,16 +268,23 @@ def is_typical(sa: SuperAlgebra, labels) -> bool:
     return _typical(sa, *_kac_vector(sa, labels))
 
 
-@dataclass(frozen=True)
-class BranchEntry:
-    """One even-part constituent, before or after dropping u(1) charges."""
+class BranchEntry(Record):
+    """One even-part constituent, before or after dropping u(1) charges:
+    per-factor Dynkin labels, the even highest weight in super coordinates
+    (the charge information, or ``None``) and the multiplicity."""
 
-    labels: tuple      # per-factor Dynkin labels
-    weight: tuple      # even highest weight in super coordinates (charge info)
-    mult: int
+    __slots__ = ("labels", "weight", "mult")
+
+    def __init__(self, labels: tuple, weight: tuple, mult: int):
+        self.labels = labels
+        self.weight = weight
+        self.mult = mult
+
+    def _key(self):
+        return (self.labels, self.weight, self.mult)
 
     def dim(self, sa: SuperAlgebra) -> int:
-        return SemisimpleAlgebra(sa.factor_systems).dimension(self.labels)
+        return sa.even_algebra.dimension(self.labels)
 
 
 def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
@@ -351,16 +350,24 @@ def typical_dimension(sa: SuperAlgebra, labels) -> int:
     return sum(e.mult * e.dim(sa) for e in branch_to_even(sa, labels))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One codon representation: algebra, highest weight, provenance."""
+class CatalogEntry(Record):
+    """One codon representation: algebra, highest weight, provenance, and
+    for sl algebras the row lengths of its superdiagram."""
 
-    key: str
-    algebra: str
-    labels: tuple
-    table: int
-    aliases: tuple = ()
-    diagram_rows: tuple = ()  # sl superdiagram row lengths, where applicable
+    __slots__ = ("key", "algebra", "labels", "table", "aliases", "diagram_rows")
+
+    def __init__(self, key: str, algebra: str, labels: tuple, table: int,
+                 aliases: tuple = (), diagram_rows: tuple = ()):
+        self.key = key
+        self.algebra = algebra
+        self.labels = labels
+        self.table = table
+        self.aliases = aliases
+        self.diagram_rows = diagram_rows
+
+    def _key(self):
+        return (self.key, self.algebra, self.labels, self.table, self.aliases,
+                self.diagram_rows)
 
     def build(self) -> SuperAlgebra:
         return build_super(self.algebra)

@@ -9,9 +9,9 @@ last step marking the rows they would otherwise have produced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .embed_chains import apply_chain, render_labels
+from .lie_core import Record
 from .phase2 import PhaseOp, break_multiplet
 from .search import apply_plan, freeze_groups, solve_freezing
 from .super_branch import UnknownNameError, branch_to_even, catalog_entry
@@ -21,14 +21,24 @@ def render_hw(labels) -> str:
     return ",".join(str(x) for x in labels)
 
 
-@dataclass
-class Node:
-    label: str
-    dim: int
-    mult: int = 1
-    frozen: bool = False
-    neutral: bool = False
-    children: list = field(default_factory=list)
+class Node(Record):
+    """One row of a table tree: a label, its dimension and multiplicity, its
+    freeze marks, and the rows below it."""
+
+    __slots__ = ("label", "dim", "mult", "frozen", "neutral", "children")
+    __hash__ = None
+
+    def __init__(self, label: str, dim: int, mult: int = 1, frozen: bool = False,
+                 neutral: bool = False, children: list | None = None):
+        self.label = label
+        self.dim = dim
+        self.mult = mult
+        self.frozen = frozen
+        self.neutral = neutral
+        self.children = [] if children is None else children
+
+    def _key(self):
+        return (self.label, self.dim, self.mult, self.frozen, self.neutral, self.children)
 
     def to_dict(self):
         d = {"label": self.label, "dim": self.dim}
@@ -58,14 +68,24 @@ class Node:
                 tuple(sorted(c.canonical() for c in self.children)))
 
 
-@dataclass
-class TableDoc:
-    table: int
-    title: str
-    columns: tuple
-    rows: list  # Node list (trees) or flat row dicts for tables 1-3
-    kind: str   # "branch" | "chain" | "scheme"
-    meta: dict = field(default_factory=dict)
+class TableDoc(Record):
+    """One table: its rows are :class:`Node` trees, or flat row dicts for
+    tables 1-3; its kind is ``"branch"``, ``"chain"`` or ``"scheme"``."""
+
+    __slots__ = ("table", "title", "columns", "rows", "kind", "meta")
+    __hash__ = None
+
+    def __init__(self, table: int, title: str, columns: tuple, rows: list, kind: str,
+                 meta: dict | None = None):
+        self.table = table
+        self.title = title
+        self.columns = columns
+        self.rows = rows
+        self.kind = kind
+        self.meta = {} if meta is None else meta
+
+    def _key(self):
+        return (self.table, self.title, self.columns, self.rows, self.kind, self.meta)
 
     def to_dict(self):
         rows = [r.to_dict() if isinstance(r, Node) else r for r in self.rows]

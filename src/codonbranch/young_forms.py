@@ -8,31 +8,32 @@ orthosymplectic diagram/label conversion is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie_core import fr
+from .lie_core import Record, fr
 
 
 class IllegalDiagramError(ValueError):
     """Diagram shape not allowed for the requested algebra."""
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
+class YoungDiagram(Record):
     """Ordinary Young diagram given by its row lengths."""
 
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
-        if rows != tuple(self.rows):
-            raise IllegalDiagramError(f"rows must be integers: {self.rows}")
-        if any(r <= 0 for r in rows):
-            raise IllegalDiagramError(f"rows must be positive: {rows}")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-            raise IllegalDiagramError(f"rows must be non-increasing: {rows}")
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple):
+        ints = tuple(int(r) for r in rows)
+        if ints != tuple(rows):
+            raise IllegalDiagramError(f"rows must be integers: {rows}")
+        if any(r <= 0 for r in ints):
+            raise IllegalDiagramError(f"rows must be positive: {ints}")
+        if any(ints[i] < ints[i + 1] for i in range(len(ints) - 1)):
+            raise IllegalDiagramError(f"rows must be non-increasing: {ints}")
+        self.rows = ints
+
+    def _key(self):
+        return (self.rows,)
 
     def row(self, i: int) -> int:
         """Row length b_i with b_i = 0 beyond the last row (1-based)."""
@@ -65,27 +66,28 @@ def step(x) -> int:
     return 1 if x > 0 else 0
 
 
-@dataclass(frozen=True)
-class YoungSuperDiagram:
+class YoungSuperDiagram(Record):
     """Superdiagram with row and column lengths (possibly half-integral).
 
     Half-integral column lengths mark spinor ("half") boxes; these occur
     only in the orthosymplectic shapes.
     """
 
-    rows: tuple
-    cols: tuple
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self):
-        rows = tuple(fr(r) for r in self.rows)
-        cols = tuple(fr(c) for c in self.cols)
+    def __init__(self, rows: tuple, cols: tuple):
+        rows = tuple(fr(r) for r in rows)
+        cols = tuple(fr(c) for c in cols)
         for seq in (rows, cols):
             if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
                 raise IllegalDiagramError(f"lengths must be non-increasing: {seq}")
             if any(x <= 0 for x in seq):
                 raise IllegalDiagramError(f"lengths must be positive: {seq}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        self.rows = rows
+        self.cols = cols
+
+    def _key(self):
+        return (self.rows, self.cols)
 
     @property
     def spinor_row(self) -> bool:

@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -236,3 +238,14 @@ def test_catalog_diagrams_reproduce_catalog_labels():
         m, n = map(int, entry.algebra[3:-1].split("|"))
         got = sl_super_labels_from_diagram(sl_superdiagram(entry.diagram_rows), m, n)
         assert got == entry.labels
+
+
+def test_importing_the_cli_loads_no_command_only_modules():
+    # -S: no site hook (a .pth file, say) may have loaded them first.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = ("import sys, codonbranch.cli; print(' '.join(sorted(m for m in sys.modules "
+            "if m in ('dataclasses', 'codonbranch.tables', 'difflib'))))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

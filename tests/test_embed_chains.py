@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from codonbranch.embed_chains import (
     CHAINS,
+    REGISTRY,
+    StageAlgebra,
     ChainError,
     apply_chain,
     branch_embedding,
@@ -20,6 +22,7 @@ from codonbranch.embed_chains import (
 from codonbranch.lie_core import (
     InvalidLabelsError,
     NotACharacterError,
+    SemisimpleAlgebra,
     build_root_system,
     weyl_dimension,
 )
@@ -251,3 +254,20 @@ def test_export_registry_is_stable_and_complete():
     assert text == export_registry()
     for emb in builtin_registry():
         assert f"embedding {emb.name}" in text
+
+
+def test_fresh_target_algebras_share_the_character_cache():
+    emb = REGISTRY["B2>A1+A1"]
+    a, b = emb.target_algebra(), emb.target_algebra()
+    assert a is not b and a == b and hash(a) == hash(b)
+    # The product characters are cached by algebra value, not identity.
+    assert a.character(((1,), (2,))) is b.character(((1,), (2,)))
+
+
+def test_a_stage_never_equals_the_plain_algebra_of_its_factors():
+    factors = REGISTRY["B2>A1+A1"].targets
+    stage, plain = StageAlgebra(factors, ("1", "2")), SemisimpleAlgebra(factors)
+    assert stage != plain and plain != stage
+    assert stage == StageAlgebra(factors, ("1", "2"))
+    assert stage != StageAlgebra(factors, ("2", "1"))
+    assert len({stage, plain, StageAlgebra(factors, ("1", "2"))}) == 2

@@ -439,3 +439,13 @@ def test_weyl_dimension_checks_its_quotient_without_assert():
     bad = RootSystem("A", 1, 1, (one,), (one,), ((F(1, 2),),), (F(3, 2),), 2)
     with pytest.raises(NotACharacterError, match="4/3"):
         weyl_dimension(bad, (1,))
+
+
+def test_root_systems_and_algebras_compare_by_value():
+    fresh = build_root_system.__wrapped__
+    a, b = fresh("B", 2), fresh("B", 2)
+    assert a is not b and a == b and hash(a) == hash(b) == hash(("B", 2))
+    assert a != fresh("C", 2) and a != ("B", 2)
+    s, t = SemisimpleAlgebra((a, fresh("A", 1))), semisimple("B2+A1")
+    assert s is not t and s == t and hash(s) == hash(t)
+    assert s != SemisimpleAlgebra((a,))

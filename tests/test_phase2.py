@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,6 +10,7 @@ from codonbranch.phase2 import (
     Phase2State,
     PhaseOp,
     SlotError,
+    Stats,
     apply_op,
     available_ops,
     distribution_stats,
@@ -113,7 +113,7 @@ def test_a_state_split_by_apply_op_equals_the_state_of_its_entries():
     assert list(state.shapes.items()) == list(eager.shapes.items())
     assert state.statuses() == ("s", "o")
     first = state.entries[0]
-    trimmed = dataclasses.replace(state, entries=(first,))
+    trimmed = Phase2State(state.slot_names, state.stages, (first,))
     assert trimmed.shapes == {first.slots: [first.dim(), first.mult]}
 
 
@@ -217,3 +217,17 @@ def test_hamiltonian_unknown_slot_is_a_slot_error():
     c = Couplings.of(0, 0, 0, 0, 0, 0, 1, 0)
     with pytest.raises(SlotError, match="unknown slot '3' in the b3 term; valid slots: 1, 23"):
         hamiltonian_eigenvalue(state, state.entries[0], c)
+
+
+def test_ops_stats_and_multiplets_compare_by_value():
+    assert PhaseOp("soft", "3") == PhaseOp.parse("soft:3")
+    assert hash(PhaseOp("soft", "3")) == hash(PhaseOp.parse("soft:3"))
+    assert PhaseOp("soft", "3") != PhaseOp("soft", "12") and PhaseOp("soft", "3") != ("soft", "3")
+    assert {PhaseOp("soft", "3"), PhaseOp.parse("soft:3")} == {PhaseOp("soft", "3")}
+    fields = (3, 3, 0, 0, False, ((3, 1),))
+    assert Stats(*fields) == Stats(*fields) and hash(Stats(*fields)) == hash(Stats(*fields))
+    assert Stats(*fields) != Stats(*fields[:4], True, fields[5]) and Stats(*fields) != fields
+    m = M(("u", 2), ("o", 1), mult=2, history=("h",))
+    assert m == M(("u", 2), ("o", 1), mult=2, history=("h",))
+    assert hash(m) == hash(M(("u", 2), ("o", 1), mult=2, history=("h",)))
+    assert m != M(("u", 2), ("o", 1), mult=1, history=("h",))

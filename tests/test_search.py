@@ -1,4 +1,3 @@
-import dataclasses
 import fractions
 import itertools
 import math
@@ -453,6 +452,12 @@ def test_the_slot_state_rule_holds_wherever_a_slot_splits():
         break_multiplet(unbroken, "strong_after_soft", 0)
 
 
+def _stats_fields(s: Stats) -> dict:
+    return {"n_multiplets": s.n_multiplets, "d3": s.d3, "n_singlets": s.n_singlets,
+            "n_odd": s.n_odd, "total_pairing": s.total_pairing,
+            "dim_histogram": s.dim_histogram}
+
+
 def _check_phase2_against_reference(state, op):
     """``apply_op``, ``phase2_stats`` and ``freeze_groups`` at one option node
     against the reference built from slot dimensions alone."""
@@ -463,7 +468,7 @@ def _check_phase2_against_reference(state, op):
     refold = Phase2State(child.slot_names, child.stages, child.entries).shapes
     assert list(child.shapes.items()) == list(refold.items())
     rows = [(e.slots, e.mult) for e in child.entries]
-    assert dataclasses.asdict(phase2_stats(child)) == phase2_stats_reference(rows)
+    assert _stats_fields(phase2_stats(child)) == phase2_stats_reference(rows)
     groups = [(g.slots, g.count, g.dim, g.pieces, g.neutral)
               for g in freeze_groups(state, op)]
     idx = state.slot_names.index(op.slot)
@@ -502,7 +507,7 @@ def test_hand_built_multiplets_multiply_their_dimension_out():
     conj = Multiplet((("u", 2), ("o", 1), ("s", 1)), 2, ("h",))
     state = Phase2State(("1", "2", "3"), (), (hand, conj, Multiplet(slots, 1, ())))
     rows = [(e.slots, e.mult) for e in state.entries]
-    assert dataclasses.asdict(phase2_stats(state)) == phase2_stats_reference(rows)
+    assert _stats_fields(phase2_stats(state)) == phase2_stats_reference(rows)
     for op in available_ops(state):
         groups = [(g.slots, g.count, g.dim, g.pieces, g.neutral)
                   for g in freeze_groups(state, op)]

@@ -44,6 +44,8 @@ def test_even_parts():
     assert build_super("osp(4|2)").factor_names == ("sp(2)", "sl(2)", "sl(2)")
     assert build_super("sl(2|1)").factor_names == ("sl(2)",)
     assert build_super("osp(3|4)").factor_names == ("sp(4)", "so(3)")
+    sa = build_super("osp(5|2)")
+    assert sa.even_algebra.factors is sa.factor_systems
 
 
 @pytest.mark.parametrize("kind", sorted(ODD_COUNTS))
