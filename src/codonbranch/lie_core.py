@@ -23,8 +23,9 @@ integer vectors instead: a weight times the system's ``scale``, the lcm of
 the denominators of its fundamental weights; a weight of a product of
 factors concatenates its per-factor blocks, each on its own factor's scale.
 A :class:`FormalCharacter` is keyed by these integer vectors.
-:meth:`RootSystem.to_dominant` is a closed form (a sort); the walks that
-stop on a wall (the dot action and the even Weyl groups of
+:meth:`RootSystem.to_dominant` is a closed form (a sort) that gives the
+chamber representative alone; the walks that need the sign of the Weyl
+element and stop on a wall (the dot action and the even Weyl groups of
 :mod:`.super_branch`) reflect step by step in :func:`_to_chamber`.  The
 simple roots are integral and their squared lengths (a, a) are 1, 2 or 4,
 and 4 only for a = 2e_i, whose dot product with an integer vector is even.
@@ -38,8 +39,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import combinations, starmap
-from operator import add, lt, mul, sub
+from itertools import combinations
+from operator import add, mul, sub
 
 Weight = tuple  # tuple[Fraction, ...]
 Labels = tuple  # tuple[int, ...], one entry per node
@@ -307,20 +308,14 @@ class RootSystem(Record):
         a = self.simple_roots[i]
         return vsub(w, vscale(a, 2 * vdot(w, a) / vdot(a, a)))
 
-    def to_dominant(self, w: tuple):
+    def to_dominant(self, w: tuple) -> tuple:
         """Dominant Weyl-chamber representative of the integer vector ``w``
         (a weight times ``scale``), on the same scale: the coordinates
         (A_r, r >= 2) or their absolute values (A1, B, C) sorted in
-        descending order.  The sign, defined for every weight, walls
-        included, is (-1)^N for the N positive roots with a negative pairing:
-        the pairs i < j with w_i < w_j, and where signs flip also those with
-        w_i + w_j < 0 and the w_i < 0.  A reflection in a simple root with a
-        negative label lowers N by one, so a walk of them has this sign."""
-        n = sum(starmap(lt, combinations(w, 2)))
+        descending order."""
         if self.sign_flips:
-            n += sum([x + y < 0 for x, y in combinations(w, 2)] + [x < 0 for x in w])
             w = map(abs, w)
-        return tuple(sorted(w, reverse=True)), -1 if n & 1 else 1
+        return tuple(sorted(w, reverse=True))
 
     def root_coefficients(self, v: tuple) -> tuple:
         """Coordinates of the integer vector ``v`` in the simple-root basis
@@ -394,16 +389,6 @@ def semisimple(spec: str) -> "SemisimpleAlgebra":
     return SemisimpleAlgebra(tuple(factors))
 
 
-def _dominates(rs: RootSystem, lam: tuple, mu: tuple) -> bool:
-    """True when ``lam - mu`` is a nonnegative sum of simple roots, for
-    integer vectors whose difference lies in the scaled root lattice."""
-    return all(c >= 0 for c in rs.root_coefficients(tuple(map(sub, lam, mu))))
-
-
-def _depth(rs: RootSystem, lam: tuple, mu: tuple) -> int:
-    return sum(rs.root_coefficients(tuple(map(sub, lam, mu))))
-
-
 def _label_cache(fn):
     """``lru_cache`` of ``fn(key, labels)`` that also takes labels as a list;
     labels that are not a sequence of hashable values are invalid."""
@@ -438,6 +423,10 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
     scale = rs.scale
     lam = rs.scaled_highest_weight(labels)
     lowering = [tuple(scale * x for x in a) for a, _ in rs.chamber_roots]
+    # Each dominant representative met, mapped to its depth below lam: the
+    # sum of the simple-root coefficients of lam - mu, or -1 where one of
+    # them is negative and lam does not dominate mu.
+    depth = {lam: 0}
     weights = {lam}
     queue = [lam]
     while queue:
@@ -446,13 +435,16 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
             w2 = tuple(map(sub, w, a))
             if w2 in weights:
                 continue
-            dom, _ = rs.to_dominant(w2)
-            if _dominates(rs, lam, dom):
+            dom = rs.to_dominant(w2)
+            d = depth.get(dom)
+            if d is None:
+                c = rs.root_coefficients(tuple(map(sub, lam, dom)))
+                d = depth[dom] = sum(c) if min(c) >= 0 else -1
+            if d >= 0:
                 weights.add(w2)
                 queue.append(w2)
 
-    dominants = sorted({rs.to_dominant(w)[0] for w in weights},
-                       key=lambda w: _depth(rs, lam, w))
+    dominants = sorted({rs.to_dominant(w) for w in weights}, key=depth.__getitem__)
     # With w = scale * w', acc = scale * acc' and denom = scale^2 * denom',
     # so the multiplicity 2 acc' / denom' is 2 scale acc / denom.
     raising = [(a, tuple(scale * x for x in a)) for a in rs.positive_roots]
@@ -468,7 +460,7 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
         for a, step in raising:
             nu = tuple(map(add, mu, step))
             while nu in weights:
-                acc += mult[rs.to_dominant(nu)[0]] * sum(map(mul, nu, a))
+                acc += mult[rs.to_dominant(nu)] * sum(map(mul, nu, a))
                 nu = tuple(map(add, nu, step))
         mu_rho = tuple(map(add, mu, rho))
         denom = top - sum(map(mul, mu_rho, mu_rho))
@@ -477,7 +469,7 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
             raise NotACharacterError(f"Freudenthal failure at {_unscaled(mu, scale)}: "
                                      f"{Fraction(2 * scale * acc, denom)}")
         mult[mu] = m
-    return FormalCharacter({w: mult[rs.to_dominant(w)[0]] for w in weights}, scale)
+    return FormalCharacter({w: mult[rs.to_dominant(w)] for w in weights}, scale)
 
 
 @_label_cache
