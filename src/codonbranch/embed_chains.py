@@ -77,10 +77,6 @@ class Embedding(Record):
         self.matrix = tuple(tuple(int(x * den) for x in row) for row in rows)
         self.denominator = den
 
-    def _key(self):
-        return (self.name, self.source, self.targets, self.projection,
-                self.defining_decomposition, self.validation_vectors)
-
     def target_algebra(self) -> SemisimpleAlgebra:
         return SemisimpleAlgebra(self.targets)
 
@@ -239,13 +235,6 @@ class StageAlgebra(SemisimpleAlgebra):
 
     __slots__ = ("names",)
 
-    def __init__(self, factors: tuple, names: tuple):
-        self.factors = factors
-        self.names = names
-
-    def _key(self):
-        return (self.factors, self.names)
-
     def all_sl2(self) -> bool:
         return all(f.series == "A" and f.rank == 1 for f in self.factors)
 
@@ -262,27 +251,12 @@ class DistEntry(Record):
 
     __slots__ = ("labels", "mult", "history")
 
-    def __init__(self, labels: tuple, mult: int, history: tuple):
-        self.labels = labels
-        self.mult = mult
-        self.history = history
-
-    def _key(self):
-        return (self.labels, self.mult, self.history)
-
 
 class Distribution(Record):
     """The ``StageAlgebra`` of each visited stage, the last one current,
     and the :class:`DistEntry` tuple at the current stage."""
 
     __slots__ = ("stages", "entries")
-
-    def __init__(self, stages: tuple, entries: tuple):
-        self.stages = stages
-        self.entries = entries
-
-    def _key(self):
-        return (self.stages, self.entries)
 
     @property
     def stage(self) -> StageAlgebra:
@@ -317,15 +291,7 @@ class ChainStep(Record):
     factors."""
 
     __slots__ = ("kind", "embedding", "factor", "pair")
-
-    def __init__(self, kind: str, embedding: str = "", factor: int = 0, pair: tuple = ()):
-        self.kind = kind
-        self.embedding = embedding
-        self.factor = factor
-        self.pair = pair
-
-    def _key(self):
-        return (self.kind, self.embedding, self.factor, self.pair)
+    _defaults = {"embedding": "", "factor": 0, "pair": ()}
 
 
 def apply_step(dist: Distribution, step: ChainStep) -> Distribution:
@@ -377,15 +343,7 @@ class ChainDef(Record):
     """A registered symmetry-breaking chain for one catalog representation."""
 
     __slots__ = ("chain_id", "rep_key", "steps", "note")
-
-    def __init__(self, chain_id: str, rep_key: str, steps: tuple, note: str = ""):
-        self.chain_id = chain_id
-        self.rep_key = rep_key
-        self.steps = steps
-        self.note = note
-
-    def _key(self):
-        return (self.chain_id, self.rep_key, self.steps, self.note)
+    _defaults = {"note": ""}
 
 
 def _restrict(name, factor=0):

@@ -212,15 +212,43 @@ def _to_chamber(w: tuple, roots: tuple):
 
 
 class Record:
-    """Base of the package's record classes: instances of exactly the same
-    class are equal when the tuples their ``_key`` returns are, and hash as
-    that tuple.  An instance never equals one of a subclass or a base class.
-    A record that callers may change sets ``__hash__ = None``."""
+    """Base of the package's record classes.  A record is its constructor's
+    arguments: its fields are the parameters of ``__init__``, in order.
+    Instances of exactly the same class are equal when their fields are, and
+    hash as the tuple of them (what ``_key`` returns); an instance never
+    equals one of a subclass or a base class.  A record that callers may
+    change sets ``__hash__ = None``.
+
+    A class that writes its own ``__init__`` validates or derives, and may
+    set attributes beyond its fields, which equality ignores.  For a class
+    that writes none, ``__init__`` takes the ``__slots__`` of its bases,
+    then its own, in order, and stores each under its name; the trailing
+    slots named in the class's ``_defaults`` mapping default to their values
+    there.  ``__init__`` and ``_key`` are generated source compiled once per
+    class, as in ``dataclasses``: a function body reads slots faster than
+    ``operator.attrgetter`` does."""
 
     __slots__ = ()
 
-    def _key(self) -> tuple:
-        raise NotImplementedError
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        defaults = vars(cls).get("_defaults", {})
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            fields, src = code.co_varnames[1:code.co_argcount], ""
+        else:
+            fields = tuple(f for c in reversed(cls.__mro__)
+                           for f in vars(c).get("__slots__", ()))
+            params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}"
+                             for f in fields)
+            body = "".join(f"\n    self.{f} = {f}" for f in fields)
+            src = f"def __init__(self{params}):{body}\n"
+        src += f"def _key(self):\n    return ({''.join(f'self.{f}, ' for f in fields)})\n"
+        ns = {}
+        exec(src, {"_defaults": defaults}, ns)
+        for name, fn in ns.items():
+            fn.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, fn)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -261,10 +289,6 @@ class RootSystem(Record):
         self.scaled_rho0 = _scaled(rho0, scale)
         self.scaled_fundamentals = tuple(_scaled(w, scale) for w in fundamental_weights)
         self.sign_flips = series != "A" or rank == 1
-
-    def _key(self):
-        return (self.series, self.rank, self.dim, self.simple_roots, self.positive_roots,
-                self.fundamental_weights, self.rho0, self.weyl_order)
 
     def __hash__(self):
         # The series and rank fix the rest; hashing the Fraction root data
@@ -381,11 +405,17 @@ def sl2() -> RootSystem:
 
 
 def semisimple(spec: str) -> "SemisimpleAlgebra":
-    """Parse a product such as ``"A1+A1"`` or ``"B2"`` into an algebra."""
+    """Parse a product such as ``"A1+A1"`` or ``"B2"`` into an algebra;
+    raises :class:`UnsupportedAlgebraError` on any spec it cannot build."""
     factors = []
     for part in spec.split("+"):
         part = part.strip()
-        factors.append(build_root_system(part[0], int(part[1:])))
+        try:
+            series, rank = part[0], int(part[1:])
+        except (IndexError, ValueError):
+            raise UnsupportedAlgebraError(
+                f"cannot read {part!r} in {spec!r} as a series letter and a rank") from None
+        factors.append(build_root_system(series, rank))
     return SemisimpleAlgebra(tuple(factors))
 
 
@@ -512,12 +542,6 @@ class SemisimpleAlgebra(Record):
     """Ordered direct sum of simple factors; weights are concatenated."""
 
     __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple):
-        self.factors = factors
-
-    def _key(self):
-        return (self.factors,)
 
     @property
     def dim(self) -> int:

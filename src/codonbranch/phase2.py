@@ -91,14 +91,6 @@ class Multiplet(Record):
 
     __slots__ = ("slots", "mult", "history")
 
-    def __init__(self, slots: tuple, mult: int, history: tuple):
-        self.slots = slots
-        self.mult = mult
-        self.history = history
-
-    def _key(self):
-        return (self.slots, self.mult, self.history)
-
     def dim(self) -> int:
         return _shape_dim(self.slots)
 
@@ -126,9 +118,6 @@ class Phase2State(Record):
             self.shapes.setdefault(e.slots, [e.dim(), 0])[1] += e.mult
         if not self.shapes:
             raise SlotError("a phase-2 state needs at least one multiplet")
-
-    def _key(self):
-        return (self.slot_names, self.stages, self.entries)
 
     def __getattr__(self, name):
         # Only the entries of a state made by apply_op are ever missing.
@@ -221,13 +210,6 @@ class PhaseOp(Record):
 
     __slots__ = ("kind", "slot")
 
-    def __init__(self, kind: str, slot: str):
-        self.kind = kind
-        self.slot = slot
-
-    def _key(self):
-        return (self.kind, self.slot)
-
     @classmethod
     def parse(cls, token: str) -> "PhaseOp":
         """The operation written as a ``kind:slot`` token."""
@@ -261,19 +243,6 @@ class Stats(Record):
 
     __slots__ = ("n_multiplets", "d3", "n_singlets", "n_odd", "total_pairing",
                  "dim_histogram")
-
-    def __init__(self, n_multiplets: int, d3: int, n_singlets: int, n_odd: int,
-                 total_pairing: bool, dim_histogram: tuple):
-        self.n_multiplets = n_multiplets
-        self.d3 = d3
-        self.n_singlets = n_singlets
-        self.n_odd = n_odd
-        self.total_pairing = total_pairing
-        self.dim_histogram = dim_histogram
-
-    def _key(self):
-        return (self.n_multiplets, self.d3, self.n_singlets, self.n_odd,
-                self.total_pairing, self.dim_histogram)
 
     def histogram(self) -> dict:
         return dict(self.dim_histogram)
@@ -322,20 +291,7 @@ class Couplings(Record):
     """Coefficients of the model Hamiltonian, all exact rationals."""
 
     __slots__ = ("h0", "lam", "a1", "a2", "a3", "a12", "b3", "g12")
-
-    def __init__(self, h0=_ZERO, lam=_ZERO, a1=_ZERO, a2=_ZERO, a3=_ZERO, a12=_ZERO,
-                 b3=_ZERO, g12=_ZERO):
-        self.h0 = h0
-        self.lam = lam
-        self.a1 = a1
-        self.a2 = a2
-        self.a3 = a3
-        self.a12 = a12
-        self.b3 = b3
-        self.g12 = g12
-
-    def _key(self):
-        return (self.h0, self.lam, self.a1, self.a2, self.a3, self.a12, self.b3, self.g12)
+    _defaults = dict.fromkeys(__slots__, _ZERO)
 
     @classmethod
     def of(cls, *vals):

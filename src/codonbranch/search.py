@@ -123,16 +123,6 @@ class FreezeGroup(Record):
 
     __slots__ = ("slots", "count", "dim", "pieces", "neutral")
 
-    def __init__(self, slots: tuple, count: int, dim: int, pieces: tuple, neutral: bool):
-        self.slots = slots
-        self.count = count
-        self.dim = dim
-        self.pieces = pieces
-        self.neutral = neutral
-
-    def _key(self):
-        return (self.slots, self.count, self.dim, self.pieces, self.neutral)
-
     def render(self) -> str:
         return "-".join(render_slot(s) for s in self.slots)
 
@@ -142,12 +132,6 @@ class FreezeMask(Record):
     ``((group render, parent dim, count), ...)`` with count > 0."""
 
     __slots__ = ("frozen",)
-
-    def __init__(self, frozen: tuple):
-        self.frozen = frozen
-
-    def _key(self):
-        return (self.frozen,)
 
     def render(self) -> str:
         if not self.frozen:
@@ -306,17 +290,6 @@ class OptionNode(Record):
 
     __slots__ = ("plan", "stats", "violations", "terminal", "mask_count")
 
-    def __init__(self, plan: tuple, stats: Stats, violations: tuple, terminal: bool,
-                 mask_count: int):
-        self.plan = plan
-        self.stats = stats
-        self.violations = violations
-        self.terminal = terminal
-        self.mask_count = mask_count
-
-    def _key(self):
-        return (self.plan, self.stats, self.violations, self.terminal, self.mask_count)
-
     def plan_render(self):
         return tuple(op.render() for op in self.plan)
 
@@ -327,19 +300,6 @@ class Scheme(Record):
     __slots__ = ("chain_id", "plan", "final_op", "masks", "pre_final_count",
                  "full_break_count")
 
-    def __init__(self, chain_id: str, plan: tuple, final_op: PhaseOp, masks: tuple,
-                 pre_final_count: int, full_break_count: int):
-        self.chain_id = chain_id
-        self.plan = plan
-        self.final_op = final_op
-        self.masks = masks
-        self.pre_final_count = pre_final_count
-        self.full_break_count = full_break_count
-
-    def _key(self):
-        return (self.chain_id, self.plan, self.final_op, self.masks, self.pre_final_count,
-                self.full_break_count)
-
 
 class Phase2Result(Record):
     """What :func:`enumerate_phase2` found, in lists it appends to: option
@@ -349,15 +309,6 @@ class Phase2Result(Record):
     __slots__ = ("nodes", "schemes", "near_misses", "pruned")
     __hash__ = None
 
-    def __init__(self):
-        self.nodes = []
-        self.schemes = []
-        self.near_misses = []
-        self.pruned = []
-
-    def _key(self):
-        return (self.nodes, self.schemes, self.near_misses, self.pruned)
-
 
 def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
     """Depth-first plan enumeration with pruning and final-step mask solving.
@@ -366,7 +317,7 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
     plans are at most twice as long as there are slots.
     """
     goal = _goal(target)
-    result = Phase2Result()
+    result = Phase2Result([], [], [], [])
     seen_states = set()
 
     def walk(state, plan):
@@ -411,25 +362,7 @@ class ChainReport(Record):
     __slots__ = ("chain_id", "end_stage", "end_stats", "verdict_codes", "schemes",
                  "near_misses", "option_nodes", "pruned", "triplet_facts", "note")
     __hash__ = None
-
-    def __init__(self, chain_id: str, end_stage: tuple, end_stats: Stats,
-                 verdict_codes: tuple, schemes: list, near_misses: list,
-                 option_nodes: list, pruned: list, triplet_facts: dict, note: str = ""):
-        self.chain_id = chain_id
-        self.end_stage = end_stage
-        self.end_stats = end_stats
-        self.verdict_codes = verdict_codes
-        self.schemes = schemes
-        self.near_misses = near_misses
-        self.option_nodes = option_nodes
-        self.pruned = pruned
-        self.triplet_facts = triplet_facts
-        self.note = note
-
-    def _key(self):
-        return (self.chain_id, self.end_stage, self.end_stats, self.verdict_codes,
-                self.schemes, self.near_misses, self.option_nodes, self.pruned,
-                self.triplet_facts, self.note)
+    _defaults = {"note": ""}
 
     @property
     def survived(self) -> bool:
@@ -442,29 +375,12 @@ class AlgebraReport(Record):
     __slots__ = ("key", "first_step_stats", "phase1_violations", "chains")
     __hash__ = None
 
-    def __init__(self, key: str, first_step_stats: Stats, phase1_violations: tuple,
-                 chains: list):
-        self.key = key
-        self.first_step_stats = first_step_stats
-        self.phase1_violations = phase1_violations
-        self.chains = chains
-
-    def _key(self):
-        return (self.key, self.first_step_stats, self.phase1_violations, self.chains)
-
 
 class SearchReport(Record):
     """The target histogram and one :class:`AlgebraReport` per catalog entry."""
 
     __slots__ = ("target", "algebras")
     __hash__ = None
-
-    def __init__(self, target: dict, algebras: list):
-        self.target = target
-        self.algebras = algebras
-
-    def _key(self):
-        return (self.target, self.algebras)
 
     def survivors(self):
         out = []

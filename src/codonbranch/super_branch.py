@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import mul, sub
 
@@ -140,10 +141,6 @@ class SuperAlgebra(Record):
             rows.append(units[gauge])
         self.kac_inverse, self.kac_denominator = _inverse(rows, len(simple_roots))
 
-    def _key(self):
-        return (self.name, self.form_signs, self.simple_roots, self.odd_positive_roots,
-                self.factors, self.gauge)
-
     def sdot(self, a, b):
         return sum(s * x * y for s, x, y in zip(self.form_signs, a, b))
 
@@ -170,6 +167,7 @@ class SuperAlgebra(Record):
         return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _sl(m: int, n: int) -> SuperAlgebra:
     e = _units(m + n)
     factors = [(build_root_system("A", len(b) - 1), _chain(b), f"sl({len(b)})")
@@ -180,6 +178,7 @@ def _sl(m: int, n: int) -> SuperAlgebra:
                         tuple(odd), tuple(factors), gauge=m - 1)
 
 
+@lru_cache(maxsize=None)
 def _osp(M: int, N: int) -> SuperAlgebra:
     n, m = N // 2, M // 2
     e = _units(n + m)
@@ -212,22 +211,17 @@ _KIND_RE = re.compile(r"(sl|osp)\((\d+)\|(\d+)\)")
 _SUPPORTED_SL = {(2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (3, 2)}
 _SUPPORTED_OSP = {(2, 4), (2, 6), (3, 2), (3, 4), (4, 2), (5, 2)}
 
-_CACHE: dict = {}
-
 
 def build_super(kind: str) -> SuperAlgebra:
-    """Construct the distinguished root data for a supported superalgebra."""
-    if kind in _CACHE:
-        return _CACHE[kind]
+    """Construct the distinguished root data for a supported superalgebra;
+    one object per algebra, however its name is spaced."""
     mm = _KIND_RE.fullmatch(kind.replace(" ", ""))
     if not mm:
         raise InvalidLabelsError(f"cannot parse algebra name {kind!r}")
     fam, a, b = mm.group(1), int(mm.group(2)), int(mm.group(3))
     if (a, b) not in (_SUPPORTED_SL if fam == "sl" else _SUPPORTED_OSP):
         raise InvalidLabelsError(f"unsupported algebra {kind}")
-    sa = (_sl if fam == "sl" else _osp)(a, b)
-    _CACHE[kind] = sa
-    return sa
+    return (_sl if fam == "sl" else _osp)(a, b)
 
 
 def kac_labels(sa: SuperAlgebra, w) -> tuple:
@@ -274,14 +268,6 @@ class BranchEntry(Record):
     (the charge information, or ``None``) and the multiplicity."""
 
     __slots__ = ("labels", "weight", "mult")
-
-    def __init__(self, labels: tuple, weight: tuple, mult: int):
-        self.labels = labels
-        self.weight = weight
-        self.mult = mult
-
-    def _key(self):
-        return (self.labels, self.weight, self.mult)
 
     def dim(self, sa: SuperAlgebra) -> int:
         return sa.even_algebra.dimension(self.labels)
@@ -355,19 +341,7 @@ class CatalogEntry(Record):
     for sl algebras the row lengths of its superdiagram."""
 
     __slots__ = ("key", "algebra", "labels", "table", "aliases", "diagram_rows")
-
-    def __init__(self, key: str, algebra: str, labels: tuple, table: int,
-                 aliases: tuple = (), diagram_rows: tuple = ()):
-        self.key = key
-        self.algebra = algebra
-        self.labels = labels
-        self.table = table
-        self.aliases = aliases
-        self.diagram_rows = diagram_rows
-
-    def _key(self):
-        return (self.key, self.algebra, self.labels, self.table, self.aliases,
-                self.diagram_rows)
+    _defaults = {"aliases": (), "diagram_rows": ()}
 
     def build(self) -> SuperAlgebra:
         return build_super(self.algebra)

@@ -37,9 +37,6 @@ class Node(Record):
         self.neutral = neutral
         self.children = [] if children is None else children
 
-    def _key(self):
-        return (self.label, self.dim, self.mult, self.frozen, self.neutral, self.children)
-
     def to_dict(self):
         d = {"label": self.label, "dim": self.dim}
         if self.mult != 1:
@@ -83,9 +80,6 @@ class TableDoc(Record):
         self.rows = rows
         self.kind = kind
         self.meta = {} if meta is None else meta
-
-    def _key(self):
-        return (self.table, self.title, self.columns, self.rows, self.kind, self.meta)
 
     def to_dict(self):
         rows = [r.to_dict() if isinstance(r, Node) else r for r in self.rows]

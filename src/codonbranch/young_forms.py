@@ -32,9 +32,6 @@ class YoungDiagram(Record):
             raise IllegalDiagramError(f"rows must be non-increasing: {ints}")
         self.rows = ints
 
-    def _key(self):
-        return (self.rows,)
-
     def row(self, i: int) -> int:
         """Row length b_i with b_i = 0 beyond the last row (1-based)."""
         return self.rows[i - 1] if 1 <= i <= len(self.rows) else 0
@@ -85,9 +82,6 @@ class YoungSuperDiagram(Record):
                 raise IllegalDiagramError(f"lengths must be positive: {seq}")
         self.rows = rows
         self.cols = cols
-
-    def _key(self):
-        return (self.rows, self.cols)
 
     @property
     def spinor_row(self) -> bool:

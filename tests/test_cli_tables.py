@@ -249,3 +249,21 @@ def test_importing_the_cli_loads_no_command_only_modules():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("argv", [["list-catalog"], ["search", "--format", "structured"],
+                                  ["tables", "--id", "6"]])
+def test_cli_closed_stdout_pipe_is_not_a_crash(argv):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails every time, whatever the output size.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "codonbranch.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    finally:
+        os.close(write_end)
+    # No traceback, and no "Exception ignored" from the flush at exit.
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -1,3 +1,6 @@
+import copy
+import functools
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -5,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codonbranch import phase2, search, super_branch, tables, young_forms
+from codonbranch.embed_chains import CHAINS, REGISTRY, DistEntry, apply_chain
 from codonbranch.lie_core import (
     FormalCharacter,
     InvalidLabelsError,
     NotACharacterError,
+    Record,
     RootSystem,
     SemisimpleAlgebra,
     UnsupportedAlgebraError,
@@ -80,6 +86,13 @@ def test_unsupported_series():
         build_root_system("D", 2)
     with pytest.raises(UnsupportedAlgebraError):
         build_root_system("B", 7)
+
+
+@pytest.mark.parametrize("spec", ["", "B2+", "+A1", "A", "2", "A1+B", "Ax", "A1.5",
+                                  "E8", "D2", "A1+B7"])
+def test_malformed_semisimple_specs_raise_the_typed_error(spec):
+    with pytest.raises(UnsupportedAlgebraError):
+        semisimple(spec)
 
 
 @pytest.mark.parametrize("series,rank,labels,dim", [
@@ -469,3 +482,87 @@ def test_root_systems_and_algebras_compare_by_value():
     s, t = SemisimpleAlgebra((a, fresh("A", 1))), semisimple("B2+A1")
     assert s is not t and s == t and hash(s) == hash(t)
     assert s != SemisimpleAlgebra((a,))
+
+
+# ---------------------------------------------------------------------------
+# the record contract: a record is its constructor's arguments
+
+
+def _record_classes():
+    out, todo = [], [Record]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        out += subs
+        todo += subs
+    return sorted(out, key=lambda c: c.__qualname__)
+
+
+RECORD_CLASSES = _record_classes()
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    return tuple(inspect.signature(cls).parameters)
+
+
+def _collect(obj, found, per_class=25):
+    """Record instances reachable from ``obj`` through record fields and
+    containers: the first ``per_class`` of each class."""
+    if isinstance(obj, Record):
+        bucket = found.setdefault(type(obj), [])
+        if len(bucket) < per_class:
+            bucket.append(obj)
+        children = [getattr(obj, f) for f in _fields(type(obj))]
+    elif isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    else:
+        return
+    for child in children:
+        _collect(child, found)
+
+
+@pytest.fixture(scope="module")
+def record_samples():
+    """Instances of each record class, by class."""
+    state = search.apply_plan("osp(5|2)/3", ["soft:3"])
+    op = phase2.PhaseOp("soft", "12")
+    osp52 = super_branch.build_super("osp(5|2)")
+    roots = [
+        super_branch.CATALOG, CHAINS, list(REGISTRY.values()),
+        [super_branch.build_super(e.algebra) for e in super_branch.CATALOG],
+        [e.target_algebra() for e in REGISTRY.values()],
+        search.full_search(), [tables.build_table(t) for t in range(1, 10)],
+        [apply_chain(c.chain_id) for c in CHAINS[:5]],
+        super_branch.branch_to_even(osp52, (F(5, 2), 0, 1), drop_charges=False),
+        state, search.freeze_groups(state, op), search.enumerate_phase2(state),
+        phase2.Couplings.of(1, 2, 3, 4, 5, 6, 7, 8), phase2.Couplings(),
+        young_forms.YoungDiagram((3, 1, 1)),
+        young_forms.sl_superdiagram((3, 2, 1)),
+        young_forms.osp_superdiagram_from_labels("osp(5|2)", (F(5, 2), 0, 1)),
+    ]
+    found = {}
+    _collect(roots, found)
+    return found
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__qualname__)
+def test_record_is_its_constructor_arguments(cls, record_samples):
+    if cls not in record_samples:
+        pytest.fail(f"no sample instance of {cls.__qualname__}")
+    for r in record_samples[cls]:
+        fields = _fields(cls)
+        again = cls(*(getattr(r, f) for f in fields))
+        assert again == r and not again != r
+        if cls.__hash__ is not None:
+            assert hash(again) == hash(r)
+        for f in fields:
+            other = copy.copy(r)
+            setattr(other, f, object())
+            assert other != r, f
+
+
+def test_records_of_different_classes_are_unequal():
+    d, m = DistEntry(((1,),), 2, ()), phase2.Multiplet(((1,),), 2, ())
+    assert d != m and m != d and not d == m

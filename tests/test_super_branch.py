@@ -207,6 +207,11 @@ def test_bad_algebra_names_rejected():
         build_super("so(5)")
 
 
+def test_build_super_gives_one_object_per_algebra():
+    assert build_super("osp(5 | 2)") is build_super("osp(5|2)")
+    assert build_super(" sl(2|1)") is build_super("sl(2|1)")
+
+
 def test_wrong_label_count_rejected():
     from codonbranch.lie_core import InvalidLabelsError
     with pytest.raises(InvalidLabelsError):
