@@ -26,9 +26,12 @@ A :class:`FormalCharacter` is keyed by these integer vectors.
 :meth:`RootSystem.to_dominant` is a closed form (a sort) that gives the
 chamber representative alone; the walks that need the sign of the Weyl
 element and stop on a wall (the dot action and the even Weyl groups of
-:mod:`.super_branch`) reflect step by step in :func:`_to_chamber`.  The
-simple roots are integral and their squared lengths (a, a) are 1, 2 or 4,
-and 4 only for a = 2e_i, whose dot product with an integer vector is even.
+:mod:`.super_branch`) reflect step by step in :func:`_to_chamber`.  Every
+simple root has at most two nonzero coordinates, so the walk takes each root
+as its nonzero ``(index, coefficient)`` pairs, derived once per root system
+and superalgebra: a dot product or a reflection touches at most two
+coordinates of a vector it keeps as a list.  The simple roots are
+integral and their squared lengths (a, a) are 1, 2 or 4, and 4 only for a = 2e_i, whose dot product with an integer vector is even.
 So the reflection coefficient 2(w, a) // (a, a) of an integer vector is
 exact, whether or not the vector is a scaled weight.
 """
@@ -160,6 +163,11 @@ def _chamber_roots(simple_roots) -> tuple:
     return tuple((a, sum(map(mul, a, a))) for a in simple_roots)
 
 
+def _sparse_roots(chamber_roots) -> tuple:
+    """Chamber pairs with each root as its nonzero ``(index, coefficient)`` pairs."""
+    return tuple((tuple((i, c) for i, c in enumerate(a) if c), aa) for a, aa in chamber_roots)
+
+
 def _units(dim: int) -> list:
     return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
 
@@ -189,26 +197,29 @@ def _shifted_labels(v: tuple, roots: tuple, scale: int) -> tuple:
 
 def _to_chamber(w: tuple, roots: tuple):
     """Walk the integer vector ``w`` into the dominant chamber of the Weyl
-    group generated by the reflections in ``roots`` (see
-    :func:`_chamber_roots`).
+    group generated by the reflections in ``roots`` (see :func:`_sparse_roots`).
 
     Returns the chamber representative and the sign of the Weyl element
     used, or ``None`` as soon as ``w`` lies on a wall: walls are
     Weyl-invariant, so the representative would lie on one too.
     """
     sign = 1
+    w = list(w)
     while True:
         for a, aa in roots:
-            d = sum(map(mul, w, a))
+            d = 0
+            for i, c in a:
+                d += c * w[i]
             if d < 0:
                 k = 2 * d // aa
-                w = tuple([x - k * y for x, y in zip(w, a)])
+                for i, c in a:
+                    w[i] -= k * c
                 sign = -sign
                 break
             if d == 0:
                 return None
         else:
-            return w, sign
+            return tuple(w), sign
 
 
 class Record:
@@ -264,13 +275,13 @@ class RootSystem(Record):
     simple and positive roots, Fraction fundamental weights and rho0.
 
     Derived from these, on integer vectors (see the module docstring):
-    ``scale``, ``chamber_roots``, ``scaled_rho0``, ``scaled_fundamentals``
-    and ``sign_flips`` (the Weyl group also flips coordinate signs: A1, B,
-    C).  Equality ignores them."""
+    ``scale``, ``chamber_roots`` and their sparse form ``sparse_roots``,
+    ``scaled_rho0``, ``scaled_fundamentals`` and ``sign_flips`` (the Weyl
+    group also flips coordinate signs: A1, B, C).  Equality ignores them."""
 
     __slots__ = ("series", "rank", "dim", "simple_roots", "positive_roots",
                  "fundamental_weights", "rho0", "weyl_order", "scale", "chamber_roots",
-                 "scaled_rho0", "scaled_fundamentals", "sign_flips")
+                 "sparse_roots", "scaled_rho0", "scaled_fundamentals", "sign_flips")
 
     def __init__(self, series: str, rank: int, dim: int, simple_roots: tuple,
                  positive_roots: tuple, fundamental_weights: tuple, rho0: Weight,
@@ -286,6 +297,7 @@ class RootSystem(Record):
         scale = math.lcm(*(x.denominator for om in fundamental_weights for x in om))
         self.scale = scale
         self.chamber_roots = _chamber_roots(simple_roots)
+        self.sparse_roots = _sparse_roots(self.chamber_roots)
         self.scaled_rho0 = _scaled(rho0, scale)
         self.scaled_fundamentals = tuple(_scaled(w, scale) for w in fundamental_weights)
         self.sign_flips = series != "A" or rank == 1
@@ -521,7 +533,7 @@ def virtual_character_decomp(rs: RootSystem, mu: Weight):
     ``(sign, labels)`` identifying the signed irreducible character equal to
     the alternating orbit sum of ``mu``.
     """
-    res = _to_chamber(_scaled(vadd(mu, rs.rho0), rs.scale), rs.chamber_roots)
+    res = _to_chamber(_scaled(vadd(mu, rs.rho0), rs.scale), rs.sparse_roots)
     if res is None:
         return None
     dom, sign = res

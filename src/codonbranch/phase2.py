@@ -13,10 +13,14 @@ job of final-step freezing in the search layer.
 
 Each state carries its entries folded by shape, with each shape's dimension
 multiplied out from its slots once; a break splits each shape once and
-carries the dimension to each piece, swapping the broken slot's factor.
-How one slot splits is read from a table keyed by (kind, slot), which a
-search and tables 1-9 fill with 34 entries; there is no cache keyed by slot
-tuples, which would keep every shape a search meets (~1.9 MB more RSS).
+carries the dimension to each piece, swapping the broken slot's factor.  A
+state made by :func:`apply_op` keeps that fold, and its parent, op and slot
+index to split its entries on first read, which a search never does.
+How one slot splits is read from a table keyed by (kind, slot): the slot's
+dimension, its pieces with theirs, and the histogram of the pieces'
+dimensions, which a freeze group scales to its own.  A search and tables 1-9
+fill it with 34 entries; there is no cache keyed by slot tuples, which would
+keep every shape a search meets (~1.9 MB more RSS).
 """
 
 from __future__ import annotations
@@ -123,9 +127,9 @@ class Phase2State(Record):
         # Only the entries of a state made by apply_op are ever missing.
         if name != "entries" or "_split" not in vars(self):
             raise AttributeError(name)
-        parent, pieces = vars(self).pop("_split")
-        vars(self)["entries"] = tuple(Multiplet(s, e.mult, e.history)
-                                      for e in parent.entries for s, _ in pieces[e.slots])
+        parent, op, idx = vars(self).pop("_split")
+        vars(self)["entries"] = tuple(Multiplet(s, e.mult, e.history) for e in parent.entries
+                                      for s in _pieces(e.slots, op.kind, idx, op.slot))
         return self.entries
 
     def statuses(self) -> tuple:
@@ -166,12 +170,15 @@ _NEEDS = {kind: st for st, kinds in _KINDS.items() for kind in kinds}
 @lru_cache(maxsize=None)
 def _split_table(kind: str, old: Slot) -> tuple:
     rule = soft_break_slot if kind == "soft" else strong_break_slot
-    return slot_dim(old), tuple(((p,), slot_dim(p)) for p in rule(old))
+    parts = tuple(((p,), slot_dim(p)) for p in rule(old))
+    dims = [d for _, d in parts]
+    return slot_dim(old), parts, tuple((d, dims.count(d)) for d in sorted(set(dims), reverse=True))
 
 
 def _split(kind: str, old: Slot, slot):
-    """Dimension of slot ``old``, named ``slot``, and ``((piece,), dim)`` per
-    piece; every split checks here that ``kind`` acts on its state."""
+    """Dimension of slot ``old``, named ``slot``, ``((piece,), dim)`` per
+    piece, and the histogram ``((dim, count), ...)`` of the pieces' dimensions,
+    largest first; every split checks here that ``kind`` acts on its state."""
     if kind not in _NEEDS:
         raise SlotError(f"unknown breaking kind {kind!r}; kinds are {', '.join(_NEEDS)}")
     if old[0] != _NEEDS[kind]:
@@ -179,29 +186,33 @@ def _split(kind: str, old: Slot, slot):
     return _split_table(kind, old)
 
 
-def _break(shapes: dict, kind: str, idx: int, slot):
-    """The pieces ``{slots: [(piece slots, piece dim), ...]}`` of each shape
-    of a fold under a break of slot ``idx`` (named ``slot``), each carrying
-    its parent's dimension with the broken slot's factor swapped, and the fold."""
+def _pieces(slots: tuple, kind: str, idx: int, slot) -> list:
+    """The slot tuples of one shape's pieces under a break of slot ``idx``
+    (named ``slot``)."""
+    head, tail = slots[:idx], slots[idx + 1:]
+    return [head + p + tail for p, _ in _split(kind, slots[idx], slot)[1]]
+
+
+def _break(shapes: dict, kind: str, idx: int, slot) -> dict:
+    """The fold of the pieces of a fold's shapes under a break of slot
+    ``idx`` (named ``slot``), each piece carrying its parent's dimension
+    with the broken slot's factor swapped."""
     splits: dict = {}
-    pieces: dict = {}
     fold: dict = {}
     for slots, (dim, n) in shapes.items():
         old = slots[idx]
         if old not in splits:
             splits[old] = _split(kind, old, slot)
-        old_dim, parts = splits[old]
+        old_dim, parts, _ = splits[old]
         head, tail, rest = slots[:idx], slots[idx + 1:], dim // old_dim
-        pieces[slots] = [(head + p + tail, rest * d) for p, d in parts]
-        for s, d in pieces[slots]:
-            fold.setdefault(s, [d, 0])[1] += n
-    return pieces, fold
+        for p, d in parts:
+            fold.setdefault(head + p + tail, [rest * d, 0])[1] += n
+    return fold
 
 
 def break_multiplet(m: Multiplet, kind: str, idx: int):
     """All pieces of one multiplet under a soft or strong break of slot ``idx``."""
-    pieces, _ = _break({m.slots: (m.dim(), m.mult)}, kind, idx, idx)
-    return [Multiplet(s, m.mult, m.history) for s, _ in pieces[m.slots]]
+    return [Multiplet(s, m.mult, m.history) for s in _pieces(m.slots, kind, idx, idx)]
 
 
 class PhaseOp(Record):
@@ -224,10 +235,10 @@ class PhaseOp(Record):
 
 def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
     idx = state.slot_index(op.slot, op.render())
-    pieces, fold = _break(state.shapes, op.kind, idx, op.slot)
+    fold = _break(state.shapes, op.kind, idx, op.slot)
     child = object.__new__(Phase2State)  # its entries come from __getattr__
     vars(child).update(slot_names=state.slot_names, stages=state.stages, shapes=fold,
-                       _split=(state, pieces))
+                       _split=(state, op, idx))
     return child
 
 

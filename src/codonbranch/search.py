@@ -149,10 +149,9 @@ def _group_rows(state: Phase2State, op: PhaseOp) -> list:
     rows = []
     for slots, (dim, count) in state.shapes.items():
         key = (slots[idx], dim)
-        if key not in histograms:  # the group's dimension, the broken slot's factor swapped
-            old_dim, parts = _split(op.kind, slots[idx], op.slot)
-            dims = [dim // old_dim * d for _, d in parts]
-            histograms[key] = tuple(sorted(((d, dims.count(d)) for d in set(dims)), reverse=True))
+        if key not in histograms:  # the split's histogram, the broken slot's factor swapped
+            old_dim, _, hist = _split(op.kind, slots[idx], op.slot)
+            histograms[key] = tuple([(dim // old_dim * d, n) for d, n in hist])
         rows.append((slots, count, dim, histograms[key]))
     return rows
 

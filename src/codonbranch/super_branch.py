@@ -39,6 +39,7 @@ from .lie_core import (
     _chamber_roots,
     _scaled,
     _shifted_labels,
+    _sparse_roots,
     _to_chamber,
     _units,
     _unscaled,
@@ -95,17 +96,18 @@ class SuperAlgebra(Record):
     ``two_rho`` (twice rho0 and rho) as ints; the tuples ``factor_systems``,
     ``factor_simples`` and ``factor_names``; the even part ``even_algebra``,
     the :class:`SemisimpleAlgebra` of ``factor_systems``; each factor's
-    ``(root, (root, root))`` chamber pairs and their concatenation
-    ``chamber_roots``; and the inverse of :func:`kac_labels` as integer rows
-    ``kac_inverse`` (one per coordinate, one column per label) over the least
-    positive ``kac_denominator``.
+    ``(root, (root, root))`` chamber pairs and their concatenation in sparse
+    form, ``sparse_roots`` (see :func:`_sparse_roots`); the isotropic odd
+    positive roots ``isotropic_odd_roots``; and the inverse of
+    :func:`kac_labels` as integer rows ``kac_inverse`` (one per coordinate,
+    one column per label) over the least positive ``kac_denominator``.
     """
 
     __slots__ = ("name", "form_signs", "simple_roots", "odd_positive_roots", "factors",
                  "gauge", "dim", "even_positive_roots", "rho0", "rho1", "rho", "two_rho0",
                  "two_rho", "factor_systems", "factor_simples", "factor_names",
-                 "even_algebra", "factor_chambers", "chamber_roots", "kac_inverse",
-                 "kac_denominator")
+                 "even_algebra", "factor_chambers", "sparse_roots", "isotropic_odd_roots",
+                 "kac_inverse", "kac_denominator")
 
     def __init__(self, name: str, form_signs: tuple, simple_roots: tuple,
                  odd_positive_roots: tuple, factors: tuple, gauge: int | None = None):
@@ -131,7 +133,8 @@ class SuperAlgebra(Record):
         self.factor_names = names
         self.even_algebra = SemisimpleAlgebra(systems)
         self.factor_chambers = tuple(_chamber_roots(s) for s in simples)
-        self.chamber_roots = sum(self.factor_chambers, ())
+        self.sparse_roots = _sparse_roots(sum(self.factor_chambers, ()))
+        self.isotropic_odd_roots = tuple(b for b in odd_positive_roots if self.sdot(b, b) == 0)
         # Row i of the label map holds the i-th (integer) labels of the unit
         # vectors; the sl gauge adds the row that reads coordinate ``gauge``.
         # Its label is always 0, so its column is dropped from the inverse.
@@ -148,7 +151,7 @@ class SuperAlgebra(Record):
         """Dominant chamber representative of the integer vector ``w`` (a
         super-space vector times any common scale) under the even Weyl group,
         with the sign of the reflecting element; ``None`` on a wall."""
-        return _to_chamber(w, self.chamber_roots)
+        return _to_chamber(w, self.sparse_roots)
 
     def factor_labels(self, v: tuple, scale: int) -> tuple:
         """Per-factor Dynkin labels of the even weight ``v / scale - rho0``
@@ -254,7 +257,7 @@ def kac_weight(sa: SuperAlgebra, labels) -> tuple:
 
 def _typical(sa: SuperAlgebra, v: tuple, scale: int) -> bool:
     w = tuple(2 * x + scale * r for x, r in zip(v, sa.two_rho))  # 2 scale (Lambda + rho)
-    return all(sa.sdot(w, b) for b in sa.odd_positive_roots if sa.sdot(b, b) == 0)
+    return all(sa.sdot(w, b) for b in sa.isotropic_odd_roots)
 
 
 def is_typical(sa: SuperAlgebra, labels) -> bool:

@@ -534,6 +534,23 @@ def test_a_warm_search_reads_fractions_only_at_the_boundary():
     assert called <= {"numerator", "denominator"}, sorted(called)
 
 
+def test_a_warm_search_splits_no_entries(monkeypatch):
+    # A state made by apply_op splits its entries from its parent's on first
+    # read; a search reads only folds, so it builds no Multiplet below the
+    # chain ends.
+    full_search()
+    reads = []
+    split = Phase2State.__getattr__
+
+    def counted(self, name):
+        reads.append(name)
+        return split(self, name)
+
+    monkeypatch.setattr(Phase2State, "__getattr__", counted)
+    full_search()
+    assert reads == []
+
+
 def test_the_per_slot_split_table_stays_small():
     # One entry per (breaking kind, slot) met anywhere: a search and tables 1-9.
     full_search()
