@@ -247,12 +247,15 @@ def test_integer_even_weyl_walk_matches_fraction_reflections(kind, data):
 
 @pytest.mark.parametrize("kind", sorted(ODD_COUNTS))
 def test_even_weyl_walk_matches_the_oracle_on_every_vector_in_a_box(kind):
-    # Every integer vector with coordinates in -2..2 (-1..1 for the seven
-    # coordinates of sl(6|1)): the same representative and sign, and None
-    # exactly when the oracle's representative lies on a wall.
+    # Every integer vector with coordinates in -r..r: the same representative
+    # and sign, and None exactly when the oracle's representative lies on a
+    # wall.  The box leaves the walls somewhere for every algebra but
+    # sl(6|1), whose six sl(6) coordinates would need six distinct values;
+    # test_integer_even_weyl_walk_matches_fraction_reflections draws its
+    # regular vectors.
     sa = build_super(kind)
     simples = sum(sa.factor_simples, ())
-    r = 2 if sa.dim <= 5 else 1
+    r = 3 if sa.dim <= 4 else 2 if sa.dim == 5 else 1
     for coords in itertools.product(range(-r, r + 1), repeat=sa.dim):
         rep, sign = weyl_walk(tuple(map(Fraction, coords)), simples)
         expected = None if any(vdot(rep, a) == 0 for a in simples) else (rep, sign)
