@@ -143,9 +143,10 @@ class Phase2State(Record):
     def total_dim(self) -> int:
         return sum(d * n for d, n in self.shapes.values())
 
-    def slot_index(self, slot: str, where: str) -> int:
+    def slot_index(self, slot: str, where: object) -> int:
         """Position of the named slot; an unknown name raises
-        :class:`SlotError` listing the valid slots."""
+        :class:`SlotError` naming ``where`` (formatted only then, so an op
+        may pass itself) and listing the valid slots."""
         if slot not in self.slot_names:
             raise SlotError(f"unknown slot {slot!r} in {where}; "
                             f"valid slots: {', '.join(self.slot_names)}")
@@ -232,9 +233,11 @@ class PhaseOp(Record):
     def render(self) -> str:
         return f"{self.kind}:{self.slot}"
 
+    __str__ = render
+
 
 def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
-    idx = state.slot_index(op.slot, op.render())
+    idx = state.slot_index(op.slot, op)
     fold = _break(state.shapes, op.kind, idx, op.slot)
     child = object.__new__(Phase2State)  # its entries come from __getattr__
     vars(child).update(slot_names=state.slot_names, stages=state.stages, shapes=fold,

@@ -20,6 +20,15 @@ multiplets are a subset of the pre-final state:
 Total pairing excludes at the first phase only, and only when the goal is
 not itself totally paired: uniform breaking preserves it, but last-step
 freezing can separate the two halves of a conjugate pair.
+
+Only the phase-2 walk depends on the target, so the rest is built once per
+process: ``_chain_end`` keeps each registered chain's end distribution, its
+statistics and its phase-2 start state, and ``_first_step_stats`` each
+catalog representation's first-step statistics.  They are keyed by registry
+ids and bounded by the registries (37 chains, 14 representations), so a
+warm search runs only phase 2.  A test gets a cold search by calling
+``cache_clear()`` on every cache of ``lie_core``, ``embed_chains`` and
+``search``.
 """
 
 from __future__ import annotations
@@ -144,7 +153,7 @@ def _group_rows(state: Phase2State, op: PhaseOp) -> list:
     """``(slots, count, dim, pieces)`` per shape of the state's fold, in fold
     order; ``pieces`` is the sorted dimension histogram of one copy after
     ``op``, found once per broken slot and dimension."""
-    idx = state.slot_index(op.slot, op.render())
+    idx = state.slot_index(op.slot, op)
     histograms: dict = {}
     rows = []
     for slots, (dim, count) in state.shapes.items():
@@ -228,7 +237,7 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
 
 def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2State:
     """Apply the final operation with the given mask (neutral groups frozen)."""
-    idx = state.slot_index(op.slot, op.render())
+    idx = state.slot_index(op.slot, op)
     quota = {g.render(): g.count for g in freeze_groups(state, op) if g.neutral}
     quota.update((g, k) for g, _, k in mask.frozen)
     entries = []
@@ -396,15 +405,28 @@ class SearchReport(Record):
         raise UnknownNameError(f"no chain {chain_id!r} in this report")
 
 
+@lru_cache(maxsize=len(CHAINS))
+def _chain_end(chain_id: str) -> tuple:
+    """A registered chain's end: its distribution, statistics and phase-2
+    start state (``None`` unless the end is all-sl(2)); the walk only reads
+    the state."""
+    dist = apply_chain(chain_id)
+    stats = distribution_stats(dist)
+    return dist, stats, from_distribution(dist) if dist.stage.all_sl2() else None
+
+
+@lru_cache(maxsize=len(CATALOG))
+def _first_step_stats(key: str) -> Stats:
+    return distribution_stats(first_step_distribution(key))
+
+
 def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
     goal = _goal(target)
-    dist = apply_chain(chain.chain_id)
-    stats = distribution_stats(dist)
-    if not dist.stage.all_sl2():
+    dist, stats, state = _chain_end(chain.chain_id)
+    if state is None:
         return ChainReport(chain.chain_id, dist.stage.names, stats,
                            tuple(prune(stats, 1, goal)), [], [], [], [], {},
                            chain.note)
-    state = from_distribution(dist)
     # Chain-end verdict shows every criterion the end state trips, but only
     # the freezing-sound phase-2 criteria may stop the enumeration.
     blocking = tuple(prune(stats, 2, goal))
@@ -431,8 +453,7 @@ def full_search(target=None) -> SearchReport:
     goal = _goal(target)
     algebras = []
     for entry in CATALOG:
-        dist = first_step_distribution(entry.key)
-        stats = distribution_stats(dist)
+        stats = _first_step_stats(entry.key)
         phase1 = tuple(prune(stats, 1, goal))
         chains = [analyze_chain(c, goal) for c in CHAINS if c.rep_key == entry.key]
         algebras.append(AlgebraReport(entry.key, stats, phase1, chains))

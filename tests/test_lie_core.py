@@ -403,10 +403,11 @@ def test_cold_search_characters_carry_their_integer_view(monkeypatch):
         seen.add((rs, tuple(labels)))
         return cached(rs, labels)
 
-    for mod in (lie_core, embed_chains):
+    for mod in (lie_core, embed_chains, search):
         for obj in list(vars(mod).values()):
             if callable(getattr(obj, "cache_clear", None)) and not isinstance(obj, type):
                 obj.cache_clear()
+    for mod in (lie_core, embed_chains):
         monkeypatch.setattr(mod, "irrep_character", recording)
     search.full_search()
     assert len(seen) == cached.cache_info().currsize > 0

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import codonbranch
+from codonbranch import embed_chains, phase2, search, super_branch
 from codonbranch.embed_chains import CHAINS, apply_chain
 from codonbranch.phase2 import (
     Multiplet,
@@ -37,6 +39,7 @@ from codonbranch.search import (
     report_to_dict,
     solve_freezing,
 )
+from codonbranch.super_branch import CATALOG
 from codonbranch.tables import build_table
 from oracles import (
     freeze_groups_reference,
@@ -557,3 +560,58 @@ def test_the_per_slot_split_table_stays_small():
     for table in range(1, 10):
         build_table(table)
     assert 0 < _split_table.cache_info().currsize < 100
+
+
+# ---------------------------------------------------------------------------
+# the per-process cache of chain ends and first-step statistics
+
+
+def _clear_every_cache():
+    for mod in (codonbranch.lie_core, embed_chains, super_branch, phase2, search):
+        for obj in list(vars(mod).values()):
+            if callable(getattr(obj, "cache_clear", None)) and not isinstance(obj, type):
+                obj.cache_clear()
+
+
+def test_a_warm_search_builds_no_chain_end(monkeypatch):
+    # The first step, the chains and their statistics depend only on the
+    # chain: after one search, no later search builds them, whatever its target.
+    full_search()
+    calls = []
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name == "codonbranch" or name.startswith("codonbranch.")]
+    for fn in (embed_chains.first_step_distribution, embed_chains.apply_chain,
+               super_branch.branch_to_even, phase2.distribution_stats,
+               phase2.from_distribution):
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        bound = [(m, attr) for m in modules for attr, obj in vars(m).items() if obj is fn]
+        assert bound
+        for m, attr in bound:
+            monkeypatch.setattr(m, attr, counted)
+    full_search()
+    full_search({4: 8, 2: 14, 1: 4})
+    assert calls == []
+
+
+@pytest.mark.parametrize("target", [None, {6: 2, 4: 7, 2: 12}])
+def test_a_cached_search_reports_what_a_cold_one_does(target):
+    full_search()
+    warm = report_to_dict(full_search(target))
+    _clear_every_cache()
+    assert report_to_dict(full_search(target)) == warm
+
+
+def test_the_chain_end_caches_hold_one_entry_per_registered_id():
+    for target, _, _ in (p.values for p in TARGETS):
+        full_search(target)
+    assert search._chain_end.cache_info().currsize == len(CHAINS)
+    assert search._first_step_stats.cache_info().currsize == len(CATALOG)
+
+
+def test_reports_share_no_triplet_facts():
+    a, b = full_search(), full_search()
+    for chain in CHAINS:
+        assert a.chain_report(chain.chain_id).triplet_facts is not \
+            b.chain_report(chain.chain_id).triplet_facts
