@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-import codonbranch
 from codonbranch import embed_chains, phase2, search, super_branch
 from codonbranch.embed_chains import CHAINS, apply_chain
 from codonbranch.phase2 import (
@@ -520,8 +519,11 @@ def test_hand_built_multiplets_multiply_their_dimension_out():
 
 def test_a_warm_search_reads_fractions_only_at_the_boundary():
     # Catalog labels are Fractions; a search reads their numerators and
-    # denominators and does every sum and product on ints.
+    # denominators and does every sum and product on ints.  The chain-end
+    # caches are cleared so that the first step runs, on warm characters.
     full_search()
+    search._chain_end.cache_clear()
+    search._first_step_stats.cache_clear()
     called = set()
 
     def profile(frame, event, arg):
@@ -566,8 +568,13 @@ def test_the_per_slot_split_table_stays_small():
 # the per-process cache of chain ends and first-step statistics
 
 
+def _package_modules():
+    return [m for name, m in sorted(sys.modules.items())
+            if name == "codonbranch" or name.startswith("codonbranch.")]
+
+
 def _clear_every_cache():
-    for mod in (codonbranch.lie_core, embed_chains, super_branch, phase2, search):
+    for mod in _package_modules():
         for obj in list(vars(mod).values()):
             if callable(getattr(obj, "cache_clear", None)) and not isinstance(obj, type):
                 obj.cache_clear()
@@ -578,8 +585,7 @@ def test_a_warm_search_builds_no_chain_end(monkeypatch):
     # chain: after one search, no later search builds them, whatever its target.
     full_search()
     calls = []
-    modules = [m for name, m in sorted(sys.modules.items())
-               if name == "codonbranch" or name.startswith("codonbranch.")]
+    modules = _package_modules()
     for fn in (embed_chains.first_step_distribution, embed_chains.apply_chain,
                super_branch.branch_to_even, phase2.distribution_stats,
                phase2.from_distribution):
