@@ -10,7 +10,6 @@ from .lie_core import (
     casimir2,
     irrep_character,
     peel,
-    virtual_character_decomp,
     weyl_dimension,
 )
 from .super_branch import (

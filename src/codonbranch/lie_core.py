@@ -11,8 +11,7 @@ e_i in an orthonormal coordinate realization:
 * ``B_r``: r coordinates, roots +-e_i +- e_j and +-e_i.
 * ``C_r``: r coordinates, roots +-e_i +- e_j and +-2 e_i.
 
-so(4) is never built as a D-series object; use two A1 factors instead
-(see :func:`semisimple`).
+so(4) is never built as a D-series object; use two A1 factors instead.
 
 Roots are int vectors.  Fractions are kept at the boundaries: public
 highest weights and fundamental weights, labels of Fraction weights, the
@@ -24,16 +23,16 @@ the denominators of its fundamental weights; a weight of a product of
 factors concatenates its per-factor blocks, each on its own factor's scale.
 A :class:`FormalCharacter` is keyed by these integer vectors.
 :meth:`RootSystem.to_dominant` is a closed form (a sort) that gives the
-chamber representative alone; the walks that need the sign of the Weyl
-element and stop on a wall (the dot action and the even Weyl groups of
-:mod:`.super_branch`) reflect step by step in :func:`_to_chamber`.  Every
-simple root has at most two nonzero coordinates, so the walk takes each root
-as its nonzero ``(index, coefficient)`` pairs, derived once per root system
-and superalgebra: a dot product or a reflection touches at most two
-coordinates of a vector it keeps as a list.  The simple roots are
-integral and their squared lengths (a, a) are 1, 2 or 4, and 4 only for a = 2e_i, whose dot product with an integer vector is even.
-So the reflection coefficient 2(w, a) // (a, a) of an integer vector is
-exact, whether or not the vector is a scaled weight.
+chamber representative alone.  The even Weyl walk of :mod:`.super_branch`
+needs the sign of the Weyl element and stops on a wall, so it reflects step
+by step in :func:`_to_chamber`.  Every simple root has at most two nonzero
+coordinates, so the walk takes each root as its nonzero ``(index,
+coefficient)`` pairs, derived once per superalgebra: a dot product or a
+reflection touches at most two coordinates of a vector it keeps as a list.
+The simple roots are integral and their squared lengths (a, a) are 1, 2 or
+4, and 4 only for a = 2e_i, whose dot product with an integer vector is
+even.  So the reflection coefficient 2(w, a) // (a, a) of an integer vector
+is exact, whether or not the vector is a scaled weight.
 """
 
 from __future__ import annotations
@@ -82,17 +81,13 @@ def vdot(a: Weight, b: Weight) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), start=Fraction(0))
 
 
-def zero(dim: int) -> Weight:
-    return (Fraction(0),) * dim
-
-
 class FormalCharacter:
     """Finite formal sum of weights with signed integer multiplicities.
 
     ``terms`` maps the integer vector ``scale * w`` of each weight ``w`` to
     its multiplicity; zero multiplicities are dropped on construction.
-    :meth:`items` and :meth:`mult` speak of the weights ``w`` themselves,
-    as Fractions, built only when asked.  A product character (see
+    :meth:`items` speaks of the weights ``w`` themselves, as Fractions,
+    built only when asked.  A product character (see
     :meth:`SemisimpleAlgebra.character`) has scale 1: its keys concatenate
     blocks that are each on their own factor's scale, and :meth:`items`
     gives those blocks as they are.  Instances are treated as immutable.
@@ -108,9 +103,6 @@ class FormalCharacter:
     def total(self) -> int:
         return sum(self.terms.values())
 
-    def mult(self, w: Weight) -> int:
-        return self.terms.get(tuple(self.scale * x for x in w), 0)
-
     def items(self) -> list:
         """The ``(weight, multiplicity)`` pairs, weights as Fractions."""
         s = self.scale
@@ -118,9 +110,6 @@ class FormalCharacter:
 
     def __len__(self):
         return len(self.terms)
-
-    def __contains__(self, w):
-        return self.mult(w) != 0
 
     def __eq__(self, other):
         return (isinstance(other, FormalCharacter) and self.scale == other.scale
@@ -197,7 +186,9 @@ def _shifted_labels(v: tuple, roots: tuple, scale: int) -> tuple:
 
 def _to_chamber(w: tuple, roots: tuple):
     """Walk the integer vector ``w`` into the dominant chamber of the Weyl
-    group generated by the reflections in ``roots`` (see :func:`_sparse_roots`).
+    group generated by the reflections in ``roots``, sparse chamber pairs
+    (see :func:`_sparse_roots`): the even Weyl walk of
+    :meth:`.super_branch.SuperAlgebra.to_dominant_regular`.
 
     Returns the chamber representative and the sign of the Weyl element
     used, or ``None`` as soon as ``w`` lies on a wall: walls are
@@ -275,13 +266,13 @@ class RootSystem(Record):
     simple and positive roots, Fraction fundamental weights and rho0.
 
     Derived from these, on integer vectors (see the module docstring):
-    ``scale``, ``chamber_roots`` and their sparse form ``sparse_roots``,
-    ``scaled_rho0``, ``scaled_fundamentals`` and ``sign_flips`` (the Weyl
-    group also flips coordinate signs: A1, B, C).  Equality ignores them."""
+    ``scale``, ``chamber_roots``, ``scaled_rho0``, ``scaled_fundamentals``
+    and ``sign_flips`` (the Weyl group also flips coordinate signs: A1, B,
+    C).  Equality ignores them."""
 
     __slots__ = ("series", "rank", "dim", "simple_roots", "positive_roots",
                  "fundamental_weights", "rho0", "weyl_order", "scale", "chamber_roots",
-                 "sparse_roots", "scaled_rho0", "scaled_fundamentals", "sign_flips")
+                 "scaled_rho0", "scaled_fundamentals", "sign_flips")
 
     def __init__(self, series: str, rank: int, dim: int, simple_roots: tuple,
                  positive_roots: tuple, fundamental_weights: tuple, rho0: Weight,
@@ -297,7 +288,6 @@ class RootSystem(Record):
         scale = math.lcm(*(x.denominator for om in fundamental_weights for x in om))
         self.scale = scale
         self.chamber_roots = _chamber_roots(simple_roots)
-        self.sparse_roots = _sparse_roots(self.chamber_roots)
         self.scaled_rho0 = _scaled(rho0, scale)
         self.scaled_fundamentals = tuple(_scaled(w, scale) for w in fundamental_weights)
         self.sign_flips = series != "A" or rank == 1
@@ -313,12 +303,6 @@ class RootSystem(Record):
 
     def labels_of(self, w: Weight) -> tuple:
         return tuple(self.label_of(w, i) for i in range(self.rank))
-
-    def integer_labels_of(self, w: Weight) -> Labels:
-        labs = self.labels_of(w)
-        if any(l.denominator != 1 for l in labs):
-            raise InvalidLabelsError(f"non-integral labels {labs} for weight {w}")
-        return tuple(int(l) for l in labs)
 
     def highest_weight(self, labels: Labels) -> Weight:
         return _unscaled(self.scaled_highest_weight(labels), self.scale)
@@ -416,21 +400,6 @@ def sl2() -> RootSystem:
     return build_root_system("A", 1)
 
 
-def semisimple(spec: str) -> "SemisimpleAlgebra":
-    """Parse a product such as ``"A1+A1"`` or ``"B2"`` into an algebra;
-    raises :class:`UnsupportedAlgebraError` on any spec it cannot build."""
-    factors = []
-    for part in spec.split("+"):
-        part = part.strip()
-        try:
-            series, rank = part[0], int(part[1:])
-        except (IndexError, ValueError):
-            raise UnsupportedAlgebraError(
-                f"cannot read {part!r} in {spec!r} as a series letter and a rank") from None
-        factors.append(build_root_system(series, rank))
-    return SemisimpleAlgebra(tuple(factors))
-
-
 def _label_cache(fn):
     """``lru_cache`` of ``fn(key, labels)`` that also takes labels as a list;
     labels that are not a sequence of hashable values are invalid."""
@@ -526,24 +495,6 @@ def weyl_dimension(rs: RootSystem, labels: Labels) -> int:
     return d
 
 
-def virtual_character_decomp(rs: RootSystem, mu: Weight):
-    """Resolve a virtual highest weight under the shifted Weyl action.
-
-    Returns ``None`` when ``mu + rho0`` lies on a wall, otherwise the pair
-    ``(sign, labels)`` identifying the signed irreducible character equal to
-    the alternating orbit sum of ``mu``.
-    """
-    res = _to_chamber(_scaled(vadd(mu, rs.rho0), rs.scale), rs.sparse_roots)
-    if res is None:
-        return None
-    dom, sign = res
-    labels = _shifted_labels(dom, rs.chamber_roots, rs.scale)
-    if any(not isinstance(l, int) or l < 0 for l in labels):
-        raise InvalidLabelsError("dot-dominant weight with labels "
-                                 f"({', '.join(map(str, labels))}) is not dominant integral")
-    return sign, labels
-
-
 def casimir2(rs: RootSystem, labels: Labels) -> Fraction:
     """Quadratic Casimir eigenvalue (Lambda, Lambda + 2 rho0)."""
     lam = rs.highest_weight(labels)
@@ -554,10 +505,6 @@ class SemisimpleAlgebra(Record):
     """Ordered direct sum of simple factors; weights are concatenated."""
 
     __slots__ = ("factors",)
-
-    @property
-    def dim(self) -> int:
-        return sum(f.dim for f in self.factors)
 
     def slices(self):
         out = []

@@ -329,8 +329,9 @@ def _spin_term(two_s: int) -> Fraction:
 
 
 def _mz2(slot: Slot, what: str) -> Fraction:
+    """The one value of m_z^2 on a slot: broken, or unbroken of spin <= 1/2."""
     state, v = slot
-    if state == "u":
+    if state == "u" and v > 1:
         raise AncestryError(f"{what} needs a broken slot, found unbroken {slot}")
     return Fraction(v, 2) ** 2
 
@@ -341,7 +342,8 @@ def hamiltonian_eigenvalue(state: Phase2State, m: Multiplet, c: Couplings) -> Fr
     H = H0 + lam C2(so(5)) + a1 L1^2 + a2 L2^2 + a3 L3^2 + a12 (L1+L2)^2
         + b3 L3z^2 + g12 ((L1+L2)^2 - 2) (L1z+L2z)^2,
     with L^2 eigenvalues s(s+1) and the (L1+L2)^2 - 2 factor read as
-    s12(s12+1) - 2.
+    s12(s12+1) - 2.  That factor is 0 where s12 = 1, so there the g12 term
+    is 0 whether or not slot 12 is broken.
     """
     so5 = _stage_labels(state, m, ("sp(2)", "so(5)"))[1]
     spins = _stage_labels(state, m, ("1", "2", "3"))
@@ -355,7 +357,7 @@ def hamiltonian_eigenvalue(state: Phase2State, m: Multiplet, c: Couplings) -> Fr
     if c.b3:
         idx = state.slot_index("3", "the b3 term")
         value += c.b3 * _mz2(m.slots[idx], "b3 term")
-    if c.g12:
+    if c.g12 and _spin_term(s12) != 2:
         idx = state.slot_index("12", "the g12 term")
         value += c.g12 * (_spin_term(s12) - 2) * _mz2(m.slots[idx], "g12 term")
     return value

@@ -282,10 +282,6 @@ def reachable_triplet_counts(slots: tuple) -> frozenset:
     return frozenset(found)
 
 
-def can_yield_triplet(slots: tuple) -> bool:
-    return any(n > 0 for n in reachable_triplet_counts(slots))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 

@@ -1,9 +1,9 @@
 """Young diagrams, superdiagrams and the explicit label conversions.
 
-Only the conversions with a closed form are implemented: the sl(n) rule,
-the sl(m|n) rule via reduced column lengths, and the two orthosymplectic
-instances osp(4|2) and osp(5|2) that the branching catalog needs.  General
-orthosymplectic diagram/label conversion is out of scope.
+Only the conversions with a closed form are implemented: the sl(m|n) rule
+via reduced column lengths, and the two orthosymplectic instances osp(4|2)
+and osp(5|2) that the branching catalog needs.  General orthosymplectic
+diagram/label conversion is out of scope.
 """
 
 from __future__ import annotations
@@ -32,30 +32,11 @@ class YoungDiagram(Record):
             raise IllegalDiagramError(f"rows must be non-increasing: {ints}")
         self.rows = ints
 
-    def row(self, i: int) -> int:
-        """Row length b_i with b_i = 0 beyond the last row (1-based)."""
-        return self.rows[i - 1] if 1 <= i <= len(self.rows) else 0
-
-    @property
-    def boxes(self) -> int:
-        return sum(self.rows)
-
     def columns(self) -> tuple:
         if not self.rows:
             return ()
         return tuple(sum(1 for r in self.rows if r >= j)
                      for j in range(1, self.rows[0] + 1))
-
-
-def transpose_diagram(d: YoungDiagram) -> YoungDiagram:
-    return YoungDiagram(d.columns())
-
-
-def sl_labels_from_diagram(d: YoungDiagram, n: int) -> tuple:
-    """Dynkin labels of the sl(n) irrep described by ``d``."""
-    if len(d.rows) > n:
-        raise IllegalDiagramError(f"{len(d.rows)} rows is too many for sl({n})")
-    return tuple(d.row(i) - d.row(i + 1) for i in range(1, n))
 
 
 def step(x) -> int:

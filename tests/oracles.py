@@ -104,6 +104,21 @@ def weyl_walk(w, simple_roots):
             return w, sign
 
 
+def integer_weyl_walk(v, simple_roots):
+    """:func:`weyl_walk` on an integer vector and integer simple roots, for
+    roots whose reflections keep integer vectors integral: each reflection
+    asserts that its division is exact."""
+    v, sign = tuple(v), 1
+    while True:
+        for a in simple_roots:
+            if sum(x * y for x, y in zip(v, a)) < 0:
+                v = _reflect(v, a)
+                sign = -sign
+                break
+        else:
+            return v, sign
+
+
 def weyl_quotient_character(rs: RootSystem, labels):
     """Character by exact division of alternating sums (independent oracle).
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -206,9 +207,37 @@ def test_hamiltonian_missing_ancestry_errors():
 def test_hamiltonian_unbroken_slot_with_coupling_errors():
     from codonbranch.phase2 import AncestryError
     state = _table6_scheme_state()  # slot 12 still unbroken
-    c = Couplings.of(0, 0, 0, 0, 0, 0, 0, 1)  # g12 needs a broken slot 12
-    with pytest.raises(AncestryError):
-        hamiltonian_eigenvalue(state, state.entries[0], c)
+    c = Couplings.of(0, 0, 0, 0, 0, 0, 0, 1)  # g12 needs a broken slot 12 ...
+    spin_3_2 = [m for m in state.entries if m.slots[0] == ("u", 3)]
+    assert len(spin_3_2) == 3
+    for m in spin_3_2:
+        with pytest.raises(AncestryError):
+            hamiltonian_eigenvalue(state, m, c)
+    # ... where its prefactor s12(s12+1) - 2 is not 0 and m_z^2 takes more
+    # than one value: not at s12 = 1, nor at s12 <= 1/2.
+    for m in state.entries:
+        if m.slots[0] in (("u", 0), ("u", 1), ("u", 2)):
+            hamiltonian_eigenvalue(state, m, c)
+
+
+def test_hamiltonian_separates_the_soft_12_scheme_into_the_code():
+    # The soft:12 survivor's 21 final multiplets; seeded couplings, all eight
+    # nonzero, give each multiplet its own level, so grouping them by
+    # eigenvalue gives the degeneracies of the standard code.
+    from codonbranch.search import apply_plan, final_state, solve_freezing
+    state = apply_plan("osp(5|2)/3", ["soft:3"])
+    op = PhaseOp("soft", "12")
+    [mask] = solve_freezing(state, op)
+    final = final_state(state, op, mask)
+    assert len(final.entries) == 21
+    rng = random.Random(11)
+    for _ in range(20):
+        c = Couplings.of(*(F(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 20))
+                           for _ in range(8)))
+        levels = Counter()
+        for m in final.entries:
+            levels[hamiltonian_eigenvalue(final, m, c)] += m.dim() * m.mult
+        assert Counter(levels.values()) == {6: 3, 4: 5, 3: 2, 2: 9, 1: 2}, c
 
 
 def test_hamiltonian_unknown_slot_is_a_slot_error():

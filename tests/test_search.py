@@ -27,7 +27,6 @@ from codonbranch.search import (
     FreezeMask,
     InvalidTargetError,
     apply_plan,
-    can_yield_triplet,
     enumerate_phase2,
     final_state,
     freeze_groups,
@@ -35,6 +34,7 @@ from codonbranch.search import (
     match_target,
     prune,
     reachable_triplet_counts,
+    report_summary,
     report_to_dict,
     solve_freezing,
 )
@@ -165,13 +165,13 @@ def test_final_state_matches_target_for_each_scheme(report):
 
 def test_triplet_reachability_facts():
     # sl(2|2) chain end: (5)-(0) can never make a triplet, (3)-(2) makes 0 or 4
-    assert not can_yield_triplet((("u", 5), ("u", 0)))
+    assert reachable_triplet_counts((("u", 5), ("u", 0))) == frozenset({0})
     assert reachable_triplet_counts((("u", 3), ("u", 2))) == frozenset({0, 4})
     assert reachable_triplet_counts((("u", 2), ("u", 1))) == frozenset({0, 2})
     # osp(3|4) chain 1: the dimension-12 (1)-(0)-(5) cannot break into triplets
-    assert not can_yield_triplet((("u", 1), ("u", 0), ("u", 5)))
+    assert reachable_triplet_counts((("u", 1), ("u", 0), ("u", 5))) == frozenset({0})
     # osp(5|2) chain 2: (0)-(5) cannot; (2)-(3) can (0 or 4)
-    assert not can_yield_triplet((("u", 0), ("u", 5)))
+    assert reachable_triplet_counts((("u", 0), ("u", 5))) == frozenset({0})
     assert reachable_triplet_counts((("u", 2), ("u", 3))) == frozenset({0, 4})
 
 
@@ -322,6 +322,23 @@ def test_other_valid_targets_are_searched():
     rep = full_search({4: 8, 2: 14, 1: 4})
     assert rep.target == {4: 8, 2: 14, 1: 4}
     assert len(rep.survivors()) == 65  # every one of them found by the oracle below
+
+
+@pytest.mark.parametrize("target, silent", [
+    pytest.param({4: 8, 2: 14, 1: 4},
+                 ["sl(3|1)/1", "sl(6|1)/3", "sl(6|1)/4", "sl(6|1)/5", "osp(2|6)/1"],
+                 id="4:8,2:14,1:4"),
+    pytest.param({6: 2, 4: 6, 3: 2, 2: 9, 1: 4}, ["sl(6|1)/3", "sl(6|1)/5", "osp(2|6)/1"],
+                 id="6:2,4:6,3:2,2:9,1:4"),
+])
+def test_chains_left_above_sl2_with_no_verdict_say_so_in_the_summary(target, silent):
+    # These chain ends are not all-sl(2) and trip no bound for the target,
+    # so the search neither excludes nor searches them.
+    rep = full_search(target)
+    lines = [line for line in report_summary(rep).splitlines()
+             if line.endswith("; no second-phase scheme reaches the code")]
+    assert [line.split(":")[0].strip() for line in lines] == silent
+    assert all(rep.chain_report(c).verdict_codes == () for c in silent)
 
 
 def _fold(state):

@@ -1,8 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from codonbranch.young_forms import (
     IllegalDiagramError,
@@ -10,23 +8,10 @@ from codonbranch.young_forms import (
     YoungSuperDiagram,
     osp_superdiagram_from_labels,
     render_diagram,
-    sl_labels_from_diagram,
     sl_super_labels_from_diagram,
     sl_superdiagram,
     step,
-    transpose_diagram,
 )
-
-
-def test_sl_labels_examples():
-    assert sl_labels_from_diagram(YoungDiagram((3, 2, 1)), 3) == (1, 1)
-    assert sl_labels_from_diagram(YoungDiagram((7,)), 2) == (7,)
-    assert sl_labels_from_diagram(YoungDiagram((2, 2)), 2) == (0,)
-
-
-def test_sl_labels_row_limit():
-    with pytest.raises(IllegalDiagramError):
-        sl_labels_from_diagram(YoungDiagram((1, 1, 1)), 2)
 
 
 @pytest.mark.parametrize("rows", [(2.5, 1), (Fraction(5, 2),), (3, 1.5)])
@@ -85,19 +70,6 @@ def test_every_legal_superdiagram_gives_wellformed_labels():
                 labels = sl_super_labels_from_diagram(d, m, n)
                 even = labels[:m - 1] + labels[m:]
                 assert all(l.denominator == 1 and l >= 0 for l in even)
-
-
-def test_transpose_examples():
-    assert transpose_diagram(YoungDiagram((3, 2, 1))).rows == (3, 2, 1)
-    assert transpose_diagram(YoungDiagram((3,))).rows == (1, 1, 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8).flatmap(
-    lambda total: st.sampled_from([tuple(p) for p in _partitions(total)])))
-def test_transpose_is_an_involution(rows):
-    d = YoungDiagram(rows)
-    assert transpose_diagram(transpose_diagram(d)) == d
 
 
 def test_step_convention_is_value_irrelevant_at_zero():
