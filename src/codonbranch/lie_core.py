@@ -262,40 +262,49 @@ class Record:
 
 
 class RootSystem(Record):
-    """A simple classical root system in its orthonormal realization: int
-    simple and positive roots, Fraction fundamental weights and rho0.
+    """A simple classical root system in its orthonormal realization, built
+    from its series and rank on the integer unit vectors e_i: int simple and
+    positive roots, Fraction fundamental weights and rho0.  A1 is built like
+    B1: one coordinate, with the short root e_1.
 
     Derived from these, on integer vectors (see the module docstring):
     ``scale``, ``chamber_roots``, ``scaled_rho0``, ``scaled_fundamentals``
     and ``sign_flips`` (the Weyl group also flips coordinate signs: A1, B,
-    C).  Equality ignores them."""
+    C).  The series and rank fix the rest, so equality and hashing read only
+    them, never the Fraction root data."""
 
     __slots__ = ("series", "rank", "dim", "simple_roots", "positive_roots",
                  "fundamental_weights", "rho0", "weyl_order", "scale", "chamber_roots",
                  "scaled_rho0", "scaled_fundamentals", "sign_flips")
 
-    def __init__(self, series: str, rank: int, dim: int, simple_roots: tuple,
-                 positive_roots: tuple, fundamental_weights: tuple, rho0: Weight,
-                 weyl_order: int):
+    def __init__(self, series: str, rank: int):
         self.series = series
         self.rank = rank
-        self.dim = dim
-        self.simple_roots = simple_roots
-        self.positive_roots = positive_roots
-        self.fundamental_weights = fundamental_weights
-        self.rho0 = rho0
-        self.weyl_order = weyl_order
-        scale = math.lcm(*(x.denominator for om in fundamental_weights for x in om))
-        self.scale = scale
-        self.chamber_roots = _chamber_roots(simple_roots)
-        self.scaled_rho0 = _scaled(rho0, scale)
-        self.scaled_fundamentals = tuple(_scaled(w, scale) for w in fundamental_weights)
+        if series == "A" and rank >= 2:
+            e = _units(rank + 1)
+            simple, positive = _chain(e), _pairs(e, (-1,))
+            # e_1 + ... + e_i, moved into the trace-zero slice
+            fund = [[x - Fraction(i, rank + 1) for x in v]
+                    for i, v in enumerate(itertools.accumulate(e, vadd), 1)][:rank]
+            self.weyl_order = math.factorial(rank + 1)
+        else:
+            e = _units(rank)
+            ends = [vadd(x, x) for x in e] if series == "C" else e  # 2 e_i or e_i
+            simple, positive = _chain(e) + (ends[-1],), _pairs(e) + ends
+            fund = list(itertools.accumulate(e, vadd))
+            if series != "C":
+                fund[-1] = vscale(fund[-1], Fraction(1, 2))
+            self.weyl_order = 2 ** rank * math.factorial(rank)
+        self.dim = len(e)
+        self.simple_roots = simple
+        self.positive_roots = tuple(positive)
+        self.fundamental_weights = fund = tuple(tuple(map(fr, w)) for w in fund)
+        self.rho0 = tuple(sum(col, start=Fraction(0)) for col in zip(*fund))
+        self.scale = scale = math.lcm(*(x.denominator for om in fund for x in om))
+        self.chamber_roots = _chamber_roots(simple)
+        self.scaled_rho0 = _scaled(self.rho0, scale)
+        self.scaled_fundamentals = tuple(_scaled(w, scale) for w in fund)
         self.sign_flips = series != "A" or rank == 1
-
-    def __hash__(self):
-        # The series and rank fix the rest; hashing the Fraction root data
-        # would make every cache lookup keyed by a root system slow.
-        return hash((self.series, self.rank))
 
     def label_of(self, w: Weight, i: int) -> Fraction:
         a = self.simple_roots[i]
@@ -365,9 +374,7 @@ _SUPPORTED = {("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
 
 @lru_cache(maxsize=None)
 def build_root_system(series: str, rank: int) -> RootSystem:
-    """Root system for the requested classical series at desk-scale ranks,
-    built on the integer unit vectors e_i.  A1 is built like B1: one
-    coordinate, with the short root e_1."""
+    """Root system for the requested classical series at desk-scale ranks."""
     if series in ("B", "C") and rank == 1:
         # so(3) and sp(2) are used as plain sl(2) factors.
         return build_root_system("A", 1)
@@ -376,24 +383,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
             "so(4) is modeled as the product A1+A1, not as a D-series system")
     if (series, rank) not in _SUPPORTED:
         raise UnsupportedAlgebraError(f"unsupported series/rank: {series}{rank}")
-    if series == "A" and rank >= 2:
-        e = _units(rank + 1)
-        simple, positive = _chain(e), _pairs(e, (-1,))
-        # e_1 + ... + e_i, moved into the trace-zero slice
-        fund = [[x - Fraction(i, rank + 1) for x in v]
-                for i, v in enumerate(itertools.accumulate(e, vadd), 1)][:rank]
-        order = math.factorial(rank + 1)
-    else:
-        e = _units(rank)
-        ends = [vadd(x, x) for x in e] if series == "C" else e  # 2 e_i or e_i
-        simple, positive = _chain(e) + (ends[-1],), _pairs(e) + ends
-        fund = list(itertools.accumulate(e, vadd))
-        if series != "C":
-            fund[-1] = vscale(fund[-1], Fraction(1, 2))
-        order = 2 ** rank * math.factorial(rank)
-    fund = tuple(tuple(map(fr, w)) for w in fund)
-    rho = tuple(sum(col, start=Fraction(0)) for col in zip(*fund))
-    return RootSystem(series, rank, len(e), simple, tuple(positive), fund, rho, order)
+    return RootSystem(series, rank)
 
 
 def sl2() -> RootSystem:

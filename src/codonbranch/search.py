@@ -44,7 +44,6 @@ from .embed_chains import (
 )
 from .lie_core import Record
 from .phase2 import (
-    Multiplet,
     Phase2State,
     PhaseOp,
     Stats,
@@ -236,19 +235,18 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
 
 
 def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2State:
-    """Apply the final operation with the given mask (neutral groups frozen)."""
+    """Apply the final operation with the given mask (neutral groups frozen).
+    A mask freezes every copy of a group, so an entry freezes whole when its
+    group is frozen."""
     idx = state.slot_index(op.slot, op)
-    quota = {g.render(): g.count for g in freeze_groups(state, op) if g.neutral}
-    quota.update((g, k) for g, _, k in mask.frozen)
+    frozen = {g.render() for g in freeze_groups(state, op) if g.neutral}
+    frozen.update(g for g, _, _ in mask.frozen)
     entries = []
     for e in state.entries:
-        take = min(quota.get(e.render(), 0), e.mult)
-        if take:
-            quota[e.render()] -= take
-            entries.append(Multiplet(e.slots, take, e.history))
-        if e.mult - take:
-            entries.extend(break_multiplet(Multiplet(e.slots, e.mult - take, e.history),
-                                           op.kind, idx))
+        if e.render() in frozen:
+            entries.append(e)
+        else:
+            entries.extend(break_multiplet(e, op.kind, idx))
     return Phase2State(state.slot_names, state.stages, tuple(entries))
 
 
@@ -419,29 +417,26 @@ def _first_step_stats(key: str) -> Stats:
 def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
     goal = _goal(target)
     dist, stats, state = _chain_end(chain.chain_id)
-    if state is None:
-        return ChainReport(chain.chain_id, dist.stage.names, stats,
-                           tuple(prune(stats, 1, goal)), [], [], [], [], {},
-                           chain.note)
-    # Chain-end verdict shows every criterion the end state trips, but only
-    # the freezing-sound phase-2 criteria may stop the enumeration.
-    blocking = tuple(prune(stats, 2, goal))
-    recorded = tuple(dict.fromkeys(prune(stats, 1, goal) + list(blocking)))
-    # Starting slots are all unbroken, so distinct shapes render distinctly.
-    facts = {"-".join(map(render_slot, slots)):
-             {"dim": dim, "triplet_counts": sorted(reachable_triplet_counts(slots))}
-             for slots, (dim, _) in state.shapes.items()}
-    if blocking:
-        return ChainReport(chain.chain_id, dist.stage.names, stats,
-                           recorded, [], [], [], [], facts, chain.note)
-    res = enumerate_phase2(state, goal)
+    verdict = tuple(prune(stats, 1, goal))
+    facts: dict = {}
+    res = Phase2Result([], [], [], [])
+    if state is not None:
+        # Chain-end verdict shows every criterion the end state trips, but
+        # only the freezing-sound phase-2 criteria may stop the enumeration.
+        blocking = tuple(prune(stats, 2, goal))
+        verdict = tuple(dict.fromkeys(verdict + blocking))
+        # Starting slots are all unbroken, so distinct shapes render distinctly.
+        facts = {"-".join(map(render_slot, slots)):
+                 {"dim": dim, "triplet_counts": sorted(reachable_triplet_counts(slots))}
+                 for slots, (dim, _) in state.shapes.items()}
+        if not blocking:
+            res = enumerate_phase2(state, goal)
+            verdict = () if res.schemes else (NO_SURVIVING_SCHEME,)
     # Each plan is one path of the enumeration tree, so no scheme repeats.
     schemes = [Scheme(chain.chain_id, plan[:-1], op, tuple(masks), pre_count, full_count)
                for plan, op, masks, pre_count, full_count in res.schemes]
-    verdict = () if schemes else (NO_SURVIVING_SCHEME,)
-    return ChainReport(chain.chain_id, dist.stage.names, stats, verdict,
-                       schemes, res.near_misses, res.nodes, res.pruned,
-                       facts, chain.note)
+    return ChainReport(chain.chain_id, dist.stage.names, stats, verdict, schemes,
+                       res.near_misses, res.nodes, res.pruned, facts, chain.note)
 
 
 def full_search(target=None) -> SearchReport:

@@ -4,6 +4,14 @@ Tables 1-3 are the first-step branchings per algebra; tables 4, 5 and 9 are
 chain branchings rendered as trees (one column per stage); tables 6-8 show
 the three surviving second-phase schemes, with the multiplets frozen at the
 last step marking the rows they would otherwise have produced.
+
+A table is its JSON document, the dict that :func:`emit_json` dumps and
+:func:`parse_json` reads: ``table``, ``title``, ``kind`` (``"branch"``,
+``"chain"`` or ``"scheme"``), ``columns``, ``meta`` and ``rows``.  The rows
+of a branch table are ``{algebra, highest_weight, entries}`` dicts; those of
+the other kinds are trees of nodes ``{label, dim, mult, frozen, neutral,
+children}`` that leave out ``mult`` when it is 1, ``frozen`` and ``neutral``
+when false, and ``children`` when there are none.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 import json
 
 from .embed_chains import apply_chain, render_labels
-from .lie_core import Record
 from .phase2 import PhaseOp, break_multiplet
 from .search import apply_plan, freeze_groups, solve_freezing
 from .super_branch import UnknownNameError, branch_to_even, catalog_entry
@@ -21,85 +28,37 @@ def render_hw(labels) -> str:
     return ",".join(str(x) for x in labels)
 
 
-class Node(Record):
-    """One row of a table tree: a label, its dimension and multiplicity, its
-    freeze marks, and the rows below it."""
-
-    __slots__ = ("label", "dim", "mult", "frozen", "neutral", "children")
-    __hash__ = None
-
-    def __init__(self, label: str, dim: int, mult: int = 1, frozen: bool = False,
-                 neutral: bool = False, children: list | None = None):
-        self.label = label
-        self.dim = dim
-        self.mult = mult
-        self.frozen = frozen
-        self.neutral = neutral
-        self.children = [] if children is None else children
-
-    def to_dict(self):
-        d = {"label": self.label, "dim": self.dim}
-        if self.mult != 1:
-            d["mult"] = self.mult
-        if self.frozen:
-            d["frozen"] = True
-        if self.neutral:
-            d["neutral"] = True
-        if self.children:
-            d["children"] = [c.to_dict() for c in self.children]
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["label"], d["dim"], d.get("mult", 1), d.get("frozen", False),
-                   d.get("neutral", False),
-                   [cls.from_dict(c) for c in d.get("children", ())])
-
-    def canonical(self):
-        """Comparison form: freeze marks count only where freezing has an
-        effect (a node whose single piece keeps its dimension is a no-op),
-        and only on nodes that break (leaves inherit their parent's mark)."""
-        noop = len(self.children) == 1 and self.children[0].dim == self.dim
-        frozen = self.frozen and bool(self.children) and not noop
-        return (self.label, self.dim, self.mult, frozen,
-                tuple(sorted(c.canonical() for c in self.children)))
+def _node(label: str, dim: int, mult: int = 1, frozen: bool = False,
+          neutral: bool = False) -> dict:
+    node = {"label": label, "dim": dim}
+    if mult != 1:
+        node["mult"] = mult
+    if frozen:
+        node["frozen"] = True
+    if neutral:
+        node["neutral"] = True
+    return node
 
 
-class TableDoc(Record):
-    """One table: its rows are :class:`Node` trees, or flat row dicts for
-    tables 1-3; its kind is ``"branch"``, ``"chain"`` or ``"scheme"``."""
-
-    __slots__ = ("table", "title", "columns", "rows", "kind", "meta")
-    __hash__ = None
-
-    def __init__(self, table: int, title: str, columns: tuple, rows: list, kind: str,
-                 meta: dict | None = None):
-        self.table = table
-        self.title = title
-        self.columns = columns
-        self.rows = rows
-        self.kind = kind
-        self.meta = {} if meta is None else meta
-
-    def to_dict(self):
-        rows = [r.to_dict() if isinstance(r, Node) else r for r in self.rows]
-        return {"table": self.table, "title": self.title, "kind": self.kind,
-                "columns": list(self.columns), "meta": self.meta, "rows": rows}
-
-    @classmethod
-    def from_dict(cls, d):
-        rows = [Node.from_dict(r) if d["kind"] != "branch" else r
-                for r in d["rows"]]
-        return cls(d["table"], d["title"], tuple(d["columns"]), rows,
-                   d["kind"], d.get("meta", {}))
+def emit_json(doc: dict) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def emit_json(doc: TableDoc) -> str:
-    return json.dumps(doc.to_dict(), indent=1, sort_keys=True) + "\n"
+def _check_tree(nodes) -> None:
+    for node in nodes:
+        node["label"], node["dim"]
+        _check_tree(node.get("children", ()))
 
 
-def parse_json(text: str) -> TableDoc:
-    return TableDoc.from_dict(json.loads(text))
+def parse_json(text: str) -> dict:
+    """The table document in ``text``.  Reading each field that the renderers
+    and :func:`table_diff` need raises ``KeyError`` or ``TypeError`` on a
+    document of the wrong shape."""
+    doc = json.loads(text)
+    doc["table"], doc["title"], doc["columns"], doc["rows"]
+    if doc["kind"] != "branch":
+        _check_tree(doc["rows"])
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +77,7 @@ _TABLE_SCHEMES = {6: ("osp(5|2)/3", ("soft:3",), "soft:12"),
                   8: ("osp(5|2)/3", ("soft:3",), "strong_after_soft:3")}
 
 
-def build_branch_table(table: int) -> TableDoc:
+def build_branch_table(table: int) -> dict:
     rows = []
     for key in _TABLE_REPS[table]:
         entry = catalog_entry(key)
@@ -130,28 +89,30 @@ def build_branch_table(table: int) -> TableDoc:
             "entries": [{"labels": render_labels(e.labels), "mult": e.mult,
                          "dim": e.dim(sa)} for e in branch],
         })
-    return TableDoc(table, f"first-step branching (table {table})",
-                    ("algebra", "highest_weight", "labels", "dim"), rows, "branch")
+    return {"table": table, "title": f"first-step branching (table {table})",
+            "kind": "branch", "columns": ["algebra", "highest_weight", "labels", "dim"],
+            "meta": {}, "rows": rows}
 
 
 def _descend(roots: list, index: dict, path, mult: int = 1):
     """The node at the end of ``path``, a sequence of (label, dim) steps down
     from ``roots``, creating each missing node with ``mult``; ``index`` maps
     label paths to nodes.  Also says whether the last node is new."""
-    key, children = (), roots
+    key, node = (), None
     for label, dim in path:
         key += (label,)
         new = key not in index
         if new:
-            index[key] = Node(label, dim, mult)
-            children.append(index[key])
-        children = index[key].children
-    return index[key], new
+            siblings = roots if node is None else node.setdefault("children", [])
+            index[key] = _node(label, dim, mult)
+            siblings.append(index[key])
+        node = index[key]
+    return node, new
 
 
 def _chain_tree(chain_id: str):
     dist = apply_chain(chain_id)
-    columns = tuple("+".join(s.names) for s in dist.stages)
+    columns = ["+".join(s.names) for s in dist.stages]
     roots: list = []
     index: dict = {}
     for e in dist.entries:
@@ -159,18 +120,18 @@ def _chain_tree(chain_id: str):
                 for labels, stage in zip(e.history + (e.labels,), dist.stages)]
         node, new = _descend(roots, index, path, e.mult)
         if not new:
-            node.mult += e.mult
+            node["mult"] = node.get("mult", 1) + e.mult
     return columns, roots
 
 
-def build_chain_table_doc(table: int) -> TableDoc:
+def build_chain_table_doc(table: int) -> dict:
     chain_id = _TABLE_CHAINS[table]
     columns, tree = _chain_tree(chain_id)
-    return TableDoc(table, f"chain branching (table {table})", columns, tree,
-                    "chain", {"chain": chain_id})
+    return {"table": table, "title": f"chain branching (table {table})", "kind": "chain",
+            "columns": columns, "meta": {"chain": chain_id}, "rows": tree}
 
 
-def build_scheme_table(table: int) -> TableDoc:
+def build_scheme_table(table: int) -> dict:
     chain_id, plan, final = _TABLE_SCHEMES[table]
     state = apply_plan(chain_id, plan)
     final_op = PhaseOp.parse(final)
@@ -190,21 +151,21 @@ def build_scheme_table(table: int) -> TableDoc:
         path = [("-".join(str(l[0]) for l in sl3), state.stages[1].dimension(sl3)),
                 ("-".join(str(l[0]) for l in merged), state.stages[2].dimension(merged))]
         render = e.render()
-        me = Node(render, e.dim(), e.mult,
-                  frozen=render in frozen_groups,
-                  neutral=render in neutral_groups)
-        _descend(roots, index, path)[0].children.append(me)
-        for piece in break_multiplet(e, final_op.kind, state.slot_index(final_op.slot, final)):
-            me.children.append(Node(piece.render(), piece.dim(),
-                                    frozen=me.frozen, neutral=me.neutral))
-    columns = ("sl(2)^3", "+".join(state.slot_names), "after " + " ".join(plan),
-               "final " + final)
-    return TableDoc(table, f"second-phase scheme (table {table})", columns, roots,
-                    "scheme", {"chain": chain_id, "plan": list(plan), "final": final,
-                               "mask": mask.render()})
+        marks = {"frozen": render in frozen_groups, "neutral": render in neutral_groups}
+        pieces = break_multiplet(e, final_op.kind, state.slot_index(final_op.slot, final))
+        me = _node(render, e.dim(), e.mult, **marks)
+        me["children"] = [_node(p.render(), p.dim(), **marks) for p in pieces]
+        _descend(roots, index, path)[0].setdefault("children", []).append(me)
+    columns = ["sl(2)^3", "+".join(state.slot_names), "after " + " ".join(plan),
+               "final " + final]
+    return {"table": table, "title": f"second-phase scheme (table {table})",
+            "kind": "scheme", "columns": columns,
+            "meta": {"chain": chain_id, "plan": list(plan), "final": final,
+                     "mask": mask.render()},
+            "rows": roots}
 
 
-def build_table(table: int) -> TableDoc:
+def build_table(table: int) -> dict:
     if table in _TABLE_REPS:
         return build_branch_table(table)
     if table in _TABLE_CHAINS:
@@ -222,26 +183,26 @@ def _preorder(nodes, depth=0):
     """(depth, node) pairs of a table tree; children run largest first."""
     for node in nodes:
         yield depth, node
-        yield from _preorder(sorted(node.children, key=lambda n: (-n.dim, n.label)),
-                             depth + 1)
+        yield from _preorder(sorted(node.get("children", ()),
+                                    key=lambda n: (-n["dim"], n["label"])), depth + 1)
 
 
-def render_text(doc: TableDoc) -> str:
-    out = [f"table {doc.table}: {doc.title}"]
-    if doc.kind == "branch":
-        for row in doc.rows:
+def render_text(doc: dict) -> str:
+    out = [f"table {doc['table']}: {doc['title']}"]
+    if doc["kind"] == "branch":
+        for row in doc["rows"]:
             out.append(f"{row['algebra']}  highest weight ({row['highest_weight']})")
             for e in row["entries"]:
                 mult = f"{e['mult']} x " if e["mult"] != 1 else ""
                 out.append(f"    {mult}{e['labels']}  d={e['dim']}")
     else:
-        out.append("columns: " + " -> ".join(doc.columns))
-        if "mask" in doc.meta:
-            out.append("frozen at last step: " + doc.meta["mask"])
-        for depth, node in _preorder(doc.rows):
-            mark = "  *frozen*" if node.frozen else ""
-            mult = f"{node.mult} x " if node.mult != 1 else ""
-            out.append("    " * depth + f"{mult}{node.label}  d={node.dim}{mark}")
+        out.append("columns: " + " -> ".join(doc["columns"]))
+        if "mask" in doc["meta"]:
+            out.append("frozen at last step: " + doc["meta"]["mask"])
+        for depth, node in _preorder(doc["rows"]):
+            mark = "  *frozen*" if node.get("frozen") else ""
+            mult = f"{node['mult']} x " if node.get("mult", 1) != 1 else ""
+            out.append("    " * depth + f"{mult}{node['label']}  d={node['dim']}{mark}")
     return "\n".join(out) + "\n"
 
 
@@ -256,26 +217,38 @@ def _csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(doc: TableDoc) -> str:
-    if doc.kind == "branch":
+def render_csv(doc: dict) -> str:
+    if doc["kind"] == "branch":
         return _csv((row["algebra"] + "(" + row["highest_weight"] + ")", e["labels"],
                      e["dim"], e["mult"])
-                    for row in doc.rows for e in row["entries"])
-    return _csv((doc.columns[depth], node.label, node.dim, node.mult)
-                for depth, node in _preorder(doc.rows))
+                    for row in doc["rows"] for e in row["entries"])
+    return _csv((doc["columns"][depth], node["label"], node["dim"], node.get("mult", 1))
+                for depth, node in _preorder(doc["rows"]))
 
 
 # ---------------------------------------------------------------------------
 # golden comparison
 
 
-def table_diff(got: TableDoc, want: TableDoc) -> list:
+def _canonical(node: dict) -> tuple:
+    """Comparison form of a tree node: freeze marks count only where freezing
+    has an effect (a node whose single piece keeps its dimension is a no-op),
+    and only on nodes that break (leaves inherit their parent's mark)."""
+    children = node.get("children", ())
+    noop = len(children) == 1 and children[0]["dim"] == node["dim"]
+    frozen = node.get("frozen", False) and bool(children) and not noop
+    return (node["label"], node["dim"], node.get("mult", 1), frozen,
+            tuple(sorted(_canonical(c) for c in children)))
+
+
+def table_diff(got: dict, want: dict) -> list:
     """Cell-level differences between two table documents."""
     diffs = []
-    if got.table != want.table or got.kind != want.kind:
-        return [f"table identity differs: {got.table}/{got.kind} vs {want.table}/{want.kind}"]
-    if got.kind == "branch":
-        for grow, wrow in zip(got.rows, want.rows):
+    if got["table"] != want["table"] or got["kind"] != want["kind"]:
+        return [f"table identity differs: {got['table']}/{got['kind']} vs "
+                f"{want['table']}/{want['kind']}"]
+    if got["kind"] == "branch":
+        for grow, wrow in zip(got["rows"], want["rows"]):
             if grow["algebra"] != wrow["algebra"] or \
                     grow["highest_weight"] != wrow["highest_weight"]:
                 diffs.append(f"row header: {grow['algebra']} vs {wrow['algebra']}")
@@ -287,11 +260,11 @@ def table_diff(got: TableDoc, want: TableDoc) -> list:
                     diffs.append(f"{grow['algebra']}: missing {cell}")
                 for cell in sorted(set(gset) - set(wset)):
                     diffs.append(f"{grow['algebra']}: unexpected {cell}")
-        if len(got.rows) != len(want.rows):
-            diffs.append(f"row count {len(got.rows)} vs {len(want.rows)}")
+        if len(got["rows"]) != len(want["rows"]):
+            diffs.append(f"row count {len(got['rows'])} vs {len(want['rows'])}")
         return diffs
-    gset = sorted(n.canonical() for n in got.rows)
-    wset = sorted(n.canonical() for n in want.rows)
+    gset = sorted(_canonical(n) for n in got["rows"])
+    wset = sorted(_canonical(n) for n in want["rows"])
     if gset != wset:
         for cell in wset:
             if cell not in gset:

@@ -30,7 +30,7 @@ def test_tables_match_golden_fixtures(table):
 def test_structured_output_round_trips(table):
     doc = build_table(table)
     again = parse_json(emit_json(doc))
-    assert again.to_dict() == doc.to_dict()
+    assert again == doc
 
 
 def test_tables_output_byte_stable():
