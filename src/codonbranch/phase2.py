@@ -21,6 +21,18 @@ dimension, its pieces with theirs, and the histogram of the pieces'
 dimensions, which a freeze group scales to its own.  A search and tables 1-9
 fill it with 34 entries; there is no cache keyed by slot tuples, which would
 keep every shape a search meets (~1.9 MB more RSS).
+
+A shape's conjugate flips the signs of its strong slots, and a state is
+totally paired when each shape and its conjugate together have an even
+count.  A fold is symmetric when every shape has its conjugate's count.  A
+start state is symmetric, every slot unbroken, and a distribution-wide
+break keeps a fold symmetric: soft pieces and unbroken slots are their own
+conjugates and strong pieces come in +-m sets, so the pieces of a shape's
+conjugate are the conjugates of its pieces.  In a symmetric fold, pairing
+fails exactly at an odd-count shape that is its own conjugate, one with
+every strong slot at 0.  Each state records whether its fold is uniform
+and symmetric; the states that are not (a final state with frozen groups,
+some hand-built states) are checked class by class.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from fractions import Fraction
+from operator import itemgetter
 
 from .embed_chains import Distribution
 from .lie_core import Record, build_root_system, casimir2, fr
@@ -90,6 +103,18 @@ def _shape_dim(slots: tuple) -> int:
     return math.prod(map(slot_dim, slots))
 
 
+def _symmetric(shapes: dict) -> bool:
+    """Whether a fold is uniform, every shape with the same slot states, and
+    symmetric, every shape with the count of its conjugate (the shape with
+    the signs of its strong slots flipped)."""
+    statuses = [st for st, _ in next(iter(shapes))]
+    for slots, (_, n) in shapes.items():
+        if [st for st, _ in slots] != statuses or \
+                shapes.get(tuple(map(slot_conjugate, slots)), (0, 0))[1] != n:
+            return False
+    return True
+
+
 class Multiplet(Record):
     """Product of slot states with a multiplicity and its ancestry."""
 
@@ -111,6 +136,13 @@ class Phase2State(Record):
     read only it, and equality ignores it.  A state made by :func:`apply_op`
     splits its entries from its parent's on first access (so it keeps an
     instance dict): a search reads none, so it builds none.
+
+    ``symmetric`` says whether every shape of the fold has the same slot
+    states and the count of its conjugate, which decides the pairing rule
+    of :func:`phase2_stats`.  It is checked when a state is built from its
+    entries; a state made by :func:`apply_op` inherits its parent's, since
+    a break keeps a uniform fold uniform and a symmetric one symmetric.
+    Equality ignores it.
     """
 
     def __init__(self, slot_names: tuple, stages: tuple, entries: tuple):
@@ -122,6 +154,7 @@ class Phase2State(Record):
             self.shapes.setdefault(e.slots, [e.dim(), 0])[1] += e.mult
         if not self.shapes:
             raise SlotError("a phase-2 state needs at least one multiplet")
+        self.symmetric = _symmetric(self.shapes)
 
     def __getattr__(self, name):
         # Only the entries of a state made by apply_op are ever missing.
@@ -241,7 +274,7 @@ def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
     fold = _break(state.shapes, op.kind, idx, op.slot)
     child = object.__new__(Phase2State)  # its entries come from __getattr__
     vars(child).update(slot_names=state.slot_names, stages=state.stages, shapes=fold,
-                       _split=(state, op, idx))
+                       symmetric=state.symmetric, _split=(state, op, idx))
     return child
 
 
@@ -266,36 +299,56 @@ def _add(counts: dict, key, n: int) -> None:
     counts[key] = counts.get(key, 0) + n
 
 
-def _stats(rows, paired: bool) -> Stats:
-    """Statistics of (dim, mult) rows; ``paired``: every conjugation class
-    has an even count."""
-    dims: dict = {}
-    for d, n in rows:
-        dims[d] = dims.get(d, 0) + n
+def _stats(dims: dict, paired: bool) -> Stats:
+    """Statistics of a ``{dim: count}`` histogram; ``paired``: every
+    conjugation class has an even count."""
     hist = tuple(sorted(dims.items(), reverse=True))
     return Stats(sum(dims.values()), sum(d * n for d, n in hist if d % 3 == 0),
                  dims.get(1, 0), sum(n for d, n in hist if d % 2), bool(hist) and paired, hist)
 
 
 def phase2_stats(state: Phase2State) -> Stats:
-    """Statistics of the state's fold.  A shape's conjugation class is the
-    shape and its conjugate, the signs of its strong slots flipped.  Every
-    class has an even count exactly when no odd-count shape is its own
-    conjugate and the odd-count shapes pair off under conjugation (the two
-    shapes of a class have counts of equal parity), so only the odd-count
-    shapes are conjugated."""
-    odd = {s for s, (_, n) in state.shapes.items() if n % 2}
-    return _stats(state.shapes.values(), all(
-        (c := tuple(map(slot_conjugate, s))) != s and c in odd for s in odd))
+    """Statistics of the state's fold, its dimension histogram and its
+    odd-count shapes read in one pass.
+
+    A shape's conjugation class is the shape and its conjugate, the signs of
+    its strong slots flipped; the state is totally paired when every class
+    has an even count.  In a state flagged ``symmetric`` (see
+    :class:`Phase2State`) a shape and its conjugate have equal counts, so a
+    class of two shapes is even, and pairing fails exactly at an odd-count
+    shape that is its own conjugate: one with every strong slot at 0.  Every
+    other state (a final state with frozen groups, a hand-built state whose
+    conjugate shapes differ in count) is checked class by class: each
+    odd-count shape must differ from its conjugate, whose count must be odd
+    too.  Both rules walk the odd-count shapes in fold order."""
+    dims: dict = {}
+    odd = []
+    for slots, (d, n) in state.shapes.items():
+        dims[d] = dims.get(d, 0) + n
+        if n % 2:
+            odd.append(slots)
+    if state.symmetric:
+        strong = [i for i, st in enumerate(state.statuses()) if st == "s"]
+        if strong:  # compare the strong slots of each odd shape with all-zero ones
+            get = itemgetter(*strong)
+            paired = get((("s", 0),) * len(state.slot_names)) not in map(get, odd)
+        else:
+            paired = not odd
+    else:
+        shapes = state.shapes
+        paired = all((c := tuple(map(slot_conjugate, s))) != s and shapes.get(c, (0, 0))[1] % 2
+                     for s in odd)
+    return _stats(dims, paired)
 
 
 def distribution_stats(dist: Distribution) -> Stats:
     stage = dist.stage
     classes: dict = {}
+    dims: dict = {}
     for e in dist.entries:
         _add(classes, min(e.labels, stage.conjugate(e.labels)), e.mult)
-    return _stats(((stage.dimension(e.labels), e.mult) for e in dist.entries),
-                  all(n % 2 == 0 for n in classes.values()))
+        _add(dims, stage.dimension(e.labels), e.mult)
+    return _stats(dims, all(n % 2 == 0 for n in classes.values()))
 
 
 _ZERO = Fraction(0)

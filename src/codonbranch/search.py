@@ -82,7 +82,7 @@ def _goal(target=None) -> Stats:
             or sum(d * n for d, n in pairs) != 64:
         raise InvalidTargetError(f"target {target!r} is not a histogram of positive integer "
                                  "dimensions and counts with sum(d * n) == 64")
-    return _stats(target.items(), all(n % 2 == 0 for n in target.values()))
+    return _stats(target, all(n % 2 == 0 for n in target.values()))
 
 
 TOTAL_PAIRING = "TotalPairing"
@@ -181,23 +181,35 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     (otherwise the empty list is returned).  Groups whose pieces reproduce
     their own histogram are skipped: freezing them is meaningless and masks
     are reported without them.
+
+    Whether any mask can exist is decided per slot class first: the groups
+    of one broken slot and dimension have the same pieces, and every bound
+    below adds up their counts, so the per-group rows are built only for a
+    state that passes.
     """
+    idx = state.slot_index(op.slot, op)
+    classes: dict = {}   # copies per slot class
+    for slots, (dim, count) in state.shapes.items():
+        key = slots[idx], dim
+        classes[key] = classes.get(key, 0) + count
     left = _goal(target).histogram()  # what the target still lacks, per dimension
     top = max(left)      # the target's largest dimension
     gain: dict = {}      # the most the groups not yet placed can add, per dimension
-    active = []
-    for row in _group_rows(state, op):
-        _, count, dim, pieces = row
-        if dim > top and pieces[0][0] > top:  # pieces: largest first
+    for (old, dim), count in classes.items():
+        old_dim, _, hist = _split(op.kind, old, op.slot)  # as in _group_rows
+        scale = dim // old_dim
+        if dim > top and scale * hist[0][0] > top:  # pieces: largest first
             return []
-        if pieces == ((dim, 1),):  # neutral: its one piece keeps the group's dimension
+        if hist == ((old_dim, 1),):  # neutral: its one piece keeps the group's dimension
             _add(left, dim, -count)
             continue
-        active.append(row)
-        for d, n in pieces + (((dim, 1),) if dim <= top else ()):
-            gain[d] = gain.get(d, 0) + n * count
+        if dim <= top:
+            gain[dim] = gain.get(dim, 0) + count
+        for d, n in hist:
+            gain[scale * d] = gain.get(scale * d, 0) + n * count
     if any(n < 0 or n > gain.get(d, 0) for d, n in left.items()):
         return []
+    active = [row for row in _group_rows(state, op) if row[3] != ((row[2], 1),)]
     # A group adds its pieces when it breaks, or its own dimension when all
     # its copies freeze (never above ``top``); a move is checked on the
     # dimensions it touches, and a branch stops once the groups left cannot

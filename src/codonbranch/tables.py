@@ -50,13 +50,22 @@ def _check_tree(nodes) -> None:
         _check_tree(node.get("children", ()))
 
 
+def _check_branch(rows) -> None:
+    for row in rows:
+        row["algebra"], row["highest_weight"]
+        for e in row["entries"]:
+            e["labels"], e["mult"], e["dim"]
+
+
 def parse_json(text: str) -> dict:
     """The table document in ``text``.  Reading each field that the renderers
     and :func:`table_diff` need raises ``KeyError`` or ``TypeError`` on a
     document of the wrong shape."""
     doc = json.loads(text)
     doc["table"], doc["title"], doc["columns"], doc["rows"]
-    if doc["kind"] != "branch":
+    if doc["kind"] == "branch":
+        _check_branch(doc["rows"])
+    else:
         _check_tree(doc["rows"])
     return doc
 

@@ -111,6 +111,7 @@ def test_a_state_split_by_apply_op_equals_the_state_of_its_entries():
         state = apply_op(state, op)
     eager = Phase2State(state.slot_names, state.stages, state.entries)
     assert state == eager and hash(state) == hash(eager)
+    assert state.symmetric and eager.symmetric
     assert list(state.shapes.items()) == list(eager.shapes.items())
     assert state.statuses() == ("s", "o")
     first = state.entries[0]

@@ -1,8 +1,12 @@
 import fractions
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -20,6 +24,7 @@ from codonbranch.phase2 import (
     break_multiplet,
     from_distribution,
     phase2_stats,
+    slot_conjugate,
     slot_dim,
 )
 from codonbranch.search import (
@@ -488,12 +493,26 @@ def _check_phase2_against_reference(state, op):
     assert list(child.shapes.items()) == list(refold.items())
     rows = [(e.slots, e.mult) for e in child.entries]
     assert _stats_fields(phase2_stats(child)) == phase2_stats_reference(rows)
+    # Every state of a walk descends from a start state, which is symmetric;
+    # a break keeps the flag, and the child's entries are symmetric indeed.
+    assert state.symmetric and child.symmetric
+    assert _uniform_and_symmetric(rows)
     groups = [(g.slots, g.count, g.dim, g.pieces, g.neutral)
               for g in freeze_groups(state, op)]
     idx = state.slot_names.index(op.slot)
     assert groups == freeze_groups_reference([(e.slots, e.mult) for e in state.entries],
                                              op.kind, idx)
     return child
+
+
+def _uniform_and_symmetric(rows) -> bool:
+    """Whether ``(slots, mult)`` rows have one slot state per slot, and each
+    slot tuple the total count of its conjugate."""
+    counts = Counter()
+    for slots, n in rows:
+        counts[slots] += n
+    return len({tuple(st for st, _ in slots) for slots in counts}) == 1 and \
+        all(counts[tuple(map(slot_conjugate, slots))] == n for slots, n in counts.items())
 
 
 def test_phase2_matches_the_slot_dimension_reference_at_every_option_node(report):
@@ -525,6 +544,7 @@ def test_hand_built_multiplets_multiply_their_dimension_out():
     assert pieces[0] == Multiplet((("o", 2),) + slots[1:], 2, ("h",))
     conj = Multiplet((("u", 2), ("o", 1), ("s", 1)), 2, ("h",))
     state = Phase2State(("1", "2", "3"), (), (hand, conj, Multiplet(slots, 1, ())))
+    assert not state.symmetric  # counts 3 and 2 on a conjugate pair
     rows = [(e.slots, e.mult) for e in state.entries]
     assert _stats_fields(phase2_stats(state)) == phase2_stats_reference(rows)
     for op in available_ops(state):
@@ -532,6 +552,64 @@ def test_hand_built_multiplets_multiply_their_dimension_out():
                   for g in freeze_groups(state, op)]
         assert groups == freeze_groups_reference(rows, op.kind,
                                                  state.slot_names.index(op.slot))
+
+
+def test_a_uniform_asymmetric_state_is_paired_class_by_class():
+    # Both shapes are strong-broken off 0, so the zero-slot rule alone would
+    # call the state paired; its one conjugation class counts 1 + 2.
+    plus, minus = (("o", 1), ("s", 1)), (("o", 1), ("s", -1))
+    state = Phase2State(("1", "2"), (), (Multiplet(plus, 1, ()), Multiplet(minus, 2, ())))
+    assert not state.symmetric
+    rows = [(e.slots, e.mult) for e in state.entries]
+    assert phase2_stats_reference(rows)["total_pairing"] is False
+    assert _stats_fields(phase2_stats(state)) == phase2_stats_reference(rows)
+    # With equal counts the state is symmetric and paired under either rule.
+    even = Phase2State(("1", "2"), (), (Multiplet(plus, 1, ()), Multiplet(minus, 1, ())))
+    assert even.symmetric and phase2_stats(even).total_pairing
+
+
+def test_final_states_are_paired_class_by_class(report):
+    # Frozen groups keep the slot state that the others break, so a final
+    # state of a scheme that freezes is not uniform, and is never flagged.
+    scheme = report.chain_report("osp(5|2)/3").schemes[0]
+    state = apply_plan("osp(5|2)/3", list(scheme.plan))
+    final = final_state(state, scheme.final_op, scheme.masks[0])
+    assert scheme.masks[0].frozen and not final.symmetric
+    rows = [(e.slots, e.mult) for e in final.entries]
+    assert _stats_fields(phase2_stats(final)) == phase2_stats_reference(rows)
+
+
+_CALL_COUNTS = """
+import json, sys
+from collections import Counter
+from codonbranch.search import full_search
+full_search()
+calls = Counter()
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        calls[f"{code.co_filename}:{code.co_firstlineno}:{code.co_name}"] += 1
+    elif event == "c_call":
+        calls[f"{getattr(arg, '__module__', None)}.{arg.__qualname__}"] += 1
+sys.setprofile(profile)
+full_search()
+sys.setprofile(None)
+print(json.dumps(calls))
+"""
+
+
+def test_the_work_of_a_warm_search_does_not_depend_on_the_hash_seed():
+    # String hashes, and with them the order of a set of slot tuples, differ
+    # per process; phase 2 walks folds, whose order is the entries' order.
+    src = os.path.dirname(os.path.dirname(phase2.__file__))
+    counts = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", _CALL_COUNTS], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        counts.append(json.loads(proc.stdout))
+    assert counts[0] == counts[1]
+    assert sum(counts[0].values()) > 10_000
 
 
 def test_a_warm_search_reads_fractions_only_at_the_boundary():
