@@ -195,9 +195,11 @@ def test_cli_verify_golden_reports_a_non_utf8_fixture(name, report, tmp_path, ca
 
 @pytest.mark.parametrize("content", [
     b"[]", b'{"table": 1, "kind": "chain", "rows": [5]}',
-    b'{"table": 1, "kind": "branch", "title": "t", "columns": [], "rows": [{"x": 1}]}',
-    b'{"table": 1, "kind": "branch", "title": "t", "columns": [], "rows": '
-    b'[{"algebra": "a", "highest_weight": "1", "entries": [{"labels": "1", "dim": 2}]}]}'])
+    pytest.param(b'{"table": 1, "kind": "branch", "title": "t", "columns": [], '
+                 b'"rows": [{"x": 1}]}', id="branch-row-without-fields"),
+    pytest.param(b'{"table": 1, "kind": "branch", "title": "t", "columns": [], "rows": '
+                 b'[{"algebra": "a", "highest_weight": "1", "entries": [{"labels": "1", "dim": 2}]}]}',
+                 id="branch-entry-without-mult")])
 def test_cli_verify_golden_reports_json_of_the_wrong_shape(content, tmp_path, capsys,
                                                            monkeypatch):
     _corrupted_copy(tmp_path, monkeypatch, "table1.json", content)
