@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 from .lie_core import (
     FormalCharacter,
@@ -43,14 +42,16 @@ class Embedding(Record):
 
     ``projection`` has rows over target coordinates and columns over source
     coordinates; ``defining_decomposition`` is ``((per-factor labels, mult),
-    ...)``.  ``matrix / denominator``, derived from the projection and
-    ignored by equality, sends the source's scaled weight ``scale * w`` to
-    the concatenated target blocks ``t.scale * t.canonicalize(P_t w)``,
-    where ``P_t`` is the block of ``projection`` rows for target ``t``.
+    ...)``.  ``rows / denominator``, derived from the projection and
+    ignored by equality, is an integer matrix that sends the source's scaled
+    weight ``scale * w`` to the concatenated target blocks
+    ``t.scale * t.canonicalize(P_t w)``, where ``P_t`` is the block of
+    ``projection`` rows for target ``t``.  Each row is kept as its nonzero
+    ``(index, coefficient)`` pairs, derived once here.
     """
 
     __slots__ = ("name", "source", "targets", "projection", "defining_decomposition",
-                 "validation_vectors", "matrix", "denominator")
+                 "validation_vectors", "rows", "denominator")
 
     def __init__(self, name: str, source: RootSystem, targets: tuple, projection: tuple,
                  defining_decomposition: tuple, validation_vectors: tuple = ()):
@@ -74,27 +75,39 @@ class Embedding(Record):
             ratio = Fraction(t.scale, source.scale)
             rows += [[x * ratio for x in row] for row in zip(*cols)]
         den = math.lcm(*(x.denominator for row in rows for x in row))
-        self.matrix = tuple(tuple(int(x * den) for x in row) for row in rows)
+        self.rows = tuple(tuple((j, int(x * den)) for j, x in enumerate(row) if x)
+                          for row in rows)
         self.denominator = den
 
     def target_algebra(self) -> SemisimpleAlgebra:
         return SemisimpleAlgebra(self.targets)
 
-    def project_scaled(self, v: tuple) -> tuple:
-        """The target lattice vector of the source lattice vector ``v``;
-        raises :class:`NotACharacterError` if it is off the target lattice."""
-        out = []
-        for row in self.matrix:
-            q, r = divmod(sum(map(mul, row, v)), self.denominator)
-            if r:
-                raise NotACharacterError(
-                    f"{self.name} projects {v} off the target weight lattice")
-            out.append(q)
-        return tuple(out)
+    def project_terms(self, terms: dict) -> dict:
+        """The source lattice vectors of ``terms`` projected to the target
+        lattice, with the multiplicities of those that meet summed; raises
+        :class:`NotACharacterError` if one lands off the target lattice."""
+        rows, den = self.rows, self.denominator
+        out = {}
+        get = out.get
+        for v, m in terms.items():
+            pv = []
+            for row in rows:
+                s = 0
+                for j, c in row:
+                    s += c * v[j]
+                q, r = divmod(s, den)
+                if r:
+                    raise NotACharacterError(
+                        f"{self.name} projects {v} off the target weight lattice")
+                pv.append(q)
+            pv = tuple(pv)
+            out[pv] = get(pv, 0) + m
+        return out
 
     def project(self, w):
         """The canonical target weight of the source weight ``w``."""
-        v = iter(self.project_scaled(_scaled(w, self.source.scale)))
+        (v,) = self.project_terms({_scaled(w, self.source.scale): 1})
+        v = iter(v)
         return tuple(Fraction(next(v), t.scale) for t in self.targets for _ in range(t.dim))
 
 
@@ -210,10 +223,7 @@ def branch_embedding(name: str, labels) -> tuple:
     if emb is None:
         raise UnknownNameError(f"unknown embedding {name!r}; registered: {list(REGISTRY)}")
     alg = emb.target_algebra()
-    proj: dict = {}
-    for w, m in irrep_character(emb.source, labels).terms.items():
-        pw = emb.project_scaled(w)
-        proj[pw] = proj.get(pw, 0) + m
+    proj = emb.project_terms(irrep_character(emb.source, labels).terms)
     from .lie_core import peel  # local import to keep module load cheap
     out = peel(alg, FormalCharacter(proj))
     total = sum(m * alg.dimension(l) for l, m in out)

@@ -21,7 +21,11 @@ Weyl dimensions, product characters, restriction and :func:`peel`) run on
 integer vectors instead: a weight times the system's ``scale``, the lcm of
 the denominators of its fundamental weights; a weight of a product of
 factors concatenates its per-factor blocks, each on its own factor's scale.
-A :class:`FormalCharacter` is keyed by these integer vectors.
+A :class:`FormalCharacter` is keyed by these integer vectors, and adopts
+the fresh dict it is built from.  Restriction projects a whole character
+in one pass over the sparse integer rows of an embedding
+(:meth:`.embed_chains.Embedding.project_terms`); :func:`peel` then takes
+its maxima by integer height alone.
 :meth:`RootSystem.to_dominant` is a closed form (a sort) that gives the
 chamber representative alone.  The even Weyl walk of :mod:`.super_branch`
 needs the sign of the Weyl element and stops on a wall, so it reflects step
@@ -85,19 +89,22 @@ class FormalCharacter:
     """Finite formal sum of weights with signed integer multiplicities.
 
     ``terms`` maps the integer vector ``scale * w`` of each weight ``w`` to
-    its multiplicity; zero multiplicities are dropped on construction.
+    its nonzero int multiplicity.  The constructor adopts the dict it is
+    given, without a copy or a check: every caller builds a fresh one with
+    no zero multiplicity (:func:`char_add` drops the zeros it makes).
     :meth:`items` speaks of the weights ``w`` themselves, as Fractions,
     built only when asked.  A product character (see
     :meth:`SemisimpleAlgebra.character`) has scale 1: its keys concatenate
     blocks that are each on their own factor's scale, and :meth:`items`
-    gives those blocks as they are.  Instances are treated as immutable.
+    gives those blocks as they are.  Instances, and so the dicts they hold,
+    are treated as immutable: a one-factor product character shares its
+    factor's dict.
     """
 
     __slots__ = ("terms", "scale")
 
-    def __init__(self, terms=(), scale: int = 1):
-        items = terms.items() if isinstance(terms, dict) else terms
-        self.terms = {v: int(m) for v, m in items if m}
+    def __init__(self, terms: dict, scale: int = 1):
+        self.terms = terms
         self.scale = scale
 
     def total(self) -> int:
@@ -127,7 +134,11 @@ def char_add(a: FormalCharacter, b: FormalCharacter, sign: int = 1) -> FormalCha
         raise ValueError(f"characters on scales {a.scale} and {b.scale} do not add")
     terms = dict(a.terms)
     for v, m in b.terms.items():
-        terms[v] = terms.get(v, 0) + sign * m
+        m = terms.get(v, 0) + sign * m
+        if m:
+            terms[v] = m
+        else:
+            terms.pop(v, None)
     return FormalCharacter(terms, a.scale)
 
 
@@ -271,15 +282,18 @@ class RootSystem(Record):
     ``scale``, ``chamber_roots``, ``scaled_rho0``, ``scaled_fundamentals``
     and ``sign_flips`` (the Weyl group also flips coordinate signs: A1, B,
     C).  The series and rank fix the rest, so equality and hashing read only
-    them, never the Fraction root data."""
+    them, never the Fraction root data.  The hash of ``(series, rank)`` is
+    computed once, in ``_hash``: every lookup in a cache keyed by a root
+    system, or by an algebra of them, hashes it."""
 
     __slots__ = ("series", "rank", "dim", "simple_roots", "positive_roots",
                  "fundamental_weights", "rho0", "weyl_order", "scale", "chamber_roots",
-                 "scaled_rho0", "scaled_fundamentals", "sign_flips")
+                 "scaled_rho0", "scaled_fundamentals", "sign_flips", "_hash")
 
     def __init__(self, series: str, rank: int):
         self.series = series
         self.rank = rank
+        self._hash = hash((series, rank))
         if series == "A" and rank >= 2:
             e = _units(rank + 1)
             simple, positive = _chain(e), _pairs(e, (-1,))
@@ -305,6 +319,9 @@ class RootSystem(Record):
         self.scaled_rho0 = _scaled(self.rho0, scale)
         self.scaled_fundamentals = tuple(_scaled(w, scale) for w in fund)
         self.sign_flips = series != "A" or rank == 1
+
+    def __hash__(self):
+        return self._hash
 
     def label_of(self, w: Weight, i: int) -> Fraction:
         a = self.simple_roots[i]
@@ -447,8 +464,10 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
 
     dominants = sorted({rs.to_dominant(w) for w in weights}, key=depth.__getitem__)
     # With w = scale * w', acc = scale * acc' and denom = scale^2 * denom',
-    # so the multiplicity 2 acc' / denom' is 2 scale acc / denom.
-    raising = [(a, tuple(scale * x for x in a)) for a in rs.positive_roots]
+    # so the multiplicity 2 acc' / denom' is 2 scale acc / denom.  Along the
+    # string nu = mu + k step, (nu, a) grows by (step, a) = scale (a, a).
+    raising = [(a, tuple(scale * x for x in a), scale * sum(map(mul, a, a)))
+               for a in rs.positive_roots]
     rho = rs.scaled_rho0
     lam_rho = tuple(map(add, lam, rho))
     top = sum(map(mul, lam_rho, lam_rho))
@@ -458,11 +477,16 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
             mult[mu] = 1
             continue
         acc = 0
-        for a, step in raising:
+        for a, step, grow in raising:
             nu = tuple(map(add, mu, step))
-            while nu in weights:
-                acc += mult[rs.to_dominant(nu)] * sum(map(mul, nu, a))
-                nu = tuple(map(add, nu, step))
+            if nu in weights:
+                d = sum(map(mul, nu, a))
+                while True:
+                    acc += mult[rs.to_dominant(nu)] * d
+                    nu = tuple(map(add, nu, step))
+                    if nu not in weights:
+                        break
+                    d += grow
         mu_rho = tuple(map(add, mu, rho))
         denom = top - sum(map(mul, mu_rho, mu_rho))
         m, r = divmod(2 * scale * acc, denom)
@@ -535,11 +559,13 @@ class SemisimpleAlgebra(Record):
 
 @lru_cache(maxsize=None)
 def _product_character(alg: SemisimpleAlgebra, labels) -> FormalCharacter:
+    blocks = [irrep_character(f, l).terms for f, l in zip(alg.factors, labels)]
+    if len(blocks) == 1:  # the keys are already the factor's own vectors
+        return FormalCharacter(blocks[0])
     terms = {(): 1}
-    for f, l in zip(alg.factors, labels):
-        block = irrep_character(f, l).terms.items()
+    for block in blocks:
         # Distinct block pairs concatenate to distinct keys.
-        terms = {w + v: m * n for w, m in terms.items() for v, n in block}
+        terms = {w + v: m * n for w, m in terms.items() for v, n in block.items()}
     return FormalCharacter(terms)
 
 
@@ -567,8 +593,11 @@ def peel(alg: SemisimpleAlgebra, ch: FormalCharacter):
     work = dict(ch.terms)
     out = {}
     # Subtracting a character only lowers multiplicities, so the current
-    # maximal weight is the highest remaining one in this fixed order.
-    for w in sorted(work, key=lambda x: (sum(map(mul, x, height)), x), reverse=True):
+    # maximal weight is the highest remaining one by height.  Every other
+    # weight of a character lies strictly below its highest weight, so
+    # subtracting it leaves the weights of equal height as they were: ties
+    # may go in any order, and they go in the stable order of ``work``.
+    for w in sorted(work, key=lambda x: sum(map(mul, x, height)), reverse=True):
         m = work.get(w)
         if m is None:
             continue

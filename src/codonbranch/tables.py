@@ -44,9 +44,17 @@ def emit_json(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+def _check_fields(obj: dict, **types) -> None:
+    """Raise ``KeyError`` if a field of ``types`` is missing from ``obj``,
+    and ``TypeError`` if one is not of its type there."""
+    for field, kind in types.items():
+        if not isinstance(obj[field], kind):
+            raise TypeError(f"{field} {obj[field]!r} is not of type {kind.__name__}")
+
+
 def _check_tree(nodes) -> None:
     for node in nodes:
-        node["label"], node["dim"]
+        _check_fields(node, label=str, dim=int)
         _check_tree(node.get("children", ()))
 
 
@@ -54,13 +62,14 @@ def _check_branch(rows) -> None:
     for row in rows:
         row["algebra"], row["highest_weight"]
         for e in row["entries"]:
-            e["labels"], e["mult"], e["dim"]
+            _check_fields(e, labels=str, mult=int, dim=int)
 
 
 def parse_json(text: str) -> dict:
     """The table document in ``text``.  Reading each field that the renderers
     and :func:`table_diff` need raises ``KeyError`` or ``TypeError`` on a
-    document of the wrong shape."""
+    document of the wrong shape; the fields that :func:`table_diff` sorts
+    must also be of their types."""
     doc = json.loads(text)
     doc["table"], doc["title"], doc["columns"], doc["rows"]
     if doc["kind"] == "branch":

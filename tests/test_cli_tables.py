@@ -209,6 +209,32 @@ def test_cli_verify_golden_reports_json_of_the_wrong_shape(content, tmp_path, ca
     assert all(line.endswith(": ok") for line in out[1:]) and len(out) == 10
 
 
+def _retyped(table: int, edit) -> bytes:
+    with open(os.path.join(DATA, f"table{table}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc["rows"][0])
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("table,edit", [
+    pytest.param(1, lambda row: row["entries"][0].update(labels=[1, 2]), id="branch-labels"),
+    pytest.param(1, lambda row: row["entries"][0].update(mult="1"), id="branch-mult"),
+    pytest.param(4, lambda row: row.update(label=[1, 2]), id="tree-label"),
+    pytest.param(4, lambda row: row.update(dim="24"), id="tree-dim")])
+def test_cli_verify_golden_reports_a_field_of_the_wrong_type(table, edit, tmp_path, capsys,
+                                                             monkeypatch):
+    _corrupted_copy(tmp_path, monkeypatch, f"table{table}.json", _retyped(table, edit))
+    assert main(["verify-golden"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 10
+    for line in out:
+        if line.startswith(f"table {table}:"):
+            assert line.startswith(f"table {table}: cannot read fixture: ")
+            assert "is not of type" in line
+        else:
+            assert line.endswith(": ok")
+
+
 def test_cli_verify_golden_shows_the_registry_difference(tmp_path, capsys, monkeypatch):
     with open(os.path.join(DATA, "embeddings.txt"), encoding="utf-8") as fh:
         text = fh.read()

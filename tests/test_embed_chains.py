@@ -173,6 +173,40 @@ def test_branch_embedding_takes_list_labels_and_rejects_bad_ones():
     assert branch_embedding.cache_info().currsize == 0
 
 
+# One label set per embedding source, restricted through every registered
+# embedding from that source.
+_PINNED_LABELS = {"A2": (2, 1), "A3": (1, 1, 0), "A5": (0, 1, 0, 0, 0), "B2": (1, 2),
+                  "C2": (2, 1)}
+
+
+def test_restriction_work_from_cleared_caches_is_pinned(monkeypatch):
+    """The Lie-layer calls that restricting a fixed label list makes from
+    cleared caches.  A change that makes each call cheaper keeps them; one
+    that removes calls re-pins them here, saying which moved and why."""
+    from codonbranch import embed_chains, lie_core
+    from codonbranch.lie_core import RootSystem, irrep_character
+    for mod in (lie_core, embed_chains):
+        for obj in list(vars(mod).values()):
+            if callable(getattr(obj, "cache_clear", None)) and not isinstance(obj, type):
+                obj.cache_clear()
+    to_dominant, calls = RootSystem.to_dominant, [0]
+
+    def counted(self, w):
+        calls[0] += 1
+        return to_dominant(self, w)
+
+    monkeypatch.setattr(RootSystem, "to_dominant", counted)
+    assert {e.source.series + str(e.source.rank) for e in builtin_registry()} == set(_PINNED_LABELS)
+    for emb in builtin_registry():
+        branch_embedding(emb.name, _PINNED_LABELS[emb.source.series + str(emb.source.rank)])
+    chars = irrep_character.cache_info()
+    assert {"to_dominant.calls": calls[0], "irrep_character.calls": chars.hits + chars.misses,
+            "irrep_character.misses": chars.misses,
+            "branch_embedding.misses": branch_embedding.cache_info().misses} == {
+        "to_dominant.calls": 917, "irrep_character.calls": 66, "irrep_character.misses": 27,
+        "branch_embedding.misses": 16}
+
+
 def test_diagonal_clebsch_examples():
     assert diagonal_clebsch(1, 2) == ((3,), (1,))
     assert diagonal_clebsch(1, 1) == ((2,), (0,))

@@ -182,6 +182,27 @@ def test_peel_rejects_virtual_input():
         peel(alg, bad)
 
 
+@pytest.mark.parametrize("series,rank,terms", [
+    # a lone non-dominant lattice vector: Dynkin label -1
+    pytest.param("A", 1, {(-1,): 1}, id="lone-non-dominant"),
+    # chi(2) plus the vector -1: chi(2)'s dominant part, but not Weyl-invariant
+    pytest.param("A", 1, {(2,): 1, (0,): 1, (-2,): 1, (-1,): 1}, id="not-weyl-invariant"),
+    # the A2 lattice vector (1, 0, -1) is 3 w for w = (1/3, 0, -1/3), whose
+    # label on e1 - e2 is 1/3: a maximum off the integral weight lattice
+    pytest.param("A", 2, {(1, 0, -1): 1}, id="maximum-off-the-integral-lattice"),
+])
+def test_peel_refuses_what_is_not_a_character(series, rank, terms):
+    alg = SemisimpleAlgebra((build_root_system(series, rank),))
+    with pytest.raises(NotACharacterError):
+        peel(alg, FormalCharacter(terms))
+
+
+def test_char_add_drops_the_zeros_it_makes():
+    ch = SemisimpleAlgebra((sl2(),)).character(((2,),))
+    assert char_add(ch, ch, sign=-1).terms == {}
+    assert char_add(ch, ch).terms == {w: 2 for w in ch.terms}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from([(0,), (1,), (2,), (3,), (4,), (5,)]),
                 min_size=1, max_size=5))
