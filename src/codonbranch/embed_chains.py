@@ -1,11 +1,11 @@
 """Subalgebra embeddings and chain branching for the symmetry-breaking search.
 
-Every embedding is pinned by the decomposition of the source's defining
-representation; the weight-space projection matrix is written down from that
-decomposition and frozen here.  Restricting any irrep is then an integer
-projection of its exact character, from the source's scaled weight lattice
-to the target's (see :mod:`.lie_core`), followed by an integer peel over the
-target.
+Every embedding is stated once, by how the source's defining representation
+decomposes over its targets (Slansky's tables); the weight-space projection
+is derived from that decomposition when the registry is built.  Restricting
+any irrep is then an integer projection of its exact character, from the
+source's scaled weight lattice to the target's (see :mod:`.lie_core`),
+followed by an integer peel over the target.
 
 Chains are sequences of steps applied to the even-part distribution of a
 codon representation: either a registered embedding acting on one factor, or
@@ -14,6 +14,7 @@ a diagonal contraction of two sl(2) factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from .lie_core import (
     _label_cache,
     _scaled,
     build_root_system,
-    fr,
     irrep_character,
     weyl_dimension,
 )
@@ -38,46 +38,52 @@ class ChainError(ValueError):
 
 
 class Embedding(Record):
-    """A named subalgebra inclusion realized as a weight projection.
+    """A named subalgebra inclusion, given by ``defining_decomposition``, the
+    decomposition ``((per-factor labels, mult), ...)`` of the source's
+    defining representation over ``targets``.
 
-    ``projection`` has rows over target coordinates and columns over source
-    coordinates; ``defining_decomposition`` is ``((per-factor labels, mult),
-    ...)``.  ``rows / denominator``, derived from the projection and
-    ignored by equality, is an integer matrix that sends the source's scaled
-    weight ``scale * w`` to the concatenated target blocks
-    ``t.scale * t.canonicalize(P_t w)``, where ``P_t`` is the block of
-    ``projection`` rows for target ``t``.  Each row is kept as its nonzero
-    ``(index, coefficient)`` pairs, derived once here.
+    That decomposition fixes the weight projection.  Its weights, as integer
+    vectors (the concatenated target blocks, each times its factor's
+    ``scale``), with multiplicity and sorted in descending order, are the
+    images of the source's unit vectors e_i: all of them for A_r (r >= 2),
+    whose defining weights are e_i - mean (the weights sum to zero, so e_i -
+    mean goes to the i-th too), and the first r for B_r and C_r, whose
+    defining weights are +-e_i (and 0 for B_r).  Any other linear map
+    onto those weights differs from this one by a source Weyl element, so
+    every restriction is the same.  ``rows / denominator``, derived here and
+    ignored by equality, is that map as an integer matrix from the source's
+    scaled weight ``scale * w`` to the target blocks; each row is kept as its
+    nonzero ``(index, coefficient)`` pairs.
     """
 
-    __slots__ = ("name", "source", "targets", "projection", "defining_decomposition",
-                 "validation_vectors", "rows", "denominator")
+    __slots__ = ("name", "source", "targets", "defining_decomposition", "rows", "denominator")
 
-    def __init__(self, name: str, source: RootSystem, targets: tuple, projection: tuple,
-                 defining_decomposition: tuple, validation_vectors: tuple = ()):
+    def __init__(self, name: str, source: RootSystem, targets: tuple,
+                 defining_decomposition: tuple):
         self.name = name
         self.source = source
         self.targets = targets
-        self.projection = projection
         self.defining_decomposition = defining_decomposition
-        self.validation_vectors = validation_vectors
-        n_rows = sum(t.dim for t in targets)
-        if (len(projection) != n_rows
-                or any(len(row) != source.dim for row in projection)):
-            raise ChainError(f"{name}: the projection must be {n_rows} rows "
-                             f"of {source.dim} entries")
-        rows, start = [], 0
-        for t in targets:
-            block = projection[start:start + t.dim]
-            start += t.dim
-            # canonicalize is linear, so it applies column by column.
-            cols = [t.canonicalize(col) for col in zip(*block)]
-            ratio = Fraction(t.scale, source.scale)
-            rows += [[x * ratio for x in row] for row in zip(*cols)]
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        self.rows = tuple(tuple((j, int(x * den)) for j, x in enumerate(row) if x)
-                          for row in rows)
-        self.denominator = den
+        if source.rank == 1:
+            raise ChainError(f"{name}: the defining weights of an A1 source do not fix a projection")
+        n = {"A": source.dim, "B": 2 * source.rank + 1, "C": 2 * source.rank}[source.series]
+        weights = []
+        # The uncached Freudenthal body: the registry is built at import, and
+        # leaves irrep_character's cache as a command's first call finds it.
+        character = irrep_character.__wrapped__
+        for labels, mult in defining_decomposition:
+            blocks = [character(t, l).terms.items() for t, l in zip(targets, labels)]
+            for combo in itertools.product(*blocks):
+                v = sum((w for w, _ in combo), start=())
+                weights += [v] * (mult * math.prod(m for _, m in combo))
+        if len(weights) != n:
+            raise ChainError(f"{name}: {len(weights)} defining weights, "
+                             f"{source.series}{source.rank} has {n}")
+        cols = sorted(weights, reverse=True)[:source.dim]
+        g = math.gcd(source.scale, *(x for v in cols for x in v))
+        self.rows = tuple(tuple((i, v[j] // g) for i, v in enumerate(cols) if v[j])
+                          for j in range(len(cols[0])))
+        self.denominator = source.scale // g
 
     def target_algebra(self) -> SemisimpleAlgebra:
         return SemisimpleAlgebra(self.targets)
@@ -111,102 +117,37 @@ class Embedding(Record):
         return tuple(Fraction(next(v), t.scale) for t in self.targets for _ in range(t.dim))
 
 
-def _F(rows):
-    return tuple(tuple(fr(x) for x in row) for row in rows)
-
-
 def _rs(spec: str) -> RootSystem:
     return build_root_system(spec[0], int(spec[1:]))
 
 
-def _mk(name, source, targets, rows, defining, validation=()):
-    return Embedding(name, _rs(source), tuple(_rs(t) for t in targets), _F(rows),
-                     tuple(defining), tuple(validation))
+def _mk(name, source, targets, defining):
+    return Embedding(name, _rs(source), tuple(_rs(t) for t in targets), tuple(defining))
 
-
-H = Fraction(1, 2)
 
 _EMBEDDINGS = (
     # sl(4) chains
-    _mk("A3>A2", "A3", ("A2",),
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
-        [(((1, 0),), 1), (((0, 0),), 1)],
-        [((1, 0, 0), ((((1, 0),), 1), (((0, 0),), 1)))]),
-    _mk("A3>C2", "A3", ("C2",),
-        [[1, 0, 0, -1], [0, 1, -1, 0]],
-        [(((1, 0),), 1)],
-        [((0, 1, 0), ((((0, 1),), 1), (((0, 0),), 1)))]),
-    _mk("A3>A1+A1", "A3", ("A1", "A1"),
-        [[H, H, -H, -H], [H, -H, H, -H]],
-        [(((1,), (1,)), 1)],
-        [((1, 0, 0), ((((1,), (1,)), 1),))]),
+    _mk("A3>A2", "A3", ("A2",), [(((1, 0),), 1), (((0, 0),), 1)]),
+    _mk("A3>C2", "A3", ("C2",), [(((1, 0),), 1)]),
+    _mk("A3>A1+A1", "A3", ("A1", "A1"), [(((1,), (1,)), 1)]),
     # sp(4) chains (also used from so(5) contexts via its own embeddings)
-    _mk("C2>A1+A1", "C2", ("A1", "A1"),
-        [[H, 0], [0, H]],
-        [(((1,), (0,)), 1), (((0,), (1,)), 1)],
-        [((1, 0), ((((1,), (0,)), 1), (((0,), (1,)), 1))),
-         ((0, 1), ((((1,), (1,)), 1), (((0,), (0,)), 1))),
-         ((2, 0), ((((1,), (1,)), 1), (((2,), (0,)), 1), (((0,), (2,)), 1)))]),
-    _mk("C2>A1", "C2", ("A1",),
-        [[Fraction(3, 2), H]],
-        [(((3,),), 1)],
-        [((1, 0), ((((3,),), 1),)),
-         ((0, 1), ((((4,),), 1),)),
-         ((2, 0), ((((6,),), 1), (((2,),), 1)))]),
+    _mk("C2>A1+A1", "C2", ("A1", "A1"), [(((1,), (0,)), 1), (((0,), (1,)), 1)]),
+    _mk("C2>A1", "C2", ("A1",), [(((3,),), 1)]),
     # sl(6) chains
-    _mk("A5>A4", "A5", ("A4",),
-        [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
-         [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]],
-        [(((1, 0, 0, 0),), 1), (((0, 0, 0, 0),), 1)]),
-    _mk("A5>A3", "A5", ("A3",),
-        [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
-         [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
-        [(((1, 0, 0),), 1), (((0, 0, 0),), 2)]),
-    _mk("A5>C3", "A5", ("C3",),
-        [[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, -1, 0], [0, 0, 1, -1, 0, 0]],
-        [(((1, 0, 0),), 1)],
-        [((0, 1, 0, 0, 0), ((((0, 1, 0),), 1), (((0, 0, 0),), 1))),
-         ((0, 0, 1, 0, 0), ((((0, 0, 1),), 1), (((1, 0, 0),), 1)))]),
-    _mk("A5>A2", "A5", ("A2",),
-        # defining 6 -> symmetric square of the sl(3) triplet
-        [[2, 1, 1, 0, 0, 0], [0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]],
-        [(((2, 0),), 1)],
-        [((1, 0, 0, 0, 0), ((((2, 0),), 1),)),
-         ((0, 0, 1, 0, 0), ((((3, 0),), 1), (((0, 3),), 1)))]),
-    _mk("A5>A1+A3", "A5", ("A1", "A3"),
-        [[H, 0, 0, 0, 0, -H],
-         [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
-         [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]],
-        [(((1,), (0, 0, 0)), 1), (((0,), (1, 0, 0)), 1)]),
-    _mk("A5>A2+A2", "A5", ("A2", "A2"),
-        [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
-         [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
-        [(((1, 0), (0, 0)), 1), (((0, 0), (1, 0)), 1)]),
-    _mk("A5>A1+A2", "A5", ("A1", "A2"),
-        [[H, H, H, -H, -H, -H],
-         [1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]],
-        [(((1,), (1, 0)), 1)]),
+    _mk("A5>A4", "A5", ("A4",), [(((1, 0, 0, 0),), 1), (((0, 0, 0, 0),), 1)]),
+    _mk("A5>A3", "A5", ("A3",), [(((1, 0, 0),), 1), (((0, 0, 0),), 2)]),
+    _mk("A5>C3", "A5", ("C3",), [(((1, 0, 0),), 1)]),
+    # defining 6 -> symmetric square of the sl(3) triplet
+    _mk("A5>A2", "A5", ("A2",), [(((2, 0),), 1)]),
+    _mk("A5>A1+A3", "A5", ("A1", "A3"), [(((1,), (0, 0, 0)), 1), (((0,), (1, 0, 0)), 1)]),
+    _mk("A5>A2+A2", "A5", ("A2", "A2"), [(((1, 0), (0, 0)), 1), (((0, 0), (1, 0)), 1)]),
+    _mk("A5>A1+A2", "A5", ("A1", "A2"), [(((1,), (1, 0)), 1)]),
     # su(3) reductions
-    _mk("A2>A1(1)", "A2", ("A1",),
-        [[H, -H, 0]],
-        [(((1,),), 1), (((0,),), 1)],
-        [((1, 1), ((((2,),), 1), (((1,),), 2), (((0,),), 1)))]),
-    _mk("A2>A1(2)", "A2", ("A1",),
-        [[1, 0, -1]],
-        [(((2,),), 1)],
-        [((1, 1), ((((4,),), 1), (((2,),), 1)))]),
+    _mk("A2>A1(1)", "A2", ("A1",), [(((1,),), 1), (((0,),), 1)]),
+    _mk("A2>A1(2)", "A2", ("A1",), [(((2,),), 1)]),
     # so(5) reductions
-    _mk("B2>A1+A1", "B2", ("A1", "A1"),
-        [[H, H], [H, -H]],
-        [(((1,), (1,)), 1), (((0,), (0,)), 1)],
-        [((0, 1), ((((1,), (0,)), 1), (((0,), (1,)), 1))),
-         ((1, 1), ((((2,), (1,)), 1), (((1,), (2,)), 1),
-                   (((1,), (0,)), 1), (((0,), (1,)), 1)))]),
-    _mk("B2>A1", "B2", ("A1",),
-        [[2, 1]],
-        [(((4,),), 1)],
-        [((0, 1), ((((3,),), 1),)),
-         ((1, 1), ((((7,),), 1), (((5,),), 1), (((1,),), 1)))]),
+    _mk("B2>A1+A1", "B2", ("A1", "A1"), [(((1,), (1,)), 1), (((0,), (0,)), 1)]),
+    _mk("B2>A1", "B2", ("A1",), [(((4,),), 1)]),
 )
 
 REGISTRY = {e.name: e for e in _EMBEDDINGS}
@@ -422,35 +363,25 @@ def apply_chain(chain_id: str) -> Distribution:
     return dist
 
 
-def validate_registry():
-    """Check defining decompositions and validation vectors; raises on mismatch."""
-    for emb in _EMBEDDINGS:
-        defining = (1,) + (0,) * (emb.source.rank - 1)
-        got = branch_embedding(emb.name, defining)
-        if sorted(got) != sorted(emb.defining_decomposition):
-            raise ChainError(
-                f"{emb.name} defining decomposition mismatch: {got}")
-        for labels, expected in emb.validation_vectors:
-            got = branch_embedding(emb.name, labels)
-            if sorted(got) != sorted(expected):
-                raise ChainError(
-                    f"{emb.name} validation failed on {labels}: {got} != {expected}")
-    return True
-
-
 def export_registry() -> str:
-    """Human-readable registry dump: name, spaces, defining data, projection."""
+    """Human-readable registry dump: name, spaces, defining data, and the
+    derived projection, one row per target coordinate in weight units."""
     lines = []
     for emb in _EMBEDDINGS:
+        src = emb.source
         tgt = "+".join(t.series + str(t.rank) for t in emb.targets)
         lines.append(f"embedding {emb.name}")
-        lines.append(f"  source: {emb.source.series}{emb.source.rank}")
+        lines.append(f"  source: {src.series}{src.rank}")
         lines.append(f"  target: {tgt}")
         parts = []
         for labels, mult in emb.defining_decomposition:
             lab = render_labels(labels)
             parts.append(lab if mult == 1 else f"{mult}x{lab}")
         lines.append("  defining: " + " + ".join(parts))
-        for row in emb.projection:
-            lines.append("  row: " + " ".join(str(x) for x in row))
+        scales = [t.scale for t in emb.targets for _ in range(t.dim)]
+        for row, scale in zip(emb.rows, scales):
+            row = dict(row)
+            lines.append("  row: " + " ".join(
+                str(Fraction(row.get(i, 0) * src.scale, emb.denominator * scale))
+                for i in range(src.dim)))
     return "\n".join(lines) + "\n"

@@ -24,8 +24,8 @@ factors concatenates its per-factor blocks, each on its own factor's scale.
 A :class:`FormalCharacter` is keyed by these integer vectors, and adopts
 the fresh dict it is built from.  Restriction projects a whole character
 in one pass over the sparse integer rows of an embedding
-(:meth:`.embed_chains.Embedding.project_terms`); :func:`peel` then takes
-its maxima by integer height alone.
+(:meth:`.embed_chains.Embedding.project_terms`), derived from its defining
+decomposition; :func:`peel` then takes its maxima by integer height alone.
 :meth:`RootSystem.to_dominant` is a closed form (a sort) that gives the
 chamber representative alone.  The even Weyl walk of :mod:`.super_branch`
 needs the sign of the Weyl element and stops on a wall, so it reflects step

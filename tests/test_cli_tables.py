@@ -238,13 +238,13 @@ def test_cli_verify_golden_reports_a_field_of_the_wrong_type(table, edit, tmp_pa
 def test_cli_verify_golden_shows_the_registry_difference(tmp_path, capsys, monkeypatch):
     with open(os.path.join(DATA, "embeddings.txt"), encoding="utf-8") as fh:
         text = fh.read()
-    bad = text.replace("  row: 1 0 0 0\n", "  row: 1 0 0 9\n", 1)
+    bad = text.replace("  row: 2/3 0 -1/3 -1/3\n", "  row: 2/3 0 -1/3 9\n", 1)
     assert bad != text
     _corrupted_copy(tmp_path, monkeypatch, "embeddings.txt", bad.encode())
     assert main(["verify-golden"]) == 1
     out = capsys.readouterr().out
     assert "embeddings.txt: MISMATCH\n" in out
-    assert "    -  row: 1 0 0 9\n    +  row: 1 0 0 0\n" in out
+    assert "    -  row: 2/3 0 -1/3 9\n    +  row: 2/3 0 -1/3 -1/3\n" in out
 
 
 def test_cli_tables_text(capsys):

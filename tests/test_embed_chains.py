@@ -17,7 +17,6 @@ from codonbranch.embed_chains import (
     diagonal_clebsch,
     export_registry,
     first_step_distribution,
-    validate_registry,
 )
 from codonbranch.lie_core import (
     InvalidLabelsError,
@@ -29,8 +28,10 @@ from codonbranch.lie_core import (
 from oracles import weyl_quotient_character
 
 
-def test_registry_self_test():
-    assert validate_registry()
+@pytest.mark.parametrize("emb", builtin_registry(), ids=lambda e: e.name)
+def test_defining_irrep_restricts_to_its_declared_decomposition(emb):
+    defining = (1,) + (0,) * (emb.source.rank - 1)
+    assert sorted(branch_embedding(emb.name, defining)) == sorted(emb.defining_decomposition)
 
 
 def test_registry_contents():
@@ -49,6 +50,20 @@ def test_registry_contents():
     ("C2>A1+A1", (0, 1), {((1,), (1,)): 1, ((0,), (0,)): 1}),
     ("A2>A1(1)", (1, 0), {((1,),): 1, ((0,),): 1}),
     ("A2>A1(2)", (1, 0), {((2,),): 1}),
+    ("A3>A2", (1, 0, 0), {((1, 0),): 1, ((0, 0),): 1}),
+    ("A3>C2", (0, 1, 0), {((0, 1),): 1, ((0, 0),): 1}),
+    ("A3>A1+A1", (1, 0, 0), {((1,), (1,)): 1}),
+    ("C2>A1+A1", (2, 0), {((1,), (1,)): 1, ((2,), (0,)): 1, ((0,), (2,)): 1}),
+    ("C2>A1", (0, 1), {((4,),): 1}),
+    ("C2>A1", (2, 0), {((6,),): 1, ((2,),): 1}),
+    ("A5>C3", (0, 1, 0, 0, 0), {((0, 1, 0),): 1, ((0, 0, 0),): 1}),
+    ("A5>C3", (0, 0, 1, 0, 0), {((0, 0, 1),): 1, ((1, 0, 0),): 1}),
+    ("A5>A2", (1, 0, 0, 0, 0), {((2, 0),): 1}),
+    ("A5>A2", (0, 0, 1, 0, 0), {((3, 0),): 1, ((0, 3),): 1}),
+    ("A2>A1(1)", (1, 1), {((2,),): 1, ((1,),): 2, ((0,),): 1}),
+    ("A2>A1(2)", (1, 1), {((4,),): 1, ((2,),): 1}),
+    ("B2>A1+A1", (1, 1), {((2,), (1,)): 1, ((1,), (2,)): 1, ((1,), (0,)): 1, ((0,), (1,)): 1}),
+    ("B2>A1", (0, 1), {((3,),): 1}),
 ])
 def test_branch_examples(name, labels, expected):
     assert dict(branch_embedding(name, labels)) == expected
@@ -91,21 +106,6 @@ def _oracle(rs, labels):
     return weyl_quotient_character(rs, labels)
 
 
-def _project_by_rows(emb, w):
-    """``emb.projection`` applied to the Fraction weight ``w``, each A-series
-    target block (rank >= 2) moved to trace zero by its mean."""
-    out = []
-    rows = iter(emb.projection)
-    for t in emb.targets:
-        block = [sum((Fraction(r) * x for r, x in zip(next(rows), w)), start=Fraction(0))
-                 for _ in range(t.dim)]
-        if t.series == "A" and t.rank >= 2:
-            mean = sum(block) / t.dim
-            block = [x - mean for x in block]
-        out += block
-    return tuple(out)
-
-
 def _restriction_labels(rs):
     """Labels of Weyl dimension <= 60."""
     return [l for l in itertools.product(range(3), repeat=rs.rank)
@@ -117,7 +117,7 @@ def test_restriction_matches_the_projected_oracle_character(emb):
     for labels in _restriction_labels(emb.source):
         projected = {}
         for w, m in _oracle(emb.source, labels).items():
-            pw = _project_by_rows(emb, w)
+            pw = emb.project(w)
             projected[pw] = projected.get(pw, 0) + m
         rebuilt = {}
         for sub, mult in branch_embedding(emb.name, labels):
@@ -133,25 +133,33 @@ def test_restriction_matches_the_projected_oracle_character(emb):
 
 def test_projection_off_the_target_lattice_is_not_a_character(monkeypatch):
     from codonbranch.embed_chains import REGISTRY, Embedding
-    a2, a1 = build_root_system("A", 2), build_root_system("A", 1)
-    # Half the A2>A1(1) row: the weight (2/3, -1/3, -1/3) lands on 1/2, a
-    # quarter-integral spin projection.
-    emb = Embedding("A2>A1(off)", a2, (a1,), ((Fraction(1, 4), Fraction(-1, 4), 0),),
-                    ((((1,),), 1),))
+    b2, a1 = build_root_system("B", 2), build_root_system("A", 1)
+    # 5 = 2+1+1+1 is no so(5) subalgebra: e_1 goes to the spin projection
+    # 1/2 and e_2 to 0, so the spinor weight (1/2, 1/2) lands on 1/4.
+    emb = Embedding("B2>A1(off)", b2, (a1,), ((((1,),), 1), (((0,),), 3)))
     with pytest.raises(NotACharacterError):
-        emb.project((Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)))
+        emb.project((Fraction(1, 2), Fraction(1, 2)))
     monkeypatch.setitem(REGISTRY, emb.name, emb)
     with pytest.raises(NotACharacterError):
-        branch_embedding(emb.name, (1, 0))
+        branch_embedding(emb.name, (0, 1))
 
 
-def test_projection_shape_must_match_source_and_targets():
+def test_defining_dimension_must_match_the_source():
     from codonbranch.embed_chains import Embedding
-    a2, a1 = build_root_system("A", 2), build_root_system("A", 1)
-    with pytest.raises(ChainError):
-        Embedding("short", a2, (a1,), ((1, 0),), ())
-    with pytest.raises(ChainError):
-        Embedding("tall", a2, (a1,), ((1, 0, -1), (0, 1, -1)), ())
+    a2, a1, c2 = (build_root_system(*s) for s in (("A", 2), ("A", 1), ("C", 2)))
+    with pytest.raises(ChainError, match="2 defining weights"):
+        Embedding("short", a2, (a1,), ((((1,),), 1),))
+    with pytest.raises(ChainError, match="4 defining weights"):
+        Embedding("tall", a2, (a1,), ((((3,),), 1),))
+    with pytest.raises(ChainError, match="5 defining weights"):
+        Embedding("odd", c2, (a1,), ((((4,),), 1),))
+
+
+def test_a_source_outside_a_b_and_c_is_a_chain_error():
+    from codonbranch.embed_chains import Embedding
+    a1 = build_root_system("A", 1)
+    with pytest.raises(ChainError, match="A1 source"):
+        Embedding("A1>A1", a1, (a1,), ((((1,),), 1),))
 
 
 def test_unknown_embedding_is_a_typed_error():
