@@ -79,6 +79,10 @@ class Embedding(Record):
         if len(weights) != n:
             raise ChainError(f"{name}: {len(weights)} defining weights, "
                              f"{source.series}{source.rank} has {n}")
+        if source.series != "A" and \
+                sorted(weights) != sorted(tuple(-x for x in v) for v in weights):
+            raise ChainError(f"{name}: the defining weights of {source.series}{source.rank} "
+                             "are closed under negation, these are not")
         cols = sorted(weights, reverse=True)[:source.dim]
         g = math.gcd(source.scale, *(x for v in cols for x in v))
         self.rows = tuple(tuple((i, v[j] // g) for i, v in enumerate(cols) if v[j])
@@ -166,11 +170,12 @@ def branch_embedding(name: str, labels) -> tuple:
     alg = emb.target_algebra()
     proj = emb.project_terms(irrep_character(emb.source, labels).terms)
     from .lie_core import peel  # local import to keep module load cheap
-    out = peel(alg, FormalCharacter(proj))
-    total = sum(m * alg.dimension(l) for l, m in out)
-    if total != weyl_dimension(emb.source, labels):
+    # Largest irrep first; each dimension is computed once, for the order
+    # and for the check that the pieces add up to the source irrep.
+    rows = sorted((-alg.dimension(l), l, m) for l, m in peel(alg, FormalCharacter(proj)))
+    if sum(-d * m for d, _, m in rows) != weyl_dimension(emb.source, labels):
         raise NotACharacterError(f"{name} lost dimension on {labels}")
-    return tuple(out)
+    return tuple((l, m) for _, l, m in rows)
 
 
 def diagonal_clebsch(a: int, b: int) -> tuple:

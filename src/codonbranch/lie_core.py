@@ -588,6 +588,7 @@ def peel(alg: SemisimpleAlgebra, ch: FormalCharacter):
     is.  Repeatedly strips the character of the irrep headed by the current
     maximal weight.  Raises :class:`NotACharacterError` if the input is not
     a true character (negative multiplicity, or a non-dominant maximum).
+    Returns ``[(labels, mult), ...]`` in the order stripped, highest first.
     """
     blocks, height = _lattice(alg)
     work = dict(ch.terms)
@@ -623,4 +624,4 @@ def peel(alg: SemisimpleAlgebra, ch: FormalCharacter):
             else:
                 work.pop(w2, None)
         out[labels] = out.get(labels, 0) + m
-    return sorted(out.items(), key=lambda kv: (-alg.dimension(kv[0]), kv[0]))
+    return list(out.items())

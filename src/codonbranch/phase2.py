@@ -13,9 +13,7 @@ job of final-step freezing in the search layer.
 
 Each state carries its entries folded by shape, with each shape's dimension
 multiplied out from its slots once; a break splits each shape once and
-carries the dimension to each piece, swapping the broken slot's factor.  A
-state made by :func:`apply_op` keeps that fold, and its parent, op and slot
-index to split its entries on first read, which a search never does.
+carries the dimension to each piece, swapping the broken slot's factor.
 How one slot splits is read from a table keyed by (kind, slot): the slot's
 dimension, its pieces with theirs, and the histogram of the pieces'
 dimensions, which a freeze group scales to its own.  A search and tables 1-9
@@ -33,6 +31,19 @@ fails exactly at an odd-count shape that is its own conjugate, one with
 every strong slot at 0.  Each state records whether its fold is uniform
 and symmetric; the states that are not (a final state with frozen groups,
 some hand-built states) are checked class by class.
+
+So the statistics of a symmetric state need only its dimension histogram
+and its odd-count self-conjugate shapes, and :func:`apply_op` derives both
+from the parent without building the child's fold.  The histogram comes
+from the parent's copies per slot class, (slot at the broken index,
+dimension), since every shape of a class splits into pieces of the same
+dimensions.  A child shape's count is odd exactly when an odd number of
+odd-count parent shapes split onto it, and a self-conjugate child shape
+comes only from self-conjugate parent shapes (a nonzero strong slot never
+returns to 0), so walking those parent shapes finds the child's by parity.
+The child keeps its parent, op and slot index, and splits its fold and its
+entries from the parent's on first read: a search reads the fold of a
+state it expands and no entries.
 """
 
 from __future__ import annotations
@@ -40,7 +51,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from fractions import Fraction
-from operator import itemgetter
 
 from .embed_chains import Distribution
 from .lie_core import Record, build_root_system, casimir2, fr
@@ -99,6 +109,10 @@ def strong_break_slot(slot: Slot):
     raise SlotError(f"slot already strong-broken: {slot}")
 
 
+def _add(counts: dict, key, n: int) -> None:
+    counts[key] = counts.get(key, 0) + n
+
+
 def _shape_dim(slots: tuple) -> int:
     return math.prod(map(slot_dim, slots))
 
@@ -132,10 +146,14 @@ class Phase2State(Record):
     with the chain's ``StageAlgebra`` history for ancestry lookups.
 
     ``shapes`` folds the entries by slot tuple, ``{slots: [dim, total mult]}``
-    in entry order, and is read-only; statistics, freeze groups and breaking
-    read only it, and equality ignores it.  A state made by :func:`apply_op`
-    splits its entries from its parent's on first access (so it keeps an
-    instance dict): a search reads none, so it builds none.
+    in entry order, and is read-only; freeze groups and breaking read only
+    it, and equality ignores it.  Beside it a state keeps what its
+    statistics read: ``dims``, its dimension histogram ``{dim: count}``, and
+    ``odd0``, a list of its odd-count shapes that are their own conjugates
+    (every strong slot at 0).  A state made by :func:`apply_op` has
+    both from its parent (see the module docstring) and splits its fold and
+    its entries from its parent's on first access (so it keeps an instance
+    dict): a search reads the fold of a state it expands, and no entries.
 
     ``symmetric`` says whether every shape of the fold has the same slot
     states and the count of its conjugate, which decides the pairing rule
@@ -155,26 +173,38 @@ class Phase2State(Record):
         if not self.shapes:
             raise SlotError("a phase-2 state needs at least one multiplet")
         self.symmetric = _symmetric(self.shapes)
+        self._statuses = tuple(st for st, _ in next(iter(self.shapes)))
+        self.dims = {}
+        for dim, n in self.shapes.values():
+            _add(self.dims, dim, n)
+        self.odd0 = [slots for slots, (_, n) in self.shapes.items()
+                     if n % 2 and tuple(map(slot_conjugate, slots)) == slots]
+        self._classes = {}
 
     def __getattr__(self, name):
-        # Only the entries of a state made by apply_op are ever missing.
-        if name != "entries" or "_split" not in vars(self):
+        # Only the fold and the entries of a state made by apply_op are ever
+        # missing; each is split from the parent's on first read.
+        if name not in ("shapes", "entries") or "_split" not in vars(self):
             raise AttributeError(name)
-        parent, op, idx = vars(self).pop("_split")
-        vars(self)["entries"] = tuple(Multiplet(s, e.mult, e.history) for e in parent.entries
-                                      for s in _pieces(e.slots, op.kind, idx, op.slot))
-        return self.entries
+        parent, op, idx = self._split
+        if name == "shapes":
+            value = _break(parent.shapes, op.kind, idx, op.slot)
+        else:
+            value = tuple(Multiplet(s, e.mult, e.history) for e in parent.entries
+                          for s in _pieces(e.slots, op.kind, idx, op.slot))
+        vars(self)[name] = value
+        return value
 
     def statuses(self) -> tuple:
         """Each slot's state, the same in every entry of a state that
         distribution-wide operations made."""
-        return tuple(st for st, _ in next(iter(self.shapes)))
+        return self._statuses
 
     def count(self) -> int:
-        return sum(n for _, n in self.shapes.values())
+        return sum(self.dims.values())
 
     def total_dim(self) -> int:
-        return sum(d * n for d, n in self.shapes.values())
+        return sum(d * n for d, n in self.dims.items())
 
     def slot_index(self, slot: str, where: object) -> int:
         """Position of the named slot; an unknown name raises
@@ -184,6 +214,18 @@ class Phase2State(Record):
             raise SlotError(f"unknown slot {slot!r} in {where}; "
                             f"valid slots: {', '.join(self.slot_names)}")
         return self.slot_names.index(slot)
+
+    def slot_classes(self, idx: int) -> dict:
+        """Copies per slot class, ``{(slot at idx, dim): copies}`` in fold
+        order, built on the first call per slot index: the shapes of a class
+        split alike under a break of slot ``idx``."""
+        classes = self._classes.get(idx)
+        if classes is None:
+            classes = self._classes[idx] = {}
+            for slots, (dim, n) in self.shapes.items():
+                key = slots[idx], dim
+                classes[key] = classes.get(key, 0) + n
+        return classes
 
 
 def from_distribution(dist: Distribution) -> Phase2State:
@@ -199,6 +241,7 @@ def from_distribution(dist: Distribution) -> Phase2State:
 # Breaking kinds by the slot state they act on.
 _KINDS = {"u": ("soft", "strong"), "o": ("strong_after_soft",), "s": ()}
 _NEEDS = {kind: st for st, kinds in _KINDS.items() for kind in kinds}
+_LEAVES = {"soft": "o", "strong": "s", "strong_after_soft": "s"}
 
 
 @lru_cache(maxsize=None)
@@ -206,13 +249,15 @@ def _split_table(kind: str, old: Slot) -> tuple:
     rule = soft_break_slot if kind == "soft" else strong_break_slot
     parts = tuple(((p,), slot_dim(p)) for p in rule(old))
     dims = [d for _, d in parts]
-    return slot_dim(old), parts, tuple((d, dims.count(d)) for d in sorted(set(dims), reverse=True))
+    hist = tuple((d, dims.count(d)) for d in sorted(set(dims), reverse=True))
+    return slot_dim(old), parts, hist, tuple(p for p, _ in parts if slot_conjugate(p[0]) == p[0])
 
 
 def _split(kind: str, old: Slot, slot):
     """Dimension of slot ``old``, named ``slot``, ``((piece,), dim)`` per
-    piece, and the histogram ``((dim, count), ...)`` of the pieces' dimensions,
-    largest first; every split checks here that ``kind`` acts on its state."""
+    piece, the histogram ``((dim, count), ...)`` of the pieces' dimensions,
+    largest first, and the ``(piece,)`` that are their own conjugates; every
+    split checks here that ``kind`` acts on its state."""
     if kind not in _NEEDS:
         raise SlotError(f"unknown breaking kind {kind!r}; kinds are {', '.join(_NEEDS)}")
     if old[0] != _NEEDS[kind]:
@@ -237,7 +282,7 @@ def _break(shapes: dict, kind: str, idx: int, slot) -> dict:
         old = slots[idx]
         if old not in splits:
             splits[old] = _split(kind, old, slot)
-        old_dim, parts, _ = splits[old]
+        old_dim, parts, _, _ = splits[old]
         head, tail, rest = slots[:idx], slots[idx + 1:], dim // old_dim
         for p, d in parts:
             fold.setdefault(head + p + tail, [rest * d, 0])[1] += n
@@ -270,11 +315,33 @@ class PhaseOp(Record):
 
 
 def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
+    """The state after ``op``.  Its dimension histogram comes from the
+    parent's slot classes, its odd-count self-conjugate shapes by parity
+    from the parent's, and its fold only on first read."""
     idx = state.slot_index(op.slot, op)
-    fold = _break(state.shapes, op.kind, idx, op.slot)
-    child = object.__new__(Phase2State)  # its entries come from __getattr__
-    vars(child).update(slot_names=state.slot_names, stages=state.stages, shapes=fold,
-                       symmetric=state.symmetric, _split=(state, op, idx))
+    kind, slot = op.kind, op.slot
+    splits: dict = {}
+    dims: dict = {}
+    for (old, dim), copies in state.slot_classes(idx).items():
+        if old not in splits:  # checks that the op acts on every slot class
+            splits[old] = _split(kind, old, slot)
+        old_dim, _, hist, _ = splits[old]
+        for d, n in hist:
+            key = dim // old_dim * d
+            dims[key] = dims.get(key, 0) + n * copies
+    hits: dict = {}  # odd-count parents per self-conjugate child shape
+    for slots in state.odd0:
+        head, tail = slots[:idx], slots[idx + 1:]
+        for p in splits[slots[idx]][3]:
+            key = head + p + tail
+            hits[key] = hits.get(key, 0) + 1
+    statuses = state.statuses()
+    child = object.__new__(Phase2State)  # its fold and entries come from __getattr__
+    vars(child).update(slot_names=state.slot_names, stages=state.stages,
+                       symmetric=state.symmetric, dims=dims, _classes={},
+                       odd0=[s for s, n in hits.items() if n % 2],
+                       _statuses=statuses[:idx] + (_LEAVES[kind],) + statuses[idx + 1:],
+                       _split=(state, op, idx))
     return child
 
 
@@ -295,10 +362,6 @@ class Stats(Record):
         return dict(self.dim_histogram)
 
 
-def _add(counts: dict, key, n: int) -> None:
-    counts[key] = counts.get(key, 0) + n
-
-
 def _stats(dims: dict, paired: bool) -> Stats:
     """Statistics of a ``{dim: count}`` histogram; ``paired``: every
     conjugation class has an even count."""
@@ -308,37 +371,24 @@ def _stats(dims: dict, paired: bool) -> Stats:
 
 
 def phase2_stats(state: Phase2State) -> Stats:
-    """Statistics of the state's fold, its dimension histogram and its
-    odd-count shapes read in one pass.
+    """Statistics of the state's dimension histogram and pairing.
 
     A shape's conjugation class is the shape and its conjugate, the signs of
     its strong slots flipped; the state is totally paired when every class
     has an even count.  In a state flagged ``symmetric`` (see
     :class:`Phase2State`) a shape and its conjugate have equal counts, so a
     class of two shapes is even, and pairing fails exactly at an odd-count
-    shape that is its own conjugate: one with every strong slot at 0.  Every
-    other state (a final state with frozen groups, a hand-built state whose
-    conjugate shapes differ in count) is checked class by class: each
+    shape that is its own conjugate, one of ``odd0``.  Every other state (a
+    final state with frozen groups, a hand-built state whose conjugate
+    shapes differ in count) is checked class by class on its fold: each
     odd-count shape must differ from its conjugate, whose count must be odd
-    too.  Both rules walk the odd-count shapes in fold order."""
-    dims: dict = {}
-    odd = []
-    for slots, (d, n) in state.shapes.items():
-        dims[d] = dims.get(d, 0) + n
-        if n % 2:
-            odd.append(slots)
+    too."""
     if state.symmetric:
-        strong = [i for i, st in enumerate(state.statuses()) if st == "s"]
-        if strong:  # compare the strong slots of each odd shape with all-zero ones
-            get = itemgetter(*strong)
-            paired = get((("s", 0),) * len(state.slot_names)) not in map(get, odd)
-        else:
-            paired = not odd
-    else:
-        shapes = state.shapes
-        paired = all((c := tuple(map(slot_conjugate, s))) != s and shapes.get(c, (0, 0))[1] % 2
-                     for s in odd)
-    return _stats(dims, paired)
+        return _stats(state.dims, not state.odd0)
+    shapes = state.shapes
+    return _stats(state.dims, all((c := tuple(map(slot_conjugate, s))) != s
+                                  and shapes.get(c, (0, 0))[1] % 2
+                                  for s, (_, n) in shapes.items() if n % 2))
 
 
 def distribution_stats(dist: Distribution) -> Stats:

@@ -158,7 +158,7 @@ def _group_rows(state: Phase2State, op: PhaseOp) -> list:
     for slots, (dim, count) in state.shapes.items():
         key = (slots[idx], dim)
         if key not in histograms:  # the split's histogram, the broken slot's factor swapped
-            old_dim, _, hist = _split(op.kind, slots[idx], op.slot)
+            old_dim, _, hist, _ = _split(op.kind, slots[idx], op.slot)
             histograms[key] = tuple([(dim // old_dim * d, n) for d, n in hist])
         rows.append((slots, count, dim, histograms[key]))
     return rows
@@ -188,15 +188,11 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     state that passes.
     """
     idx = state.slot_index(op.slot, op)
-    classes: dict = {}   # copies per slot class
-    for slots, (dim, count) in state.shapes.items():
-        key = slots[idx], dim
-        classes[key] = classes.get(key, 0) + count
     left = _goal(target).histogram()  # what the target still lacks, per dimension
     top = max(left)      # the target's largest dimension
     gain: dict = {}      # the most the groups not yet placed can add, per dimension
-    for (old, dim), count in classes.items():
-        old_dim, _, hist = _split(op.kind, old, op.slot)  # as in _group_rows
+    for (old, dim), count in state.slot_classes(idx).items():
+        old_dim, _, hist, _ = _split(op.kind, old, op.slot)  # as in _group_rows
         scale = dim // old_dim
         if dim > top and scale * hist[0][0] > top:  # pieces: largest first
             return []

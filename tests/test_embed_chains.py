@@ -144,6 +144,15 @@ def test_projection_off_the_target_lattice_is_not_a_character(monkeypatch):
         branch_embedding(emb.name, (0, 1))
 
 
+def test_a_restriction_must_add_up_to_the_source_irrep(monkeypatch):
+    from codonbranch import embed_chains
+    # The uncached body, with a source dimension one too large.
+    monkeypatch.setattr(embed_chains, "weyl_dimension",
+                        lambda rs, labels: weyl_dimension(rs, labels) + 1)
+    with pytest.raises(NotACharacterError, match="A3>A2 lost dimension on"):
+        branch_embedding.__wrapped__("A3>A2", (1, 0, 0))
+
+
 def test_defining_dimension_must_match_the_source():
     from codonbranch.embed_chains import Embedding
     a2, a1, c2 = (build_root_system(*s) for s in (("A", 2), ("A", 1), ("C", 2)))
@@ -153,6 +162,19 @@ def test_defining_dimension_must_match_the_source():
         Embedding("tall", a2, (a1,), ((((3,),), 1),))
     with pytest.raises(ChainError, match="5 defining weights"):
         Embedding("odd", c2, (a1,), ((((4,),), 1),))
+
+
+def test_defining_weights_of_b_and_c_must_be_closed_under_negation():
+    from codonbranch.embed_chains import REGISTRY, Embedding
+    a2, c2 = build_root_system("A", 2), build_root_system("C", 2)
+    # 4 = 3+1 has the right dimension, but the sl(3) triplet is not
+    # self-conjugate, so no sp(4) weights restrict to it.
+    with pytest.raises(ChainError, match="closed under negation"):
+        Embedding("C2>A2(bad)", c2, (a2,), ((((1, 0),), 1), (((0, 0),), 1)))
+    # The conjugate triplet fails alike.
+    with pytest.raises(ChainError, match="closed under negation"):
+        Embedding("C2>A2(bar)", c2, (a2,), ((((0, 1),), 1), (((0, 0),), 1)))
+    assert len(REGISTRY) == 16  # every registered embedding built
 
 
 def test_a_source_outside_a_b_and_c_is_a_chain_error():

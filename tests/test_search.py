@@ -476,6 +476,22 @@ def test_the_slot_state_rule_holds_wherever_a_slot_splits():
         break_multiplet(unbroken, "strong_after_soft", 0)
 
 
+def test_apply_op_checks_every_slot_class_itself():
+    # The child's fold is split only when read, but a wrong op fails at
+    # apply_op, on whichever slot class it does not act on.
+    state = apply_plan("osp(5|2)/3", ["soft:3"])
+    with pytest.raises(SlotError, match=r"^strong:3 needs state 'u' in slot 3, found \('o', "):
+        apply_op(state, PhaseOp("strong", "3"))
+    with pytest.raises(SlotError, match=r"^unknown breaking kind 'hard'; kinds are soft, "
+                                        r"strong, strong_after_soft$"):
+        apply_op(state, PhaseOp("hard", "12"))
+    mixed = Phase2State(("1",), (), (Multiplet((("u", 2),), 1, ()),
+                                     Multiplet((("o", 2),), 1, ())))
+    with pytest.raises(SlotError, match=r"^soft:1 needs state 'u' in slot 1, "
+                                        r"found \('o', 2\)$"):
+        apply_op(mixed, PhaseOp("soft", "1"))
+
+
 def _stats_fields(s: Stats) -> dict:
     return {"n_multiplets": s.n_multiplets, "d3": s.d3, "n_singlets": s.n_singlets,
             "n_odd": s.n_odd, "total_pairing": s.total_pairing,
@@ -489,8 +505,14 @@ def _check_phase2_against_reference(state, op):
     for e in child.entries:
         assert e.dim() == math.prod(slot_dim(s) for s in e.slots), e
     # The fold apply_op builds is the fold of the entries it leaves to split.
-    refold = Phase2State(child.slot_names, child.stages, child.entries).shapes
+    eager = Phase2State(child.slot_names, child.stages, child.entries)
+    refold = eager.shapes
     assert list(child.shapes.items()) == list(refold.items())
+    # The histogram and the odd-count self-conjugate shapes apply_op derives
+    # from the parent are those of the fold.
+    assert child.dims == eager.dims
+    assert set(child.odd0) == set(eager.odd0)
+    assert child.statuses() == eager.statuses()
     rows = [(e.slots, e.mult) for e in child.entries]
     assert _stats_fields(phase2_stats(child)) == phase2_stats_reference(rows)
     # Every state of a walk descends from a start state, which is symmetric;
@@ -552,6 +574,20 @@ def test_hand_built_multiplets_multiply_their_dimension_out():
                   for g in freeze_groups(state, op)]
         assert groups == freeze_groups_reference(rows, op.kind,
                                                  state.slot_names.index(op.slot))
+    # Its children, and theirs, inherit the flag and are paired class by
+    # class on their folds.
+    frontier = [state]
+    children = 0
+    while frontier:
+        parent = frontier.pop()
+        for op in available_ops(parent):
+            child = apply_op(parent, op)
+            assert not child.symmetric
+            rows = [(e.slots, e.mult) for e in child.entries]
+            assert _stats_fields(phase2_stats(child)) == phase2_stats_reference(rows)
+            frontier.append(child)
+            children += 1
+    assert children == 11  # every plan from the hand-built state
 
 
 def test_a_uniform_asymmetric_state_is_paired_class_by_class():
@@ -635,9 +671,10 @@ def test_a_warm_search_reads_fractions_only_at_the_boundary():
 
 
 def test_a_warm_search_splits_no_entries(monkeypatch):
-    # A state made by apply_op splits its entries from its parent's on first
-    # read; a search reads only folds, so it builds no Multiplet below the
-    # chain ends.
+    # A state made by apply_op splits its fold and its entries from its
+    # parent's on first read.  A search reads no entries, so it builds no
+    # Multiplet below the chain ends, and reads the fold only of a state it
+    # expands: 59 of the 265 option nodes of the standard code.
     full_search()
     reads = []
     split = Phase2State.__getattr__
@@ -648,7 +685,8 @@ def test_a_warm_search_splits_no_entries(monkeypatch):
 
     monkeypatch.setattr(Phase2State, "__getattr__", counted)
     full_search()
-    assert reads == []
+    assert "entries" not in reads
+    assert reads.count("shapes") == len(reads) == 59
 
 
 def test_the_per_slot_split_table_stays_small():
