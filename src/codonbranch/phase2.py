@@ -44,6 +44,17 @@ returns to 0), so walking those parent shapes finds the child's by parity.
 The child keeps its parent, op and slot index, and splits its fold and its
 entries from the parent's on first read: a search reads the fold of a
 state it expands and no entries.
+
+Nothing in a state depends on a search target, so a state keeps what it
+derives: its operations (:func:`available_ops`), its statistics
+(:func:`phase2_stats`), one table of slot-class rows per op
+(:meth:`Phase2State.class_rows`, read by :func:`apply_op` and by the mask
+solver) and its child per op (:func:`apply_op`).  A tree of states is so
+built once and lives as long as its root: the start states that
+``search`` caches per chain keep every child any search built, at most one
+per route, 2,877 over the 28 all-sl(2) chain ends (265 after a standard
+search), and ``cache_clear()`` on that cache frees them.  No memo is keyed
+by a target, and none by slot tuples.
 """
 
 from __future__ import annotations
@@ -160,7 +171,7 @@ class Phase2State(Record):
     of :func:`phase2_stats`.  It is checked when a state is built from its
     entries; a state made by :func:`apply_op` inherits its parent's, since
     a break keeps a uniform fold uniform and a symmetric one symmetric.
-    Equality ignores it.
+    Equality ignores it, and the memos the module docstring lists.
     """
 
     def __init__(self, slot_names: tuple, stages: tuple, entries: tuple):
@@ -179,7 +190,8 @@ class Phase2State(Record):
             _add(self.dims, dim, n)
         self.odd0 = [slots for slots, (_, n) in self.shapes.items()
                      if n % 2 and tuple(map(slot_conjugate, slots)) == slots]
-        self._classes = {}
+        self._classes, self._rows, self._children = {}, {}, {}
+        self._ops = self._phase2_stats = None
 
     def __getattr__(self, name):
         # Only the fold and the entries of a state made by apply_op are ever
@@ -226,6 +238,23 @@ class Phase2State(Record):
                 key = slots[idx], dim
                 classes[key] = classes.get(key, 0) + n
         return classes
+
+    def class_rows(self, op) -> dict:
+        """The slot classes under ``op``, ``{(slot at idx, dim): (copies,
+        split)}`` in fold order, for the broken slot ``idx``; ``split`` is
+        the split-table entry of the class's slot (see :func:`_split`).
+        Built on the first call per op, which checks the op on every class,
+        and kept on the state."""
+        rows = self._rows.get(op)
+        if rows is None:
+            splits: dict = {}
+            rows = {}
+            for (old, dim), n in self.slot_classes(self.slot_index(op.slot, op)).items():
+                if old not in splits:
+                    splits[old] = _split(op.kind, old, op.slot)
+                rows[old, dim] = n, splits[old]
+            self._rows[op] = rows
+        return rows
 
 
 def from_distribution(dist: Distribution) -> Phase2State:
@@ -315,17 +344,25 @@ class PhaseOp(Record):
 
 
 def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
+    """The state after ``op``, built on the first call per (state, op) and
+    kept on ``state``: only an op that built a child is kept."""
+    child = state._children.get(op)
+    if child is None:
+        child = state._children[op] = _child(state, op)
+    return child
+
+
+def _child(state: Phase2State, op: PhaseOp) -> Phase2State:
     """The state after ``op``.  Its dimension histogram comes from the
     parent's slot classes, its odd-count self-conjugate shapes by parity
     from the parent's, and its fold only on first read."""
+    rows = state.class_rows(op)
     idx = state.slot_index(op.slot, op)
-    kind, slot = op.kind, op.slot
     splits: dict = {}
     dims: dict = {}
-    for (old, dim), copies in state.slot_classes(idx).items():
-        if old not in splits:  # checks that the op acts on every slot class
-            splits[old] = _split(kind, old, slot)
-        old_dim, _, hist, _ = splits[old]
+    for (old, dim), (copies, split) in rows.items():
+        splits[old] = split
+        old_dim, _, hist, _ = split
         for d, n in hist:
             key = dim // old_dim * d
             dims[key] = dims.get(key, 0) + n * copies
@@ -338,17 +375,22 @@ def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
     statuses = state.statuses()
     child = object.__new__(Phase2State)  # its fold and entries come from __getattr__
     vars(child).update(slot_names=state.slot_names, stages=state.stages,
-                       symmetric=state.symmetric, dims=dims, _classes={},
+                       symmetric=state.symmetric, dims=dims,
                        odd0=[s for s, n in hits.items() if n % 2],
-                       _statuses=statuses[:idx] + (_LEAVES[kind],) + statuses[idx + 1:],
-                       _split=(state, op, idx))
+                       _statuses=statuses[:idx] + (_LEAVES[op.kind],) + statuses[idx + 1:],
+                       _split=(state, op, idx), _classes={}, _rows={}, _children={},
+                       _ops=None, _phase2_stats=None)
     return child
 
 
-def available_ops(state: Phase2State):
-    """Operations applicable to the current slot states (uniform across entries)."""
-    return [PhaseOp(kind, name) for name, st in zip(state.slot_names, state.statuses())
-            for kind in _KINDS[st]]
+def available_ops(state: Phase2State) -> tuple:
+    """Operations applicable to the current slot states (uniform across
+    entries), built once per state."""
+    if state._ops is None:
+        state._ops = tuple(PhaseOp(kind, name)
+                           for name, st in zip(state.slot_names, state.statuses())
+                           for kind in _KINDS[st])
+    return state._ops
 
 
 class Stats(Record):
@@ -383,12 +425,17 @@ def phase2_stats(state: Phase2State) -> Stats:
     shapes differ in count) is checked class by class on its fold: each
     odd-count shape must differ from its conjugate, whose count must be odd
     too."""
-    if state.symmetric:
-        return _stats(state.dims, not state.odd0)
-    shapes = state.shapes
-    return _stats(state.dims, all((c := tuple(map(slot_conjugate, s))) != s
-                                  and shapes.get(c, (0, 0))[1] % 2
-                                  for s, (_, n) in shapes.items() if n % 2))
+    stats = state._phase2_stats
+    if stats is None:
+        if state.symmetric:
+            stats = _stats(state.dims, not state.odd0)
+        else:
+            shapes = state.shapes
+            stats = _stats(state.dims, all((c := tuple(map(slot_conjugate, s))) != s
+                                           and shapes.get(c, (0, 0))[1] % 2
+                                           for s, (_, n) in shapes.items() if n % 2))
+        state._phase2_stats = stats
+    return stats
 
 
 def distribution_stats(dist: Distribution) -> Stats:

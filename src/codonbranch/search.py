@@ -23,12 +23,16 @@ freezing can separate the two halves of a conjugate pair.
 
 Only the phase-2 walk depends on the target, so the rest is built once per
 process: ``_chain_end`` keeps each registered chain's end distribution, its
-statistics and its phase-2 start state, and ``_first_step_stats`` each
-catalog representation's first-step statistics.  They are keyed by registry
-ids and bounded by the registries (37 chains, 14 representations), so a
-warm search runs only phase 2.  A test gets a cold search by calling
-``cache_clear()`` on every cache of ``lie_core``, ``embed_chains`` and
-``search``.
+statistics, its phase-2 start state and its triplet facts, and
+``_first_step_stats`` each catalog representation's first-step statistics.
+They are keyed by registry ids and bounded by the registries (37 chains, 14
+representations), so a warm search runs only phase 2.  Within the walk only
+pruning, the terminal test and the freezing masks depend on the target:
+each start state keeps the children, statistics and slot-class rows that
+any search built below it (see ``phase2``; at most 2,877 children), so a
+warm search looks them up and solves only the masks.  A test gets a cold
+search by calling ``cache_clear()`` on every cache of ``lie_core``,
+``embed_chains`` and ``search``.
 """
 
 from __future__ import annotations
@@ -151,17 +155,12 @@ class FreezeMask(Record):
 def _group_rows(state: Phase2State, op: PhaseOp) -> list:
     """``(slots, count, dim, pieces)`` per shape of the state's fold, in fold
     order; ``pieces`` is the sorted dimension histogram of one copy after
-    ``op``, found once per broken slot and dimension."""
+    ``op``, found once per slot class."""
+    pieces = {(old, dim): tuple([(dim // old_dim * d, n) for d, n in hist])
+              for (old, dim), (_, (old_dim, _, hist, _)) in state.class_rows(op).items()}
     idx = state.slot_index(op.slot, op)
-    histograms: dict = {}
-    rows = []
-    for slots, (dim, count) in state.shapes.items():
-        key = (slots[idx], dim)
-        if key not in histograms:  # the split's histogram, the broken slot's factor swapped
-            old_dim, _, hist, _ = _split(op.kind, slots[idx], op.slot)
-            histograms[key] = tuple([(dim // old_dim * d, n) for d, n in hist])
-        rows.append((slots, count, dim, histograms[key]))
-    return rows
+    return [(slots, count, dim, pieces[slots[idx], dim])
+            for slots, (dim, count) in state.shapes.items()]
 
 
 def freeze_groups(state: Phase2State, op: PhaseOp):
@@ -187,12 +186,11 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     below adds up their counts, so the per-group rows are built only for a
     state that passes.
     """
-    idx = state.slot_index(op.slot, op)
+    rows = state.class_rows(op)
     left = _goal(target).histogram()  # what the target still lacks, per dimension
     top = max(left)      # the target's largest dimension
     gain: dict = {}      # the most the groups not yet placed can add, per dimension
-    for (old, dim), count in state.slot_classes(idx).items():
-        old_dim, _, hist, _ = _split(op.kind, old, op.slot)  # as in _group_rows
+    for (_, dim), (count, (old_dim, _, hist, _)) in rows.items():
         scale = dim // old_dim
         if dim > top and scale * hist[0][0] > top:  # pieces: largest first
             return []
@@ -409,12 +407,19 @@ class SearchReport(Record):
 
 @lru_cache(maxsize=len(CHAINS))
 def _chain_end(chain_id: str) -> tuple:
-    """A registered chain's end: its distribution, statistics and phase-2
-    start state (``None`` unless the end is all-sl(2)); the walk only reads
-    the state."""
+    """A registered chain's end: its distribution, statistics, phase-2
+    start state and triplet facts, ``(render, dim, reachable counts)`` per
+    start shape (``None`` and ``()`` unless the end is all-sl(2))."""
     dist = apply_chain(chain_id)
     stats = distribution_stats(dist)
-    return dist, stats, from_distribution(dist) if dist.stage.all_sl2() else None
+    if not dist.stage.all_sl2():
+        return dist, stats, None, ()
+    state = from_distribution(dist)
+    # Starting slots are all unbroken, so distinct shapes render distinctly.
+    facts = tuple(("-".join(map(render_slot, slots)), dim,
+                   tuple(sorted(reachable_triplet_counts(slots))))
+                  for slots, (dim, _) in state.shapes.items())
+    return dist, stats, state, facts
 
 
 @lru_cache(maxsize=len(CATALOG))
@@ -424,19 +429,16 @@ def _first_step_stats(key: str) -> Stats:
 
 def analyze_chain(chain: ChainDef, target=None) -> ChainReport:
     goal = _goal(target)
-    dist, stats, state = _chain_end(chain.chain_id)
+    dist, stats, state, triplets = _chain_end(chain.chain_id)
     verdict = tuple(prune(stats, 1, goal))
-    facts: dict = {}
+    facts = {name: {"dim": dim, "triplet_counts": list(counts)}
+             for name, dim, counts in triplets}
     res = Phase2Result([], [], [], [])
     if state is not None:
         # Chain-end verdict shows every criterion the end state trips, but
         # only the freezing-sound phase-2 criteria may stop the enumeration.
         blocking = tuple(prune(stats, 2, goal))
         verdict = tuple(dict.fromkeys(verdict + blocking))
-        # Starting slots are all unbroken, so distinct shapes render distinctly.
-        facts = {"-".join(map(render_slot, slots)):
-                 {"dim": dim, "triplet_counts": sorted(reachable_triplet_counts(slots))}
-                 for slots, (dim, _) in state.shapes.items()}
         if not blocking:
             res = enumerate_phase2(state, goal)
             verdict = () if res.schemes else (NO_SURVIVING_SCHEME,)

@@ -1,4 +1,5 @@
 import fractions
+import gc
 import itertools
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -674,19 +676,31 @@ def test_a_warm_search_splits_no_entries(monkeypatch):
     # A state made by apply_op splits its fold and its entries from its
     # parent's on first read.  A search reads no entries, so it builds no
     # Multiplet below the chain ends, and reads the fold only of a state it
-    # expands: 59 of the 265 option nodes of the standard code.
-    full_search()
-    reads = []
-    split = Phase2State.__getattr__
+    # expands: 59 of the 265 option nodes of the standard code.  The children
+    # stay on the cached start states, so a warm search builds none of them
+    # again, and no fold.
+    _clear_every_cache()
+    reads, built = [], []
+    split, child = Phase2State.__getattr__, phase2._child
 
     def counted(self, name):
         reads.append(name)
         return split(self, name)
 
+    def counted_child(state, op):
+        built.append(op)
+        return child(state, op)
+
     monkeypatch.setattr(Phase2State, "__getattr__", counted)
+    monkeypatch.setattr(phase2, "_child", counted_child)
     full_search()
     assert "entries" not in reads
     assert reads.count("shapes") == len(reads) == 59
+    assert len(built) == 265
+    reads.clear()
+    built.clear()
+    full_search()
+    assert reads == built == []
 
 
 def test_the_per_slot_split_table_stays_small():
@@ -754,3 +768,74 @@ def test_reports_share_no_triplet_facts():
     for chain in CHAINS:
         assert a.chain_report(chain.chain_id).triplet_facts is not \
             b.chain_report(chain.chain_id).triplet_facts
+
+
+# ---------------------------------------------------------------------------
+# the phase-2 tree kept on the cached start states
+
+# The standard code, two hand-written histograms and NCBI tables 2 and 5: the
+# targets with schemes.
+MEMO_TARGETS = (None, {4: 8, 2: 14, 1: 4}, {6: 2, 4: 6, 3: 2, 2: 9, 1: 4},
+                {6: 2, 4: 7, 2: 12}, {8: 1, 6: 1, 4: 6, 2: 13})
+
+
+def _kept_children() -> int:
+    """Children kept on the cached start states and their descendants."""
+    frontier = [search._chain_end(c.chain_id)[2] for c in CHAINS]
+    frontier = [state for state in frontier if state is not None]
+    kept = 0
+    while frontier:
+        children = list(frontier.pop()._children.values())
+        kept += len(children)
+        frontier.extend(children)
+    return kept
+
+
+@pytest.fixture(scope="module")
+def cold_reports():
+    reports = []
+    for target in MEMO_TARGETS:
+        _clear_every_cache()
+        reports.append(report_to_dict(full_search(target)))
+    return reports
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 4, 0, 3, 1)],
+                         ids=["forward", "reverse", "mixed"])
+def test_a_search_on_a_kept_tree_reports_what_a_cold_one_does(cold_reports, order):
+    # Only pruning, the terminal test and the masks depend on the target, so
+    # children that another target's walk built are the same children.
+    _clear_every_cache()
+    for i in order:
+        assert report_to_dict(full_search(MEMO_TARGETS[i])) == cold_reports[i], i
+    for i in order:
+        assert report_to_dict(full_search(MEMO_TARGETS[i])) == cold_reports[i], i
+
+
+def test_the_kept_tree_is_bounded_by_the_per_route_tree():
+    _clear_every_cache()
+    full_search()
+    assert _kept_children() == 265
+    for target in MEMO_TARGETS:
+        full_search(target)
+    assert _kept_children() == 642
+    # Every op on every kept state: one child per route, whatever the target.
+    frontier = [search._chain_end(c.chain_id)[2] for c in CHAINS]
+    frontier = [state for state in frontier if state is not None]
+    assert len(frontier) == 28
+    while frontier:
+        state = frontier.pop()
+        frontier.extend(apply_op(state, op) for op in available_ops(state))
+    assert _kept_children() == 2877
+    for target in MEMO_TARGETS:
+        full_search(target)
+    assert _kept_children() == 2877
+
+
+def test_clearing_the_chain_end_cache_frees_the_kept_tree():
+    full_search()
+    start = weakref.ref(search._chain_end("osp(5|2)/3")[2])
+    assert start() is not None and start()._children
+    search._chain_end.cache_clear()
+    gc.collect()  # a child and its parent refer to each other
+    assert start() is None
