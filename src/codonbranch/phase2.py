@@ -49,12 +49,16 @@ Nothing in a state depends on a search target, so a state keeps what it
 derives: its operations (:func:`available_ops`), its statistics
 (:func:`phase2_stats`), one table of slot-class rows per op
 (:meth:`Phase2State.class_rows`, read by :func:`apply_op` and by the mask
-solver) and its child per op (:func:`apply_op`).  A tree of states is so
-built once and lives as long as its root: the start states that
-``search`` caches per chain keep every child any search built, at most one
-per route, 2,877 over the 28 all-sl(2) chain ends (265 after a standard
-search), and ``cache_clear()`` on that cache frees them.  No memo is keyed
-by a target, and none by slot tuples.
+solver) and its child per op (:func:`apply_op`).  It also keeps two things
+the search builds from these on first use: the mask solver's freezing
+totals per op (``_totals``, the largest piece and the copies and pieces
+per dimension) and, once the walk expands it, its edge rows (``_edges``,
+each op with its child, the child's statistics and the walk's key).  A
+tree of states is so built once and lives as long as its root: the start
+states that ``search`` caches per chain keep every child any search built,
+at most one per route, 2,877 over the 28 all-sl(2) chain ends (265 after
+a standard search), and ``cache_clear()`` on that cache frees them.  No
+memo is keyed by a target, and none by slot tuples.
 """
 
 from __future__ import annotations
@@ -190,8 +194,8 @@ class Phase2State(Record):
             _add(self.dims, dim, n)
         self.odd0 = [slots for slots, (_, n) in self.shapes.items()
                      if n % 2 and tuple(map(slot_conjugate, slots)) == slots]
-        self._classes, self._rows, self._children = {}, {}, {}
-        self._ops = self._phase2_stats = None
+        self._classes, self._rows, self._children, self._totals = {}, {}, {}, {}
+        self._ops = self._phase2_stats = self._edges = None
 
     def __getattr__(self, name):
         # Only the fold and the entries of a state made by apply_op are ever
@@ -325,9 +329,20 @@ def break_multiplet(m: Multiplet, kind: str, idx: int):
 
 class PhaseOp(Record):
     """One distribution-wide breaking operation, by slot name; the kind is
-    ``"soft"``, ``"strong"`` or ``"strong_after_soft"``."""
+    ``"soft"``, ``"strong"`` or ``"strong_after_soft"``.  Its hash and its
+    ``kind:slot`` text are computed once, in ``_hash`` and ``_text``: every
+    memo of a state is keyed by an op, and every report renders its plans."""
 
-    __slots__ = ("kind", "slot")
+    __slots__ = ("kind", "slot", "_text", "_hash")
+
+    def __init__(self, kind: str, slot: str):
+        self.kind = kind
+        self.slot = slot
+        self._text = f"{kind}:{slot}"
+        self._hash = hash((kind, slot))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def parse(cls, token: str) -> "PhaseOp":
@@ -338,7 +353,7 @@ class PhaseOp(Record):
         return cls(kind, slot)
 
     def render(self) -> str:
-        return f"{self.kind}:{self.slot}"
+        return self._text
 
     __str__ = render
 
@@ -379,7 +394,7 @@ def _child(state: Phase2State, op: PhaseOp) -> Phase2State:
                        odd0=[s for s, n in hits.items() if n % 2],
                        _statuses=statuses[:idx] + (_LEAVES[op.kind],) + statuses[idx + 1:],
                        _split=(state, op, idx), _classes={}, _rows={}, _children={},
-                       _ops=None, _phase2_stats=None)
+                       _totals={}, _ops=None, _phase2_stats=None, _edges=None)
     return child
 
 

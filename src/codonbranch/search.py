@@ -29,8 +29,11 @@ They are keyed by registry ids and bounded by the registries (37 chains, 14
 representations), so a warm search runs only phase 2.  Within the walk only
 pruning, the terminal test and the freezing masks depend on the target:
 each start state keeps the children, statistics and slot-class rows that
-any search built below it (see ``phase2``; at most 2,877 children), so a
-warm search looks them up and solves only the masks.  A test gets a cold
+any search built below it (see ``phase2``; at most 2,877 children).  Each
+state the walk expands keeps its edge rows, so a warm search reads one
+kept row per option node; each state keeps the target-free totals of its
+last steps per op, so a warm search rejects most last steps from them and
+solves masks only for the steps that pass.  A test gets a cold
 search by calling ``cache_clear()`` on every cache of ``lie_core``,
 ``embed_chains`` and ``search``.
 """
@@ -52,7 +55,6 @@ from .phase2 import (
     PhaseOp,
     Stats,
     _KINDS,
-    _add,
     _split,
     _stats,
     apply_op,
@@ -152,20 +154,41 @@ class FreezeMask(Record):
                          for g, d, n in self.frozen)
 
 
-def _group_rows(state: Phase2State, op: PhaseOp) -> list:
+def _group_rows(state: Phase2State, op: PhaseOp, rows: dict) -> list:
     """``(slots, count, dim, pieces)`` per shape of the state's fold, in fold
     order; ``pieces`` is the sorted dimension histogram of one copy after
-    ``op``, found once per slot class."""
+    ``op``, found once per slot class of ``rows``, the state's
+    :meth:`~Phase2State.class_rows` under ``op``."""
     pieces = {(old, dim): tuple([(dim // old_dim * d, n) for d, n in hist])
-              for (old, dim), (_, (old_dim, _, hist, _)) in state.class_rows(op).items()}
+              for (old, dim), (_, (old_dim, _, hist, _)) in rows.items()}
     idx = state.slot_index(op.slot, op)
     return [(slots, count, dim, pieces[slots[idx], dim])
             for slots, (dim, count) in state.shapes.items()]
 
 
 def freeze_groups(state: Phase2State, op: PhaseOp):
+    rows = _group_rows(state, op, state.class_rows(op))
     return [FreezeGroup(slots, count, dim, pieces, pieces == ((dim, 1),))
-            for slots, count, dim, pieces in sorted(_group_rows(state, op))]
+            for slots, count, dim, pieces in sorted(rows)]
+
+
+def _class_totals(rows: dict) -> tuple:
+    """What the last-step check reads of one op's slot-class rows: the
+    largest piece, and ``(dim, neutral copies, copies of the other classes,
+    their pieces)`` per dimension.  A neutral class's one piece keeps the
+    class's dimension; every other class adds its copies to its own
+    dimension and its pieces to theirs."""
+    top_piece, totals = 0, {}
+    for (_, dim), (count, (old_dim, _, hist, _)) in rows.items():
+        scale = dim // old_dim
+        top_piece = max(top_piece, scale * hist[0][0])  # pieces: largest first
+        if hist == ((old_dim, 1),):
+            totals.setdefault(dim, [0, 0, 0])[0] += count
+            continue
+        totals.setdefault(dim, [0, 0, 0])[1] += count
+        for d, n in hist:
+            totals.setdefault(scale * d, [0, 0, 0])[2] += n * count
+    return top_piece, tuple((d, *row) for d, row in totals.items())
 
 
 def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
@@ -181,29 +204,35 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     their own histogram are skipped: freezing them is meaningless and masks
     are reported without them.
 
-    Whether any mask can exist is decided per slot class first: the groups
-    of one broken slot and dimension have the same pieces, and every bound
-    below adds up their counts, so the per-group rows are built only for a
-    state that passes.
+    Whether any mask can exist is decided on totals per dimension first.
+    The groups of one broken slot and dimension have the same pieces, so
+    the totals add up the state's slot-class rows under ``op``; they depend
+    on no target, and the state keeps them per op, built on the first call
+    (which checks the op).  A step is rejected when its largest piece is
+    above the target's largest dimension ``top``, or when at some dimension
+    the target, less the neutral groups' copies, is negative or more than
+    the other groups can add: their pieces, and their own copies where the
+    dimension is at most ``top``.  The per-group rows are built only for a
+    step that passes.
     """
-    rows = state.class_rows(op)
+    totals = state._totals.get(op)
+    if totals is None:
+        totals = state._totals[op] = _class_totals(state.class_rows(op))
     left = _goal(target).histogram()  # what the target still lacks, per dimension
     top = max(left)      # the target's largest dimension
+    top_piece, dims = totals
+    if top_piece > top:
+        return []
     gain: dict = {}      # the most the groups not yet placed can add, per dimension
-    for (_, dim), (count, (old_dim, _, hist, _)) in rows.items():
-        scale = dim // old_dim
-        if dim > top and scale * hist[0][0] > top:  # pieces: largest first
-            return []
-        if hist == ((old_dim, 1),):  # neutral: its one piece keeps the group's dimension
-            _add(left, dim, -count)
-            continue
-        if dim <= top:
-            gain[dim] = gain.get(dim, 0) + count
-        for d, n in hist:
-            gain[scale * d] = gain.get(scale * d, 0) + n * count
+    for d, neutral, whole, pieces in dims:
+        gain[d] = pieces + whole if d <= top else pieces
+        if neutral:
+            left[d] = left.get(d, 0) - neutral
     if any(n < 0 or n > gain.get(d, 0) for d, n in left.items()):
         return []
-    active = [row for row in _group_rows(state, op) if row[3] != ((row[2], 1),)]
+    # The totals were built from the rows that class_rows keeps per op.
+    active = [row for row in _group_rows(state, op, state._rows[op])
+              if row[3] != ((row[2], 1),)]
     # A group adds its pieces when it breaks, or its own dimension when all
     # its copies freeze (never above ``top``); a move is checked on the
     # dimensions it touches, and a branch stops once the groups left cannot
@@ -318,6 +347,19 @@ class Phase2Result(Record):
     __hash__ = None
 
 
+def _edges(state: Phase2State) -> tuple:
+    """What the walk reads of a state it expands, one row per op in op
+    order: ``(op, child, child's statistics, key)``.  Below the start a
+    state is fixed by one status per slot (the two routes to strong-broken
+    leave the same entries), so the key, ``(child's statuses, op)``, tells
+    the walk whether an equal state was already expanded."""
+    rows = []
+    for op in available_ops(state):
+        child = apply_op(state, op)
+        rows.append((op, child, phase2_stats(child), (child.statuses(), op)))
+    return tuple(rows)
+
+
 def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
     """Depth-first plan enumeration with pruning and final-step mask solving.
 
@@ -329,9 +371,10 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
     seen_states = set()
 
     def walk(state, plan):
-        for op in available_ops(state):
-            child = apply_op(state, op)
-            st = phase2_stats(child)
+        edges = state._edges
+        if edges is None:
+            edges = state._edges = _edges(state)
+        for op, child, st, key in edges:
             violations = tuple(prune(st, 2, goal))
             terminal = st.dim_histogram[0][0] <= goal.dim_histogram[0][0]  # largest first
             masks = solve_freezing(state, op, goal) if terminal else []
@@ -347,9 +390,6 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
             if violations:
                 result.pruned.append((new_plan, violations))
                 continue
-            # Below the start a state is fixed by one status per slot: the
-            # two routes to strong-broken leave the same entries.
-            key = (child.statuses(), op)
             if key in seen_states:
                 continue
             seen_states.add(key)

@@ -257,13 +257,16 @@ def test_enumeration_visits_the_plans_of_the_entry_key(report):
             assert [n.plan for n in nodes] == _plans_under_the_entry_key(start), chain_id
 
 
-def test_masks_match_the_reference_solver():
+def test_masks_match_the_reference_solver(monkeypatch):
     """At every terminal (state, op) of every plan of three osp(5|2) and
     osp(4|2) chains, for the standard code and three other targets; an op is
-    terminal when no piece is larger than the target's largest dimension."""
+    terminal when no piece is larger than the target's largest dimension.
+    At any other op the solver finds no mask from the totals alone, before
+    it builds any group row."""
     targets = (GENETIC_CODE_TARGET, {4: 8, 2: 14, 1: 4}, {6: 2, 4: 7, 2: 12},
                {6: 2, 4: 6, 3: 2, 2: 9, 1: 4})
     solved = [0] * len(targets)
+    grouped = _count_calls(monkeypatch, (search._group_rows,))
     for chain_id in ("osp(5|2)/1", "osp(5|2)/3", "osp(4|2)(5,0,0)/3"):
         frontier = [apply_plan(chain_id, [])]
         while frontier:
@@ -276,9 +279,11 @@ def test_masks_match_the_reference_solver():
                     [(e.slots, e.mult) for e in state.entries], op.kind,
                     state.slot_names.index(op.slot))
                 for i, target in enumerate(targets):
-                    if largest > max(target):
-                        continue
+                    grouped.clear()
                     got = [m.frozen for m in solve_freezing(state, op, target)]
+                    if largest > max(target):
+                        assert got == [] and not grouped, (chain_id, op, i)
+                        continue
                     assert got == solve_freezing_reference(groups, target), (chain_id, op, i)
                     solved[i] += len(got)
     assert all(solved), solved
@@ -302,6 +307,17 @@ def test_masks_match_the_reference_solver_off_dimension_64():
             for target in (GENETIC_CODE_TARGET, {6: 2, 4: 6, 3: 2, 2: 9, 1: 4}):
                 got = [m.frozen for m in solve_freezing(hand, op, target)]
                 assert got == solve_freezing_reference(groups, target), (entries, op)
+
+
+def test_a_piece_above_the_target_rejects_a_step_before_its_group_rows(monkeypatch):
+    # soft:1 breaks each 4-dim shape into two doublets, which the totals can
+    # place, and the 9-dim shape into a 6 and a 3: only the largest piece
+    # rules the step out.
+    state = Phase2State(("1", "2"), (), (Multiplet((("u", 3), ("s", 0)), 16, ()),
+                                         Multiplet((("u", 2), ("u", 2)), 1, ())))
+    grouped = _count_calls(monkeypatch, (search._group_rows,))
+    assert solve_freezing(state, PhaseOp("soft", "1"), {2: 32}) == []
+    assert not grouped
 
 
 @pytest.mark.parametrize("target, problem", [
@@ -647,7 +663,13 @@ def test_the_work_of_a_warm_search_does_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         counts.append(json.loads(proc.stdout))
     assert counts[0] == counts[1]
-    assert sum(counts[0].values()) > 10_000
+    # The tree the first search built answers the second: it solves every
+    # terminal step and builds no child and no slot-class rows.
+    names = Counter()
+    for call, n in counts[0].items():
+        names[call.rpartition(":")[2]] += n
+    assert names["solve_freezing"] == 168
+    assert names["_child"] == names["class_rows"] == 0
 
 
 def test_a_warm_search_reads_fractions_only_at_the_boundary():
@@ -701,6 +723,43 @@ def test_a_warm_search_splits_no_entries(monkeypatch):
     built.clear()
     full_search()
     assert reads == built == []
+
+
+def _count_calls(monkeypatch, functions) -> Counter:
+    """Calls of each function by name, wherever a package module or
+    :class:`Phase2State` binds it."""
+    calls = Counter()
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        bound = [(ns, attr) for ns in _package_modules() + [Phase2State]
+                 for attr, obj in vars(ns).items() if obj is fn]
+        assert bound, fn
+        for ns, attr in bound:
+            monkeypatch.setattr(ns, attr, counted)
+    return calls
+
+
+def test_a_warm_search_reads_its_edges_and_freezing_totals_from_the_kept_tree(monkeypatch):
+    # A cold standard search makes the calls that the benchmark harness pins:
+    # one apply_op and one phase2_stats per option node, one solve_freezing
+    # per terminal one.  A state it expands keeps its edge rows, and a state
+    # it solves a last step of keeps the freezing totals per op, so the warm
+    # search after it builds neither and no child, statistics or slot-class
+    # rows.  It still solves every terminal step, and builds the group rows
+    # of the 10 steps that pass the totals.
+    _clear_every_cache()
+    calls = _count_calls(monkeypatch, (
+        phase2.apply_op, phase2.phase2_stats, Phase2State.class_rows, search.solve_freezing,
+        search._group_rows, search._class_totals, search._edges))
+    full_search()
+    assert calls["apply_op"] == calls["phase2_stats"] == 265
+    assert calls["solve_freezing"] == calls["_class_totals"] == 168
+    assert calls["_group_rows"] == 10
+    calls.clear()
+    full_search()
+    assert calls == {"solve_freezing": 168, "_group_rows": 10}
 
 
 def test_the_per_slot_split_table_stays_small():
