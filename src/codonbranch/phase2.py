@@ -50,10 +50,13 @@ derives: its operations (:func:`available_ops`), its statistics
 (:func:`phase2_stats`), one table of slot-class rows per op
 (:meth:`Phase2State.class_rows`, read by :func:`apply_op` and by the mask
 solver) and its child per op (:func:`apply_op`).  It also keeps two things
-the search builds from these on first use: the mask solver's freezing
-totals per op (``_totals``, the largest piece and the copies and pieces
-per dimension) and, once the walk expands it, its edge rows (``_edges``,
-each op with its child, the child's statistics and the walk's key).  A
+the search builds from these on first use: the mask solver's last-step
+entry per op (``_totals``: the largest piece, the number of dimensions
+with neutral copies, the fewest and most copies per dimension and, once a
+step passes those bounds, its move table, each active group with both its
+alternatives, so that a target of any largest dimension reads it) and,
+once the walk expands it, its edge rows (``_edges``, each op with its
+child, the child's statistics and the walk's key).  A
 tree of states is so built once and lives as long as its root: the start
 states that ``search`` caches per chain keep every child any search built,
 at most one per route, 2,877 over the 28 all-sl(2) chain ends (265 after

@@ -31,11 +31,12 @@ pruning, the terminal test and the freezing masks depend on the target:
 each start state keeps the children, statistics and slot-class rows that
 any search built below it (see ``phase2``; at most 2,877 children).  Each
 state the walk expands keeps its edge rows, so a warm search reads one
-kept row per option node; each state keeps the target-free totals of its
-last steps per op, so a warm search rejects most last steps from them and
-solves masks only for the steps that pass.  A test gets a cold
-search by calling ``cache_clear()`` on every cache of ``lie_core``,
-``embed_chains`` and ``search``.
+kept row per option node; each state keeps per op the target-free bounds
+of its last step and, once a step passes them, its move table, so a warm
+search rejects most last steps by one loop over the target's dimensions
+and searches the masks of the rest from kept tables, building no group
+rows.  A test gets a cold search by calling ``cache_clear()`` on every
+cache of ``lie_core``, ``embed_chains`` and ``search``.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def prune(stats: Stats, phase: int, target=None):
     phase 2 is the continuation check inside the breaking tree, where only
     criteria that survive final-step freezing may appear.
     """
-    goal = _goal(target)
+    goal = target if type(target) is Stats else _goal(target)
     out = []
     if phase == 1 and stats.total_pairing and not goal.total_pairing:
         out.append(TOTAL_PAIRING)
@@ -172,23 +173,35 @@ def freeze_groups(state: Phase2State, op: PhaseOp):
             for slots, count, dim, pieces in sorted(rows)]
 
 
-def _class_totals(rows: dict) -> tuple:
-    """What the last-step check reads of one op's slot-class rows: the
-    largest piece, and ``(dim, neutral copies, copies of the other classes,
-    their pieces)`` per dimension.  A neutral class's one piece keeps the
-    class's dimension; every other class adds its copies to its own
-    dimension and its pieces to theirs."""
-    top_piece, totals = 0, {}
+def _class_totals(rows: dict) -> list:
+    """What the last-step check keeps of one op's slot-class rows, in one
+    pass: ``[largest piece, number of dimensions with neutral copies,
+    bounds, move table]``.  ``bounds`` maps each dimension to ``[fewest,
+    most when dim <= top, most when dim > top]``, the copies the step can
+    leave there for a target whose largest dimension is ``top``: a neutral
+    class's one piece keeps the class's dimension, so its copies count in
+    all three; every other class adds its pieces to theirs in both maxima,
+    and its own copies, frozen, to its dimension where that is at most
+    ``top``.  The move table is filled by the first call that passes the
+    bounds (see :func:`solve_freezing`)."""
+    top_piece, neutral, bounds = 0, 0, {}
     for (_, dim), (count, (old_dim, _, hist, _)) in rows.items():
         scale = dim // old_dim
         top_piece = max(top_piece, scale * hist[0][0])  # pieces: largest first
+        row = bounds.setdefault(dim, [0, 0, 0])
         if hist == ((old_dim, 1),):
-            totals.setdefault(dim, [0, 0, 0])[0] += count
+            if not row[0]:
+                neutral += 1
+            row[0] += count
+            row[1] += count
+            row[2] += count
             continue
-        totals.setdefault(dim, [0, 0, 0])[1] += count
+        row[1] += count
         for d, n in hist:
-            totals.setdefault(scale * d, [0, 0, 0])[2] += n * count
-    return top_piece, tuple((d, *row) for d, row in totals.items())
+            row = bounds.setdefault(scale * d, [0, 0, 0])
+            row[1] += n * count
+            row[2] += n * count
+    return [top_piece, neutral, bounds, None]
 
 
 def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
@@ -204,50 +217,59 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     their own histogram are skipped: freezing them is meaningless and masks
     are reported without them.
 
-    Whether any mask can exist is decided on totals per dimension first.
+    Whether any mask can exist is decided on bounds per dimension first.
     The groups of one broken slot and dimension have the same pieces, so
-    the totals add up the state's slot-class rows under ``op``; they depend
+    the bounds add up the state's slot-class rows under ``op``; they depend
     on no target, and the state keeps them per op, built on the first call
-    (which checks the op).  A step is rejected when its largest piece is
-    above the target's largest dimension ``top``, or when at some dimension
-    the target, less the neutral groups' copies, is negative or more than
-    the other groups can add: their pieces, and their own copies where the
-    dimension is at most ``top``.  The per-group rows are built only for a
-    step that passes.
+    (which checks the op; see :func:`_class_totals`).  A step is rejected
+    when its largest piece is above the target's largest dimension ``top``,
+    when a neutral group's dimension is missing from the target, or when at
+    a dimension of the target the count is below the neutral copies or above
+    the most the groups can leave there.  The first call that passes keeps
+    the active groups beside the bounds, sorted, each as its dimension, its
+    pieces and its freeze alternative, whatever the target; a call drops the
+    freeze alternative of every group above its ``top`` and searches the
+    masks from that table.
     """
-    totals = state._totals.get(op)
-    if totals is None:
-        totals = state._totals[op] = _class_totals(state.class_rows(op))
-    left = _goal(target).histogram()  # what the target still lacks, per dimension
-    top = max(left)      # the target's largest dimension
-    top_piece, dims = totals
+    goal = target if type(target) is Stats else _goal(target)
+    entry = state._totals.get(op)
+    if entry is None:
+        entry = state._totals[op] = _class_totals(state.class_rows(op))
+    top_piece, neutral, bounds, table = entry
+    hist = goal.dim_histogram
+    top = hist[0][0]     # the target's largest dimension
     if top_piece > top:
         return []
-    gain: dict = {}      # the most the groups not yet placed can add, per dimension
-    for d, neutral, whole, pieces in dims:
-        gain[d] = pieces + whole if d <= top else pieces
-        if neutral:
-            left[d] = left.get(d, 0) - neutral
-    if any(n < 0 or n > gain.get(d, 0) for d, n in left.items()):
+    placed = 0           # target dimensions with neutral copies
+    for d, n in hist:
+        row = bounds.get(d)
+        if row is None or not row[0] <= n <= row[1]:
+            return []
+        if row[0]:
+            placed += 1
+    if placed < neutral:
         return []
-    # The totals were built from the rows that class_rows keeps per op.
-    active = [row for row in _group_rows(state, op, state._rows[op])
-              if row[3] != ((row[2], 1),)]
+    left = {d: n - bounds[d][0] for d, n in hist}  # what the target still lacks
+    # The most the groups not yet placed can add, per dimension.
+    gain = {d: (low if d <= top else high) - fewest
+            for d, (fewest, low, high) in bounds.items()}
+    if table is None:
+        # The bounds were built from the rows that class_rows keeps per op.
+        table = entry[3] = tuple(
+            (dim, ((), tuple((d, n * count) for d, n in pieces)),
+             ((("-".join(map(render_slot, slots)), dim, count),), ((dim, count),)))
+            for slots, count, dim, pieces in sorted(_group_rows(state, op, state._rows[op]))
+            if pieces != ((dim, 1),))
     # A group adds its pieces when it breaks, or its own dimension when all
     # its copies freeze (never above ``top``); a move is checked on the
     # dimensions it touches, and a branch stops once the groups left cannot
     # fill the target.
-    moves = []
-    for slots, count, dim, pieces in sorted(active):
-        broken = ((), tuple((d, n * count) for d, n in pieces))
-        freeze = (((slots, dim, count),), ((dim, count),))
-        moves.append((broken,) if dim > top else (broken, freeze))
+    moves = [(broken,) if dim > top else (broken, freeze) for dim, broken, freeze in table]
     masks = []
 
     def rec(i, frozen):
         if i == len(moves):
-            masks.append(FreezeMask(tuple(("-".join(map(render_slot, slots)), dim, k)
-                                          for slots, dim, k in frozen)))
+            masks.append(FreezeMask(frozen))
             return
         for _, added in moves[i]:  # group i is placed now
             for d, n in added:
@@ -327,9 +349,6 @@ class OptionNode(Record):
 
     __slots__ = ("plan", "stats", "violations", "terminal", "mask_count")
 
-    def plan_render(self):
-        return tuple(op.render() for op in self.plan)
-
 
 class Scheme(Record):
     """A surviving breaking scheme: plan, final op, and its freezing masks."""
@@ -367,6 +386,8 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
     plans are at most twice as long as there are slots.
     """
     goal = _goal(target)
+    top = goal.dim_histogram[0][0]  # largest first
+    longest = 2 * len(start.slot_names)
     result = Phase2Result([], [], [], [])
     seen_states = set()
 
@@ -374,12 +395,12 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
         edges = state._edges
         if edges is None:
             edges = state._edges = _edges(state)
+        assert not edges or len(plan) < longest
         for op, child, st, key in edges:
             violations = tuple(prune(st, 2, goal))
-            terminal = st.dim_histogram[0][0] <= goal.dim_histogram[0][0]  # largest first
+            terminal = st.dim_histogram[0][0] <= top
             masks = solve_freezing(state, op, goal) if terminal else []
             new_plan = plan + (op,)
-            assert len(new_plan) <= 2 * len(start.slot_names)
             result.nodes.append(OptionNode(new_plan, st, violations, terminal,
                                            len(masks)))
             if masks:
@@ -543,7 +564,7 @@ def report_to_dict(rep: SearchReport) -> dict:
                 "near_misses": [{"plan": [op.render() for op in plan],
                                  "histogram": {str(d): n for d, n in sorted(h.items(), reverse=True)}}
                                 for plan, h in c.near_misses],
-                "options": [{"plan": list(n.plan_render()),
+                "options": [{"plan": [op._text for op in n.plan],
                              "multiplets": n.stats.n_multiplets,
                              "d3": n.stats.d3,
                              "terminal": n.terminal,
