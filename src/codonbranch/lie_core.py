@@ -25,14 +25,18 @@ A :class:`FormalCharacter` is keyed by these integer vectors, and adopts
 the fresh dict it is built from.  Restriction projects a whole character
 in one pass over the sparse integer rows of an embedding
 (:meth:`.embed_chains.Embedding.project_terms`), derived from its defining
-decomposition; :func:`peel` then takes its maxima by integer height alone.
-:meth:`RootSystem.to_dominant` is a closed form (a sort) that gives the
-chamber representative alone.  The even Weyl walk of :mod:`.super_branch`
-needs the sign of the Weyl element and stops on a wall, so it reflects step
-by step in :func:`_to_chamber`.  Every simple root has at most two nonzero
-coordinates, so the walk takes each root as its nonzero ``(index,
-coefficient)`` pairs, derived once per superalgebra: a dot product or a
-reflection touches at most two coordinates of a vector it keeps as a list.
+decomposition.  Every positive root of these realizations, and of a
+product's concatenated blocks, is lexicographically positive, so descending
+lexicographic order of the integer vectors extends the dominance order: it
+is the order of Freudenthal's dominant weights and of :func:`peel`'s maxima.
+:meth:`RootSystem.to_dominant` is a closed form (a sort, written out for A1,
+B2 and C2) that gives the chamber representative alone.  The even Weyl walk
+of :mod:`.super_branch` needs the sign of the Weyl element and stops on a
+wall, so it reflects step by step in :func:`_to_chamber`.  Every simple
+root has at most two nonzero coordinates, so the walk takes each root as
+its nonzero ``(index, coefficient)`` pairs, derived once per superalgebra:
+a dot product or a reflection touches at most two coordinates of a vector
+it keeps as a list.
 The simple roots are integral and their squared lengths (a, a) are 1, 2 or
 4, and 4 only for a = 2e_i, whose dot product with an integer vector is
 even.  So the reflection coefficient 2(w, a) // (a, a) of an integer vector
@@ -358,8 +362,15 @@ class RootSystem(Record):
         """Dominant Weyl-chamber representative of the integer vector ``w``
         (a weight times ``scale``), on the same scale: the coordinates
         (A_r, r >= 2) or their absolute values (A1, B, C) sorted in
-        descending order."""
+        descending order.  With sign flips and one or two coordinates (A1,
+        B2, C2) the sort is written out: it costs several times as much."""
         if self.sign_flips:
+            n = self.dim
+            if n == 1:
+                return (abs(w[0]),)
+            if n == 2:
+                a, b = abs(w[0]), abs(w[1])
+                return (a, b) if a >= b else (b, a)
             w = map(abs, w)
         return tuple(sorted(w, reverse=True))
 
@@ -435,16 +446,16 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
     The full weight set is generated by walking down simple roots from the
     highest weight, keeping points whose dominant representative is below it
     in the dominance order; dominant multiplicities then follow from the
-    Freudenthal recursion and spread over Weyl orbits.  All of it runs on
+    Freudenthal recursion, in descending lexicographic order (see the module
+    docstring), and spread over Weyl orbits.  All of it runs on
     integer vectors scaled by ``rs.scale``, the scale of the result.
     """
     scale = rs.scale
     lam = rs.scaled_highest_weight(labels)
     lowering = [tuple(scale * x for x in a) for a, _ in rs.chamber_roots]
-    # Each dominant representative met, mapped to its depth below lam: the
-    # sum of the simple-root coefficients of lam - mu, or -1 where one of
-    # them is negative and lam does not dominate mu.
-    depth = {lam: 0}
+    # Each dominant representative met, mapped to whether lam dominates it:
+    # whether every simple-root coefficient of lam - mu is nonnegative.
+    below = {lam: True}
     weights = {lam}
     queue = [lam]
     while queue:
@@ -454,15 +465,15 @@ def irrep_character(rs: RootSystem, labels: Labels) -> FormalCharacter:
             if w2 in weights:
                 continue
             dom = rs.to_dominant(w2)
-            d = depth.get(dom)
-            if d is None:
-                c = rs.root_coefficients(tuple(map(sub, lam, dom)))
-                d = depth[dom] = sum(c) if min(c) >= 0 else -1
-            if d >= 0:
+            b = below.get(dom)
+            if b is None:
+                b = below[dom] = min(rs.root_coefficients(tuple(map(sub, lam, dom)))) >= 0
+            if b:
                 weights.add(w2)
                 queue.append(w2)
 
-    dominants = sorted({rs.to_dominant(w) for w in weights}, key=depth.__getitem__)
+    # Descending lexicographic order extends dominance (module docstring).
+    dominants = sorted({rs.to_dominant(w) for w in weights}, reverse=True)
     # With w = scale * w', acc = scale * acc' and denom = scale^2 * denom',
     # so the multiplicity 2 acc' / denom' is 2 scale acc / denom.  Along the
     # string nu = mu + k step, (nu, a) grows by (step, a) = scale (a, a).
@@ -572,33 +583,30 @@ def _product_character(alg: SemisimpleAlgebra, labels) -> FormalCharacter:
 @lru_cache(maxsize=None)
 def _lattice(alg: SemisimpleAlgebra) -> tuple:
     """Integer data of ``alg`` on the lattice of :func:`_product_character`:
-    per factor its slice and its simple roots ``a`` with ``(a, a) * scale``,
-    and the height vector, the concatenated ``scale * rho0`` blocks.  The
-    height is positive on every positive root of every factor."""
-    blocks = tuple((sl, tuple((a, aa * f.scale) for a, aa in f.chamber_roots))
-                   for sl, f in zip(alg.slices(), alg.factors))
-    height = sum((f.scaled_rho0 for f in alg.factors), start=())
-    return blocks, height
+    per factor its slice and its simple roots ``a`` with ``(a, a) * scale``."""
+    return tuple((sl, tuple((a, aa * f.scale) for a, aa in f.chamber_roots))
+                 for sl, f in zip(alg.slices(), alg.factors))
 
 
 def peel(alg: SemisimpleAlgebra, ch: FormalCharacter):
     """Decompose a Weyl-invariant weight sum into irreducibles.
 
     ``ch`` is keyed by integer vectors as :meth:`SemisimpleAlgebra.character`
-    is.  Repeatedly strips the character of the irrep headed by the current
-    maximal weight.  Raises :class:`NotACharacterError` if the input is not
-    a true character (negative multiplicity, or a non-dominant maximum).
-    Returns ``[(labels, mult), ...]`` in the order stripped, highest first.
+    is.  Repeatedly strips the character of the irrep headed by the first
+    remaining weight in descending lexicographic order.  Raises
+    :class:`NotACharacterError` if the input is not a true character
+    (negative multiplicity, or a non-dominant maximum).  Returns
+    ``[(labels, mult), ...]`` in the order stripped, highest first.
     """
-    blocks, height = _lattice(alg)
+    blocks = _lattice(alg)
     work = dict(ch.terms)
     out = {}
-    # Subtracting a character only lowers multiplicities, so the current
-    # maximal weight is the highest remaining one by height.  Every other
-    # weight of a character lies strictly below its highest weight, so
-    # subtracting it leaves the weights of equal height as they were: ties
-    # may go in any order, and they go in the stable order of ``work``.
-    for w in sorted(work, key=lambda x: sum(map(mul, x, height)), reverse=True):
+    # Descending lexicographic order extends the dominance order (see the
+    # module docstring), and distinct vectors never tie.  Subtracting a
+    # character only lowers multiplicities, and every other weight of it
+    # lies strictly below its highest weight, so the current maximal weight
+    # is the first one remaining in that order.
+    for w in sorted(work, reverse=True):
         m = work.get(w)
         if m is None:
             continue

@@ -373,6 +373,22 @@ def test_chamber_map_is_constant_on_weyl_orbits(series, rank):
             assert rs.to_dominant(_ints(rs, rs.reflect(w, i))) == rep, (w, i)
 
 
+def test_positive_roots_are_lexicographically_positive_on_the_lattice():
+    # Freudenthal takes its dominant weights, and peel its maxima, in
+    # descending lexicographic order of the integer vectors.  That order
+    # extends the dominance order only while every positive root, times its
+    # factor's scale and placed in its block of a product, is
+    # lexicographically positive.
+    algebras = [SemisimpleAlgebra((build_root_system(*sr),)) for sr in ALL_SYSTEMS]
+    algebras += [emb.target_algebra() for emb in REGISTRY.values()]
+    for alg in algebras:
+        zero = (0,) * sum(f.dim for f in alg.factors)
+        for sl, f in zip(alg.slices(), alg.factors):
+            for a in f.positive_roots:
+                v = zero[:sl.start] + tuple(f.scale * x for x in a) + zero[sl.stop:]
+                assert v > zero, ([f"{g.series}{g.rank}" for g in alg.factors], a)
+
+
 def test_cold_search_characters_carry_their_integer_view(monkeypatch):
     from codonbranch import embed_chains, lie_core, search
 
