@@ -1,8 +1,17 @@
-"""Command-line interface: branchings, chains, schemes, search, golden tables."""
+"""Command-line interface: branchings, chains, schemes, search, golden tables.
+
+``run`` is the process entry: ``python -m codonbranch.cli`` and the
+``codonbranch`` console script call it.  It runs ``main`` and then freezes
+every live object with ``gc.freeze()``, so that the cycle collector's pass at
+interpreter shutdown has nothing to walk; module teardown, ``atexit`` and
+the flush of stdout still run.  ``main(argv)`` leaves interpreter state
+alone, so tests and library callers keep a working collector.
+"""
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -270,5 +279,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> int:
+    """``main(argv)`` for a process that exits when it returns."""
+    try:
+        return main(argv)
+    finally:
+        # The process is about to exit and nothing it holds needs
+        # finalizing: spare the shutdown collection its walk over them all.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())
