@@ -41,27 +41,28 @@ dimensions.  A child shape's count is odd exactly when an odd number of
 odd-count parent shapes split onto it, and a self-conjugate child shape
 comes only from self-conjugate parent shapes (a nonzero strong slot never
 returns to 0), so walking those parent shapes finds the child's by parity.
-The child keeps its parent, op and slot index, and splits its fold and its
-entries from the parent's on first read: a search reads the fold of a
-state it expands and no entries.
+A child refers to no other state.  It keeps its parent's fold, its op and
+the slot index, and splits its own fold from them on first read, dropping
+the parent's; it keeps the entries of its nearest ancestor that has them
+with the ops taken since, and replays those on the first read of its
+entries.  A search reads the fold of a state it expands and no entries.
 
-Nothing in a state depends on a search target, so a state keeps what it
-derives: its operations (:func:`available_ops`), its statistics
-(:func:`phase2_stats`), one table of slot-class rows per op
+Nothing in a state depends on a search target.  A state keeps only what
+a search reads twice: one table of slot-class rows per op
 (:meth:`Phase2State.class_rows`, read by :func:`apply_op` and by the mask
-solver) and its child per op (:func:`apply_op`).  It also keeps two things
-the search builds from these on first use: the mask solver's last-step
-entry per op (``_totals``: the largest piece, the number of dimensions
-with neutral copies, the fewest and most copies per dimension and, once a
-step passes those bounds, its move table, each active group with both its
-alternatives, so that a target of any largest dimension reads it) and,
-once the walk expands it, its edge rows (``_edges``, each op with its
-child, the child's statistics and the walk's key).  A
-tree of states is so built once and lives as long as its root: the start
-states that ``search`` caches per chain keep every child any search built,
-at most one per route, 2,877 over the 28 all-sl(2) chain ends (265 after
-a standard search), and ``cache_clear()`` on that cache frees them.  No
-memo is keyed by a target, and none by slot tuples.
+solver) and two things the search builds from these on first use: the mask
+solver's last-step entry per op (``_totals``: the largest piece, the number
+of dimensions with neutral copies, the fewest and most copies per dimension
+and, once a step passes those bounds, its move table, each active group
+with both its alternatives, so that a target of any largest dimension reads
+it) and, once the walk expands it, its edge rows (``_edges``, each op with
+its child, the child's statistics and the walk's key).  The edge rows are
+the only way one state refers to another, so no state is in a reference
+cycle and each is freed when its last reference goes.  The start states
+that ``search`` caches per chain keep every child any search expanded
+below them, at most one per route, 2,877 over the 28 all-sl(2) chain ends
+(265 after a standard search), and ``cache_clear()`` on that cache frees
+them.  No memo is keyed by a target, and none by slot tuples.
 """
 
 from __future__ import annotations
@@ -168,17 +169,17 @@ class Phase2State(Record):
     it, and equality ignores it.  Beside it a state keeps what its
     statistics read: ``dims``, its dimension histogram ``{dim: count}``, and
     ``odd0``, a list of its odd-count shapes that are their own conjugates
-    (every strong slot at 0).  A state made by :func:`apply_op` has
-    both from its parent (see the module docstring) and splits its fold and
-    its entries from its parent's on first access (so it keeps an instance
-    dict): a search reads the fold of a state it expands, and no entries.
+    (every strong slot at 0).  A state made by :func:`apply_op` has both
+    from its parent and builds its fold and its entries on first access,
+    from what it keeps instead of a parent (see the module docstring), so
+    it keeps an instance dict.
 
     ``symmetric`` says whether every shape of the fold has the same slot
     states and the count of its conjugate, which decides the pairing rule
     of :func:`phase2_stats`.  It is checked when a state is built from its
     entries; a state made by :func:`apply_op` inherits its parent's, since
     a break keeps a uniform fold uniform and a symmetric one symmetric.
-    Equality ignores it, and the memos the module docstring lists.
+    Equality ignores it, and the tables the module docstring lists.
     """
 
     def __init__(self, slot_names: tuple, stages: tuple, entries: tuple):
@@ -197,21 +198,25 @@ class Phase2State(Record):
             _add(self.dims, dim, n)
         self.odd0 = [slots for slots, (_, n) in self.shapes.items()
                      if n % 2 and tuple(map(slot_conjugate, slots)) == slots]
-        self._classes, self._rows, self._children, self._totals = {}, {}, {}, {}
-        self._ops = self._phase2_stats = self._edges = None
+        self._rows, self._totals, self._edges = {}, {}, None
 
     def __getattr__(self, name):
         # Only the fold and the entries of a state made by apply_op are ever
-        # missing; each is split from the parent's on first read.
-        if name not in ("shapes", "entries") or "_split" not in vars(self):
+        # missing; each is built on first read from what apply_op left in
+        # ``_shapes_from`` or ``_entries_from``, which is then dropped.
+        source = vars(self).get(f"_{name}_from") if name in ("shapes", "entries") else None
+        if source is None:
             raise AttributeError(name)
-        parent, op, idx = self._split
         if name == "shapes":
-            value = _break(parent.shapes, op.kind, idx, op.slot)
+            shapes, op, idx = source
+            value = _break(shapes, op.kind, idx, op.slot)
         else:
-            value = tuple(Multiplet(s, e.mult, e.history) for e in parent.entries
-                          for s in _pieces(e.slots, op.kind, idx, op.slot))
+            value, steps = source
+            for op, idx in steps:
+                value = tuple(Multiplet(s, e.mult, e.history) for e in value
+                              for s in _pieces(e.slots, op.kind, idx, op.slot))
         vars(self)[name] = value
+        del vars(self)[f"_{name}_from"]
         return value
 
     def statuses(self) -> tuple:
@@ -234,33 +239,23 @@ class Phase2State(Record):
                             f"valid slots: {', '.join(self.slot_names)}")
         return self.slot_names.index(slot)
 
-    def slot_classes(self, idx: int) -> dict:
-        """Copies per slot class, ``{(slot at idx, dim): copies}`` in fold
-        order, built on the first call per slot index: the shapes of a class
-        split alike under a break of slot ``idx``."""
-        classes = self._classes.get(idx)
-        if classes is None:
-            classes = self._classes[idx] = {}
-            for slots, (dim, n) in self.shapes.items():
-                key = slots[idx], dim
-                classes[key] = classes.get(key, 0) + n
-        return classes
-
     def class_rows(self, op) -> dict:
         """The slot classes under ``op``, ``{(slot at idx, dim): (copies,
-        split)}`` in fold order, for the broken slot ``idx``; ``split`` is
-        the split-table entry of the class's slot (see :func:`_split`).
-        Built on the first call per op, which checks the op on every class,
-        and kept on the state."""
+        split)}`` in fold order, for the broken slot ``idx``: the shapes of a
+        class split alike.  ``split`` is the split-table entry of the class's
+        slot (see :func:`_split`).  Built on the first call per op, which
+        checks the op on every class, and kept on the state."""
         rows = self._rows.get(op)
         if rows is None:
-            splits: dict = {}
-            rows = {}
-            for (old, dim), n in self.slot_classes(self.slot_index(op.slot, op)).items():
-                if old not in splits:
-                    splits[old] = _split(op.kind, old, op.slot)
-                rows[old, dim] = n, splits[old]
-            self._rows[op] = rows
+            if not isinstance(op, PhaseOp):
+                raise SlotError(f"breaking op {op!r} is not a PhaseOp; "
+                                "PhaseOp.parse reads a kind:slot token")
+            idx = self.slot_index(op.slot, op)
+            copies: dict = {}
+            for slots, (dim, n) in self.shapes.items():
+                _add(copies, (slots[idx], dim), n)
+            rows = self._rows[op] = {(old, dim): (n, _split(op.kind, old, op.slot))
+                                     for (old, dim), n in copies.items()}
         return rows
 
 
@@ -334,7 +329,8 @@ class PhaseOp(Record):
     """One distribution-wide breaking operation, by slot name; the kind is
     ``"soft"``, ``"strong"`` or ``"strong_after_soft"``.  Its hash and its
     ``kind:slot`` text are computed once, in ``_hash`` and ``_text``: every
-    memo of a state is keyed by an op, and every report renders its plans."""
+    table a state keeps is keyed by an op, and every report renders its
+    plans."""
 
     __slots__ = ("kind", "slot", "_text", "_hash")
 
@@ -350,6 +346,8 @@ class PhaseOp(Record):
     @classmethod
     def parse(cls, token: str) -> "PhaseOp":
         """The operation written as a ``kind:slot`` token."""
+        if not isinstance(token, str):
+            raise SlotError(f"breaking op {token!r} is not a kind:slot token")
         kind, sep, slot = token.partition(":")
         if not sep:
             raise SlotError(f"breaking op {token!r} is not of the form kind:slot")
@@ -362,18 +360,10 @@ class PhaseOp(Record):
 
 
 def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
-    """The state after ``op``, built on the first call per (state, op) and
-    kept on ``state``: only an op that built a child is kept."""
-    child = state._children.get(op)
-    if child is None:
-        child = state._children[op] = _child(state, op)
-    return child
-
-
-def _child(state: Phase2State, op: PhaseOp) -> Phase2State:
     """The state after ``op``.  Its dimension histogram comes from the
     parent's slot classes, its odd-count self-conjugate shapes by parity
-    from the parent's, and its fold only on first read."""
+    from the parent's, and its fold and entries only on first read; it
+    refers to no state (see the module docstring)."""
     rows = state.class_rows(op)
     idx = state.slot_index(op.slot, op)
     splits: dict = {}
@@ -390,25 +380,25 @@ def _child(state: Phase2State, op: PhaseOp) -> Phase2State:
         for p in splits[slots[idx]][3]:
             key = head + p + tail
             hits[key] = hits.get(key, 0) + 1
+    entries, steps = vars(state).get("_entries_from") or (state.entries, ())
     statuses = state.statuses()
     child = object.__new__(Phase2State)  # its fold and entries come from __getattr__
     vars(child).update(slot_names=state.slot_names, stages=state.stages,
                        symmetric=state.symmetric, dims=dims,
                        odd0=[s for s, n in hits.items() if n % 2],
                        _statuses=statuses[:idx] + (_LEAVES[op.kind],) + statuses[idx + 1:],
-                       _split=(state, op, idx), _classes={}, _rows={}, _children={},
-                       _totals={}, _ops=None, _phase2_stats=None, _edges=None)
+                       _shapes_from=(state.shapes, op, idx),
+                       _entries_from=(entries, steps + ((op, idx),)),
+                       _rows={}, _totals={}, _edges=None)
     return child
 
 
 def available_ops(state: Phase2State) -> tuple:
     """Operations applicable to the current slot states (uniform across
-    entries), built once per state."""
-    if state._ops is None:
-        state._ops = tuple(PhaseOp(kind, name)
-                           for name, st in zip(state.slot_names, state.statuses())
-                           for kind in _KINDS[st])
-    return state._ops
+    entries)."""
+    return tuple(PhaseOp(kind, name)
+                 for name, st in zip(state.slot_names, state.statuses())
+                 for kind in _KINDS[st])
 
 
 class Stats(Record):
@@ -443,17 +433,12 @@ def phase2_stats(state: Phase2State) -> Stats:
     shapes differ in count) is checked class by class on its fold: each
     odd-count shape must differ from its conjugate, whose count must be odd
     too."""
-    stats = state._phase2_stats
-    if stats is None:
-        if state.symmetric:
-            stats = _stats(state.dims, not state.odd0)
-        else:
-            shapes = state.shapes
-            stats = _stats(state.dims, all((c := tuple(map(slot_conjugate, s))) != s
-                                           and shapes.get(c, (0, 0))[1] % 2
-                                           for s, (_, n) in shapes.items() if n % 2))
-        state._phase2_stats = stats
-    return stats
+    if state.symmetric:
+        return _stats(state.dims, not state.odd0)
+    shapes = state.shapes
+    return _stats(state.dims, all((c := tuple(map(slot_conjugate, s))) != s
+                                  and shapes.get(c, (0, 0))[1] % 2
+                                  for s, (_, n) in shapes.items() if n % 2))
 
 
 def distribution_stats(dist: Distribution) -> Stats:

@@ -28,15 +28,17 @@ statistics, its phase-2 start state and its triplet facts, and
 They are keyed by registry ids and bounded by the registries (37 chains, 14
 representations), so a warm search runs only phase 2.  Within the walk only
 pruning, the terminal test and the freezing masks depend on the target:
-each start state keeps the children, statistics and slot-class rows that
-any search built below it (see ``phase2``; at most 2,877 children).  Each
-state the walk expands keeps its edge rows, so a warm search reads one
-kept row per option node; each state keeps per op the target-free bounds
-of its last step and, once a step passes them, its move table, so a warm
-search rejects most last steps by one loop over the target's dimensions
-and searches the masks of the rest from kept tables, building no group
-rows.  A test gets a cold search by calling ``cache_clear()`` on every
-cache of ``lie_core``, ``embed_chains`` and ``search``.
+each state the walk expands keeps its edge rows, so a start state keeps
+every child that any search expanded below it (see ``phase2``; at most
+2,877 children) and a warm search reads one kept row per option node.
+Each state keeps per op the target-free bounds of its last step and, once
+a step passes them, its move table, so a warm search rejects most last
+steps by one loop over the target's dimensions and searches the masks of
+the rest from kept tables, building no group rows.  The walk and the mask
+search recurse through module-level functions, not closures, which would
+refer to themselves.  A test gets a cold search by calling
+``cache_clear()`` on every cache of ``lie_core``, ``embed_chains`` and
+``search``.
 """
 
 from __future__ import annotations
@@ -266,38 +268,39 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     # fill the target.
     moves = [(broken,) if dim > top else (broken, freeze) for dim, broken, freeze in table]
     masks = []
-
-    def rec(i, frozen):
-        if i == len(moves):
-            masks.append(FreezeMask(frozen))
-            return
-        for _, added in moves[i]:  # group i is placed now
-            for d, n in added:
-                gain[d] -= n
-        for item, added in moves[i]:  # freeze all copies or none
-            for d, n in added:
-                left[d] = left.get(d, 0) - n
-            if all(left[d] >= 0 for d, _ in added) and \
-                    not any(n > gain.get(d, 0) for d, n in left.items()):
-                rec(i + 1, frozen + item)
-            for d, n in added:
-                left[d] += n
-        for _, added in moves[i]:
-            for d, n in added:
-                gain[d] += n
-
-    rec(0, ())
-    del rec  # a self-reference through the closure: free it now, not at the next gc
+    _freeze_masks(moves, 0, (), left, gain, masks)
     return sorted(masks, key=lambda m: m.frozen)
+
+
+def _freeze_masks(moves, i, frozen, left, gain, masks) -> None:
+    """Append to ``masks`` each mask ``frozen`` extends by placing groups
+    ``i`` onwards; ``left`` and ``gain`` are restored on return."""
+    if i == len(moves):
+        masks.append(FreezeMask(frozen))
+        return
+    for _, added in moves[i]:  # group i is placed now
+        for d, n in added:
+            gain[d] -= n
+    for item, added in moves[i]:  # freeze all copies or none
+        for d, n in added:
+            left[d] = left.get(d, 0) - n
+        if all(left[d] >= 0 for d, _ in added) and \
+                not any(n > gain.get(d, 0) for d, n in left.items()):
+            _freeze_masks(moves, i + 1, frozen + item, left, gain, masks)
+        for d, n in added:
+            left[d] += n
+    for _, added in moves[i]:
+        for d, n in added:
+            gain[d] += n
 
 
 def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2State:
     """Apply the final operation with the given mask (neutral groups frozen).
     A mask freezes every copy of a group, so an entry freezes whole when its
     group is frozen."""
-    idx = state.slot_index(op.slot, op)
     frozen = {g.render() for g in freeze_groups(state, op) if g.neutral}
     frozen.update(g for g, _, _ in mask.frozen)
+    idx = state.slot_index(op.slot, op)
     entries = []
     for e in state.entries:
         if e.render() in frozen:
@@ -386,39 +389,36 @@ def enumerate_phase2(start: Phase2State, target=None) -> Phase2Result:
     plans are at most twice as long as there are slots.
     """
     goal = _goal(target)
-    top = goal.dim_histogram[0][0]  # largest first
-    longest = 2 * len(start.slot_names)
     result = Phase2Result([], [], [], [])
-    seen_states = set()
-
-    def walk(state, plan):
-        edges = state._edges
-        if edges is None:
-            edges = state._edges = _edges(state)
-        assert not edges or len(plan) < longest
-        for op, child, st, key in edges:
-            violations = tuple(prune(st, 2, goal))
-            terminal = st.dim_histogram[0][0] <= top
-            masks = solve_freezing(state, op, goal) if terminal else []
-            new_plan = plan + (op,)
-            result.nodes.append(OptionNode(new_plan, st, violations, terminal,
-                                           len(masks)))
-            if masks:
-                result.schemes.append((new_plan, op, masks, state.count(),
-                                       st.n_multiplets))
-            if terminal and not masks and st.n_multiplets == goal.n_multiplets:
-                result.near_misses.append((new_plan, st.histogram()))
-            if violations:
-                result.pruned.append((new_plan, violations))
-                continue
-            if key in seen_states:
-                continue
-            seen_states.add(key)
-            walk(child, new_plan)
-
-    walk(start, ())
-    del walk  # a self-reference through the closure: free it now, not at the next gc
+    _walk(start, (), goal, 2 * len(start.slot_names), set(), result)
     return result
+
+
+def _walk(state, plan, goal, longest, seen_states, result) -> None:
+    """Record the edges of ``state``, reached by ``plan``, in ``result``, and
+    walk each child that no prune stops and ``seen_states`` lacks."""
+    edges = state._edges
+    if edges is None:
+        edges = state._edges = _edges(state)
+    assert not edges or len(plan) < longest
+    top = goal.dim_histogram[0][0]  # largest first
+    for op, child, st, key in edges:
+        violations = tuple(prune(st, 2, goal))
+        terminal = st.dim_histogram[0][0] <= top
+        masks = solve_freezing(state, op, goal) if terminal else []
+        new_plan = plan + (op,)
+        result.nodes.append(OptionNode(new_plan, st, violations, terminal, len(masks)))
+        if masks:
+            result.schemes.append((new_plan, op, masks, state.count(), st.n_multiplets))
+        if terminal and not masks and st.n_multiplets == goal.n_multiplets:
+            result.near_misses.append((new_plan, st.histogram()))
+        if violations:
+            result.pruned.append((new_plan, violations))
+            continue
+        if key in seen_states:
+            continue
+        seen_states.add(key)
+        _walk(child, new_plan, goal, longest, seen_states, result)
 
 
 # ---------------------------------------------------------------------------

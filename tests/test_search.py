@@ -515,6 +515,17 @@ def test_apply_op_checks_every_slot_class_itself():
         apply_op(mixed, PhaseOp("soft", "1"))
 
 
+def test_an_op_that_is_not_a_phase_op_is_a_slot_error():
+    state = apply_plan("osp(5|2)/3", ["soft:3"])
+    for call in (lambda: apply_op(state, "soft:12"), lambda: solve_freezing(state, "soft:12"),
+                 lambda: freeze_groups(state, "soft:12"),
+                 lambda: final_state(state, "soft:12", FreezeMask(()))):
+        with pytest.raises(SlotError, match=r"^breaking op 'soft:12' is not a PhaseOp"):
+            call()
+    with pytest.raises(SlotError, match=r"^breaking op \('soft', '3'\) is not a kind:slot"):
+        apply_plan("osp(5|2)/3", [("soft", "3")])
+
+
 def _stats_fields(s: Stats) -> dict:
     return {"n_multiplets": s.n_multiplets, "d3": s.d3, "n_singlets": s.n_singlets,
             "n_odd": s.n_odd, "total_pairing": s.total_pairing,
@@ -674,7 +685,7 @@ def test_the_work_of_a_warm_search_does_not_depend_on_the_hash_seed():
     for call, n in counts[0].items():
         names[call.rpartition(":")[2]] += n
     assert names["solve_freezing"] == 168
-    assert names["_child"] == names["class_rows"] == 0
+    assert names["apply_op"] == names["class_rows"] == 0
 
 
 def test_a_warm_search_reads_fractions_only_at_the_boundary():
@@ -700,34 +711,29 @@ def test_a_warm_search_reads_fractions_only_at_the_boundary():
 
 
 def test_a_warm_search_splits_no_entries(monkeypatch):
-    # A state made by apply_op splits its fold and its entries from its
-    # parent's on first read.  A search reads no entries, so it builds no
-    # Multiplet below the chain ends, and reads the fold only of a state it
-    # expands: 59 of the 265 option nodes of the standard code.  The children
-    # stay on the cached start states, so a warm search builds none of them
-    # again, and no fold.
+    # A state made by apply_op splits its fold and its entries on first read.
+    # A search reads no entries, so it builds no Multiplet below the chain
+    # ends, and reads the fold only of a state it expands: 59 of the 265
+    # option nodes of the standard code.  The children stay on the cached
+    # start states, so a warm search builds none of them again, and no fold.
     _clear_every_cache()
-    reads, built = [], []
-    split, child = Phase2State.__getattr__, phase2._child
+    reads = []
+    split = Phase2State.__getattr__
 
     def counted(self, name):
         reads.append(name)
         return split(self, name)
 
-    def counted_child(state, op):
-        built.append(op)
-        return child(state, op)
-
     monkeypatch.setattr(Phase2State, "__getattr__", counted)
-    monkeypatch.setattr(phase2, "_child", counted_child)
+    built = _count_calls(monkeypatch, (phase2.apply_op,))
     full_search()
     assert "entries" not in reads
     assert reads.count("shapes") == len(reads) == 59
-    assert len(built) == 265
+    assert built["apply_op"] == 265
     reads.clear()
     built.clear()
     full_search()
-    assert reads == built == []
+    assert reads == [] and not built
 
 
 def _count_calls(monkeypatch, functions) -> Counter:
@@ -844,12 +850,13 @@ MEMO_TARGETS = (None, {4: 8, 2: 14, 1: 4}, {6: 2, 4: 6, 3: 2, 2: 9, 1: 4},
 
 
 def _kept_children() -> int:
-    """Children kept on the cached start states and their descendants."""
+    """Children in the edge rows of the cached start states and their
+    descendants."""
     frontier = [search._chain_end(c.chain_id)[2] for c in CHAINS]
     frontier = [state for state in frontier if state is not None]
     kept = 0
     while frontier:
-        children = list(frontier.pop()._children.values())
+        children = [row[1] for row in frontier.pop()._edges or ()]
         kept += len(children)
         frontier.extend(children)
     return kept
@@ -883,13 +890,15 @@ def test_the_kept_tree_is_bounded_by_the_per_route_tree():
     for target in MEMO_TARGETS:
         full_search(target)
     assert _kept_children() == 642
-    # Every op on every kept state: one child per route, whatever the target.
+    # Edge rows on every kept state: one child per route, whatever the target.
     frontier = [search._chain_end(c.chain_id)[2] for c in CHAINS]
     frontier = [state for state in frontier if state is not None]
     assert len(frontier) == 28
     while frontier:
         state = frontier.pop()
-        frontier.extend(apply_op(state, op) for op in available_ops(state))
+        if state._edges is None:
+            state._edges = search._edges(state)
+        frontier.extend(row[1] for row in state._edges)
     assert _kept_children() == 2877
     for target in MEMO_TARGETS:
         full_search(target)
@@ -897,9 +906,66 @@ def test_the_kept_tree_is_bounded_by_the_per_route_tree():
 
 
 def test_clearing_the_chain_end_cache_frees_the_kept_tree():
-    full_search()
-    start = weakref.ref(search._chain_end("osp(5|2)/3")[2])
-    assert start() is not None and start()._children
-    search._chain_end.cache_clear()
-    gc.collect()  # a child and its parent refer to each other
-    assert start() is None
+    # No state refers to its parent, so the tree goes without the collector.
+    gc.disable()
+    try:
+        full_search()
+        start = weakref.ref(search._chain_end("osp(5|2)/3")[2])
+        assert start() is not None and start()._edges
+        search._chain_end.cache_clear()
+        assert start() is None
+    finally:
+        gc.enable()
+
+
+def _eager_state(chain_id: str, plan) -> Phase2State:
+    """The end state of ``plan``, each step built from the entries by
+    :func:`break_multiplet`."""
+    state = from_distribution(apply_chain(chain_id))
+    for token in plan:
+        op = PhaseOp.parse(token)
+        idx = state.slot_names.index(op.slot)
+        state = Phase2State(state.slot_names, state.stages, tuple(
+            p for e in state.entries for p in break_multiplet(e, op.kind, idx)))
+    return state
+
+
+def test_a_child_outlives_its_parent():
+    # A child keeps its parent's fold and its ancestors' entries, never a
+    # state, so its parent goes when the last reference to it does.
+    plan = ["soft:3", "strong:12", "strong_after_soft:3"]
+    gc.disable()
+    try:
+        parent = apply_plan("osp(5|2)/3", plan[:2])
+        child = apply_op(parent, PhaseOp.parse(plan[2]))
+        ref = weakref.ref(parent)
+        del parent
+        assert ref() is None
+    finally:
+        gc.enable()
+    eager = _eager_state("osp(5|2)/3", plan)
+    assert list(child.shapes.items()) == list(eager.shapes.items())
+    assert child.entries == eager.entries
+    assert phase2_stats(child) == phase2_stats(eager)
+
+
+def test_library_calls_leave_no_cyclic_garbage():
+    # Every object these calls make is freed by its reference count once the
+    # caches are cleared, so the collector finds nothing.
+    _clear_every_cache()
+    gc.collect()
+    gc.disable()
+    try:
+        full_search()
+        full_search({4: 8, 2: 14, 1: 4})
+        for table in range(1, 10):
+            build_table(table)
+        state = apply_plan("osp(5|2)/3", ["soft:3"])
+        assert state.entries and phase2_stats(state).n_multiplets
+        op = PhaseOp("strong", "12")
+        assert final_state(state, op, solve_freezing(state, op)[0]).entries
+        del state
+        _clear_every_cache()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
