@@ -1,11 +1,21 @@
 """Command-line interface: branchings, chains, schemes, search, golden tables.
 
 ``run`` is the process entry: ``python -m codonbranch.cli`` and the
-``codonbranch`` console script call it.  It runs ``main`` and then freezes
-every live object with ``gc.freeze()``, so that the cycle collector's pass at
-interpreter shutdown has nothing to walk; module teardown, ``atexit`` and
-the flush of stdout still run.  ``main(argv)`` leaves interpreter state
+``codonbranch`` console script call it.  It runs ``main`` with the cycle
+collector off and then freezes every live object with ``gc.freeze()``, so
+that the collector's pass at interpreter shutdown has nothing to walk;
+module teardown, ``atexit`` and the flush of stdout still run.  Turning the
+collector off is safe because the library's objects form no reference
+cycles (a phase-2 state refers to others only through its edge rows, and
+none refers back; ``tests/test_search.py`` checks it), so what a whole
+command leaves to the collector is 256 objects of argparse's parser, and
+the process exits soon after.  ``main(argv)`` leaves interpreter state
 alone, so tests and library callers keep a working collector.
+
+``search --format structured`` prints its report through :func:`_dump_json`,
+which writes what ``json.dumps(doc, indent=1, ensure_ascii=False)`` writes in
+one pass: any ``indent`` sends ``json.dumps`` to the standard library's
+pure-Python encoder, which is slower on the ~90 KB report.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .embed_chains import ChainError, apply_chain, render_labels
 from .lie_core import InvalidLabelsError
@@ -157,10 +168,60 @@ def cmd_search(args) -> int:
     if args.algebra:
         rep.algebras = [a for a in rep.algebras if a.key.startswith(args.algebra)]
     if args.format == "structured":
-        print(json.dumps(report_to_dict(rep), indent=1, ensure_ascii=False))
+        print(_dump_json(report_to_dict(rep)))
     else:
         print(report_summary(rep), end="")
     return 0
+
+
+def _dump_json(doc) -> str:
+    """``json.dumps(doc, indent=1, ensure_ascii=False)`` for a document of
+    dicts with str keys, lists, tuples, strs, ints, bools and None; any
+    other key or value raises ``TypeError``."""
+    parts: list = []
+    _put_json(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _put_json(value, nl: str, put) -> None:
+    """Put ``value`` as ``json.dumps`` with ``indent=1`` writes it, where
+    ``nl`` is a newline and the indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        put(encode_basestring(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _put_json(item, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + encode_basestring(key) + ": ")
+            _put_json(item, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def cmd_tables(args) -> int:
@@ -176,15 +237,16 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
-    import difflib
-
     from . import tables as tables_mod
     from .embed_chains import export_registry
 
     def registry_diff(want):
-        got = export_registry().splitlines(True)
+        got = export_registry()
+        if got == want:
+            return []
+        import difflib  # only to show a mismatch
         return [line.rstrip("\n") for line in difflib.unified_diff(
-            want.splitlines(True), got, "fixture", "registry", n=0)]
+            want.splitlines(True), got.splitlines(True), "fixture", "registry", n=0)]
 
     # Each fixture: its name in the report, its file, how to parse it and
     # how to list its differences from what the program builds now.
@@ -280,13 +342,19 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """``main(argv)`` for a process that exits when it returns."""
+    """``main(argv)`` for a process that exits when it returns.  The cycle
+    collector is off while ``main`` runs (the library makes no cycles, see
+    the module docstring) and is left on or off as the caller had it."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return main(argv)
     finally:
         # The process is about to exit and nothing it holds needs
         # finalizing: spare the shutdown collection its walk over them all.
         gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

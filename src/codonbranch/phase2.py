@@ -244,12 +244,13 @@ class Phase2State(Record):
         split)}`` in fold order, for the broken slot ``idx``: the shapes of a
         class split alike.  ``split`` is the split-table entry of the class's
         slot (see :func:`_split`).  Built on the first call per op, which
-        checks the op on every class, and kept on the state."""
+        checks the op's slot on every class, and kept on the state.  Every
+        call checks the op's type first: a list op is unhashable."""
+        if not isinstance(op, PhaseOp):
+            raise SlotError(f"breaking op {op!r} is not a PhaseOp; "
+                            "PhaseOp.parse reads a kind:slot token")
         rows = self._rows.get(op)
         if rows is None:
-            if not isinstance(op, PhaseOp):
-                raise SlotError(f"breaking op {op!r} is not a PhaseOp; "
-                                "PhaseOp.parse reads a kind:slot token")
             idx = self.slot_index(op.slot, op)
             copies: dict = {}
             for slots, (dim, n) in self.shapes.items():

@@ -234,7 +234,8 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     masks from that table.
     """
     goal = target if type(target) is Stats else _goal(target)
-    entry = state._totals.get(op)
+    # class_rows raises for an op of any other type; a list is unhashable.
+    entry = state._totals.get(op) if isinstance(op, PhaseOp) else None
     if entry is None:
         entry = state._totals[op] = _class_totals(state.class_rows(op))
     top_piece, neutral, bounds, table = entry

@@ -7,12 +7,17 @@ change to what a user sees fails here with the pair that moved.
 """
 
 import hashlib
+import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from codonbranch.cli import main
+from codonbranch.cli import _dump_json, main
 from codonbranch.embed_chains import chain_ids
+from codonbranch.search import full_search, report_to_dict
 from codonbranch.super_branch import CATALOG
+from test_search import MEMO_TARGETS
 
 SURVIVOR_PLANS = ("soft:3,soft:12", "soft:3,strong:12", "soft:3,strong_after_soft:3")
 
@@ -82,3 +87,45 @@ def stdout_digest(capsys, command, fmt):
 @pytest.mark.parametrize("command,fmt", list(PINNED), ids=lambda x: str(x))
 def test_cli_stdout_is_byte_identical(capsys, command, fmt):
     assert stdout_digest(capsys, command, fmt) == PINNED[command, fmt]
+
+
+# ---------------------------------------------------------------------------
+# the one-pass writer of `search --format structured`
+
+# Quotes, backslashes, control characters, non-ASCII (U+00B1 as in "2-(±2)")
+# and surrogates besides arbitrary text.
+_TEXT = st.text(st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\u00b1\u2028\ud800')) | st.text()
+_SCALARS = (st.none() | st.booleans() | _TEXT
+            | st.integers() | st.integers(min_value=-2**200, max_value=2**200))
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=1, ensure_ascii=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DOCS)
+@example([])
+@example(())
+@example({})
+@example({"a": [{}, ()], "b": [[[]]]})
+@example([True, False, None, 0, -1, 2**64, -2**65, '"\\\n\x00\u00b1'])
+def test_writer_is_json_dumps_with_indent_1(doc):
+    assert _dump_json(doc) == _dumps(doc)
+
+
+def test_writer_on_the_search_report_of_every_memo_target():
+    for target in MEMO_TARGETS:
+        doc = report_to_dict(full_search(target))
+        assert _dump_json(doc) == _dumps(doc), target
+
+
+@pytest.mark.parametrize("doc", [{1: 2}, {None: 1}, [1.5], {"a": {2}}, object()])
+def test_writer_refuses_what_the_report_never_holds(doc):
+    with pytest.raises(TypeError):
+        _dump_json(doc)

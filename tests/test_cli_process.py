@@ -1,6 +1,7 @@
 """The command line as a process: ``python -m codonbranch.cli`` and the
-console script go through ``cli.run``, which freezes the collector's objects
-before the interpreter exits; ``cli.main`` called in-process must not."""
+console script go through ``cli.run``, which turns the cycle collector off
+while ``main`` runs and freezes the collector's objects before the
+interpreter exits; ``cli.main`` called in-process must do neither."""
 
 import gc
 import hashlib
@@ -47,6 +48,49 @@ def test_run_returns_the_status_of_main_and_freezes():
     proc = _process("-c", code)
     assert (proc.returncode, proc.stdout) == (0, "")
     assert proc.stderr.splitlines()[-1] == "2 True True"
+
+
+def _collector_probe(monkeypatch) -> list:
+    """Replace the ``list-catalog`` command by one that records whether the
+    collector is on while it runs."""
+    seen = []
+
+    def probe(args):
+        seen.append(gc.isenabled())
+        return 0
+    monkeypatch.setitem(cli._COMMANDS, "list-catalog", probe)
+    # run freezes what is live; give it back so the suite's collector sees it.
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    return seen
+
+
+def test_the_collector_is_off_under_run_and_on_under_main(monkeypatch):
+    seen = _collector_probe(monkeypatch)
+    assert gc.isenabled()
+    assert cli.run(["list-catalog"]) == 0
+    assert gc.isenabled()
+    assert cli.main(["list-catalog"]) == 0
+    assert seen == [False, True]
+
+
+def test_run_leaves_a_disabled_collector_disabled(monkeypatch):
+    seen = _collector_probe(monkeypatch)
+    gc.disable()
+    try:
+        assert cli.run(["list-catalog"]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False]
+
+
+def test_a_matching_verify_golden_imports_no_difflib():
+    # -S: no site hook (a .pth file, say) may have loaded it first.
+    code = ("import sys, codonbranch.cli as cli\n"
+            "status = cli.run(['verify-golden'])\n"
+            "print(status, 'difflib' in sys.modules, file=sys.stderr)\n")
+    proc = _process("-S", "-c", code)
+    assert proc.stderr.splitlines()[-1] == "0 False"
 
 
 # One command line per command, each exiting 0.

@@ -517,11 +517,13 @@ def test_apply_op_checks_every_slot_class_itself():
 
 def test_an_op_that_is_not_a_phase_op_is_a_slot_error():
     state = apply_plan("osp(5|2)/3", ["soft:3"])
-    for call in (lambda: apply_op(state, "soft:12"), lambda: solve_freezing(state, "soft:12"),
-                 lambda: freeze_groups(state, "soft:12"),
-                 lambda: final_state(state, "soft:12", FreezeMask(()))):
-        with pytest.raises(SlotError, match=r"^breaking op 'soft:12' is not a PhaseOp"):
-            call()
+    # A list is unhashable: the type is checked before any per-op lookup.
+    for op, shown in (("soft:12", r"'soft:12'"), (["soft", "12"], r"\['soft', '12'\]")):
+        for call in (lambda: apply_op(state, op), lambda: solve_freezing(state, op),
+                     lambda: freeze_groups(state, op),
+                     lambda: final_state(state, op, FreezeMask(()))):
+            with pytest.raises(SlotError, match=rf"^breaking op {shown} is not a PhaseOp"):
+                call()
     with pytest.raises(SlotError, match=r"^breaking op \('soft', '3'\) is not a kind:slot"):
         apply_plan("osp(5|2)/3", [("soft", "3")])
 
