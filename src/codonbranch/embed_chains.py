@@ -180,8 +180,8 @@ def branch_embedding(name: str, labels) -> tuple:
 
 def diagonal_clebsch(a: int, b: int) -> tuple:
     """sl(2) tensor product: labels a+b, a+b-2, ..., |a-b|, multiplicity 1."""
-    if a < 0 or b < 0:
-        raise ChainError("labels must be nonnegative")
+    if not (type(a) is type(b) is int and min(a, b) >= 0):
+        raise ChainError(f"labels {a!r}, {b!r} must be nonnegative integers")
     return tuple((c,) for c in range(a + b, abs(a - b) - 1, -2))
 
 

@@ -34,13 +34,12 @@ some hand-built states) are checked class by class.
 
 So the statistics of a symmetric state need only its dimension histogram
 and its odd-count self-conjugate shapes, and :func:`apply_op` derives both
-from the parent without building the child's fold.  The histogram comes
-from the parent's copies per slot class, (slot at the broken index,
-dimension), since every shape of a class splits into pieces of the same
-dimensions.  A child shape's count is odd exactly when an odd number of
-odd-count parent shapes split onto it, and a self-conjugate child shape
-comes only from self-conjugate parent shapes (a nonzero strong slot never
-returns to 0), so walking those parent shapes finds the child's by parity.
+from the parent without building the child's fold.  The histogram is read
+off the parent's record for the op (:meth:`Phase2State.op_record`).  A
+child shape's count is odd exactly when an odd number of odd-count parent
+shapes split onto it, and a self-conjugate child shape comes only from
+self-conjugate parent shapes (a nonzero strong slot never returns to 0),
+so walking those parent shapes finds the child's by parity.
 A child refers to no other state.  It keeps its parent's fold, its op and
 the slot index, and splits its own fold from them on first read, dropping
 the parent's; it keeps the entries of its nearest ancestor that has them
@@ -48,21 +47,16 @@ with the ops taken since, and replays those on the first read of its
 entries.  A search reads the fold of a state it expands and no entries.
 
 Nothing in a state depends on a search target.  A state keeps only what
-a search reads twice: one table of slot-class rows per op
-(:meth:`Phase2State.class_rows`, read by :func:`apply_op` and by the mask
-solver) and two things the search builds from these on first use: the mask
-solver's last-step entry per op (``_totals``: the largest piece, the number
-of dimensions with neutral copies, the fewest and most copies per dimension
-and, once a step passes those bounds, its move table, each active group
-with both its alternatives, so that a target of any largest dimension reads
-it) and, once the walk expands it, its edge rows (``_edges``, each op with
-its child, the child's statistics and the walk's key).  The edge rows are
-the only way one state refers to another, so no state is in a reference
-cycle and each is freed when its last reference goes.  The start states
-that ``search`` caches per chain keep every child any search expanded
-below them, at most one per route, 2,877 over the 28 all-sl(2) chain ends
-(265 after a standard search), and ``cache_clear()`` on that cache frees
-them.  No memo is keyed by a target, and none by slot tuples.
+a search reads twice: its record per op (:meth:`Phase2State.op_record`),
+read by :func:`apply_op` and by the mask solver, and, once the walk expands
+it, its edge rows (``_edges``, each op with its child, the child's
+statistics and the walk's key).  The edge rows are the only way one state
+refers to another, so no state is in a reference cycle and each is freed
+when its last reference goes.  The start states that ``search`` caches per
+chain keep every child any search expanded below them, at most one per
+route, 2,877 over the 28 all-sl(2) chain ends (265 after a standard
+search), and ``cache_clear()`` on that cache frees them.  No memo is keyed
+by a target, and none by slot tuples.
 """
 
 from __future__ import annotations
@@ -179,7 +173,7 @@ class Phase2State(Record):
     of :func:`phase2_stats`.  It is checked when a state is built from its
     entries; a state made by :func:`apply_op` inherits its parent's, since
     a break keeps a uniform fold uniform and a symmetric one symmetric.
-    Equality ignores it, and the tables the module docstring lists.
+    Equality ignores it, and what the module docstring says a state keeps.
     """
 
     def __init__(self, slot_names: tuple, stages: tuple, entries: tuple):
@@ -198,7 +192,7 @@ class Phase2State(Record):
             _add(self.dims, dim, n)
         self.odd0 = [slots for slots, (_, n) in self.shapes.items()
                      if n % 2 and tuple(map(slot_conjugate, slots)) == slots]
-        self._rows, self._totals, self._edges = {}, {}, None
+        self._records, self._edges = {}, None
 
     def __getattr__(self, name):
         # Only the fold and the entries of a state made by apply_op are ever
@@ -239,25 +233,56 @@ class Phase2State(Record):
                             f"valid slots: {', '.join(self.slot_names)}")
         return self.slot_names.index(slot)
 
-    def class_rows(self, op) -> dict:
-        """The slot classes under ``op``, ``{(slot at idx, dim): (copies,
-        split)}`` in fold order, for the broken slot ``idx``: the shapes of a
-        class split alike.  ``split`` is the split-table entry of the class's
-        slot (see :func:`_split`).  Built on the first call per op, which
-        checks the op's slot on every class, and kept on the state.  Every
-        call checks the op's type first: a list op is unhashable."""
+    def op_record(self, op) -> list:
+        """The state's record for ``op``, ``[rows, largest piece, neutral,
+        bounds, move table]``, built on the first call per op in one pass
+        over the slot classes, (slot at the broken index, dim), whose shapes
+        split alike.  ``rows`` maps each class to its slot's split-table
+        entry (see :func:`_split`).  ``bounds`` maps each dimension to
+        ``[fewest, most when dim <= top, most when dim > top]``, the copies
+        the op can leave there as a last step for a target whose largest
+        dimension is ``top``: a neutral class's one piece keeps the class's
+        dimension, so its copies count in all three, and ``neutral`` counts
+        the dimensions that have some; every other class adds its pieces to
+        both maxima, and its own copies, frozen, to its dimension where that
+        is at most ``top``.  So the last column, nothing frozen, is the
+        child's histogram.  The first last step that passes the bounds fills
+        the move table (see ``search.solve_freezing``).  The first call
+        checks the op's slot on every class; every call checks the op's type
+        first, since a list op is unhashable."""
         if not isinstance(op, PhaseOp):
             raise SlotError(f"breaking op {op!r} is not a PhaseOp; "
                             "PhaseOp.parse reads a kind:slot token")
-        rows = self._rows.get(op)
-        if rows is None:
-            idx = self.slot_index(op.slot, op)
-            copies: dict = {}
-            for slots, (dim, n) in self.shapes.items():
-                _add(copies, (slots[idx], dim), n)
-            rows = self._rows[op] = {(old, dim): (n, _split(op.kind, old, op.slot))
-                                     for (old, dim), n in copies.items()}
-        return rows
+        record = self._records.get(op)
+        if record is None:
+            record = self._records[op] = _op_record(self, op)
+        return record
+
+
+def _op_record(state: Phase2State, op) -> list:
+    idx = state.slot_index(op.slot, op)
+    copies: dict = {}
+    for slots, (dim, n) in state.shapes.items():
+        _add(copies, (slots[idx], dim), n)
+    rows, top_piece, neutral, bounds = {}, 0, 0, {}
+    for (old, dim), count in copies.items():
+        old_dim, _, hist, _ = rows[old, dim] = _split(op.kind, old, op.slot)
+        scale = dim // old_dim
+        top_piece = max(top_piece, scale * hist[0][0])  # pieces: largest first
+        row = bounds.setdefault(dim, [0, 0, 0])
+        if hist == ((old_dim, 1),):
+            if not row[0]:
+                neutral += 1
+            row[0] += count
+            row[1] += count
+            row[2] += count
+            continue
+        row[1] += count
+        for d, n in hist:
+            row = bounds.setdefault(scale * d, [0, 0, 0])
+            row[1] += n * count
+            row[2] += n * count
+    return [rows, top_piece, neutral, bounds, None]
 
 
 def from_distribution(dist: Distribution) -> Phase2State:
@@ -361,36 +386,28 @@ class PhaseOp(Record):
 
 
 def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
-    """The state after ``op``.  Its dimension histogram comes from the
-    parent's slot classes, its odd-count self-conjugate shapes by parity
-    from the parent's, and its fold and entries only on first read; it
-    refers to no state (see the module docstring)."""
-    rows = state.class_rows(op)
+    """The state after ``op``, from the parent's record for ``op`` and its
+    odd-count self-conjugate shapes; its fold and entries come only on
+    first read, and it refers to no state (see the module docstring)."""
+    bounds = state.op_record(op)[3]
     idx = state.slot_index(op.slot, op)
-    splits: dict = {}
-    dims: dict = {}
-    for (old, dim), (copies, split) in rows.items():
-        splits[old] = split
-        old_dim, _, hist, _ = split
-        for d, n in hist:
-            key = dim // old_dim * d
-            dims[key] = dims.get(key, 0) + n * copies
     hits: dict = {}  # odd-count parents per self-conjugate child shape
     for slots in state.odd0:
         head, tail = slots[:idx], slots[idx + 1:]
-        for p in splits[slots[idx]][3]:
+        for p in _split(op.kind, slots[idx], op.slot)[3]:
             key = head + p + tail
             hits[key] = hits.get(key, 0) + 1
     entries, steps = vars(state).get("_entries_from") or (state.entries, ())
     statuses = state.statuses()
     child = object.__new__(Phase2State)  # its fold and entries come from __getattr__
     vars(child).update(slot_names=state.slot_names, stages=state.stages,
-                       symmetric=state.symmetric, dims=dims,
+                       symmetric=state.symmetric,
+                       dims={d: high for d, (_, _, high) in bounds.items() if high},
                        odd0=[s for s, n in hits.items() if n % 2],
                        _statuses=statuses[:idx] + (_LEAVES[op.kind],) + statuses[idx + 1:],
                        _shapes_from=(state.shapes, op, idx),
                        _entries_from=(entries, steps + ((op, idx),)),
-                       _rows={}, _totals={}, _edges=None)
+                       _records={}, _edges=None)
     return child
 
 

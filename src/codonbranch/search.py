@@ -31,12 +31,12 @@ pruning, the terminal test and the freezing masks depend on the target:
 each state the walk expands keeps its edge rows, so a start state keeps
 every child that any search expanded below it (see ``phase2``; at most
 2,877 children) and a warm search reads one kept row per option node.
-Each state keeps per op the target-free bounds of its last step and, once
-a step passes them, its move table, so a warm search rejects most last
-steps by one loop over the target's dimensions and searches the masks of
-the rest from kept tables, building no group rows.  The walk and the mask
-search recurse through module-level functions, not closures, which would
-refer to themselves.  A test gets a cold search by calling
+Each state's record per op keeps the target-free bounds of its last step
+and, once a step passes them, its move table, so a warm search rejects
+most last steps by one loop over the target's dimensions and searches the
+masks of the rest from kept tables, building no group rows.  The walk and
+the mask search recurse through module-level functions, not closures,
+which would refer to themselves.  A test gets a cold search by calling
 ``cache_clear()`` on every cache of ``lie_core``, ``embed_chains`` and
 ``search``.
 """
@@ -107,12 +107,16 @@ def prune(stats: Stats, phase: int, target=None):
 
     Phase 1 is the chain-level check (total pairing, singlets, odd count);
     phase 2 is the continuation check inside the breaking tree, where only
-    criteria that survive final-step freezing may appear.
+    criteria that survive final-step freezing may appear.  Any other phase
+    raises ``ValueError``.
     """
     goal = target if type(target) is Stats else _goal(target)
-    out = []
-    if phase == 1 and stats.total_pairing and not goal.total_pairing:
-        out.append(TOTAL_PAIRING)
+    if phase == 2:
+        out = []
+    elif phase == 1:
+        out = [TOTAL_PAIRING] if stats.total_pairing and not goal.total_pairing else []
+    else:
+        raise ValueError(f"unknown phase {phase!r}; phases are 1 and 2")
     if stats.n_singlets > goal.n_singlets:
         out.append(TOO_MANY_SINGLETS)
     if stats.n_odd > goal.n_odd:
@@ -157,53 +161,20 @@ class FreezeMask(Record):
                          for g, d, n in self.frozen)
 
 
-def _group_rows(state: Phase2State, op: PhaseOp, rows: dict) -> list:
+def _group_rows(state: Phase2State, op: PhaseOp) -> list:
     """``(slots, count, dim, pieces)`` per shape of the state's fold, in fold
     order; ``pieces`` is the sorted dimension histogram of one copy after
-    ``op``, found once per slot class of ``rows``, the state's
-    :meth:`~Phase2State.class_rows` under ``op``."""
+    ``op``, found once per slot class of the state's record for ``op``."""
     pieces = {(old, dim): tuple([(dim // old_dim * d, n) for d, n in hist])
-              for (old, dim), (_, (old_dim, _, hist, _)) in rows.items()}
+              for (old, dim), (old_dim, _, hist, _) in state.op_record(op)[0].items()}
     idx = state.slot_index(op.slot, op)
     return [(slots, count, dim, pieces[slots[idx], dim])
             for slots, (dim, count) in state.shapes.items()]
 
 
 def freeze_groups(state: Phase2State, op: PhaseOp):
-    rows = _group_rows(state, op, state.class_rows(op))
     return [FreezeGroup(slots, count, dim, pieces, pieces == ((dim, 1),))
-            for slots, count, dim, pieces in sorted(rows)]
-
-
-def _class_totals(rows: dict) -> list:
-    """What the last-step check keeps of one op's slot-class rows, in one
-    pass: ``[largest piece, number of dimensions with neutral copies,
-    bounds, move table]``.  ``bounds`` maps each dimension to ``[fewest,
-    most when dim <= top, most when dim > top]``, the copies the step can
-    leave there for a target whose largest dimension is ``top``: a neutral
-    class's one piece keeps the class's dimension, so its copies count in
-    all three; every other class adds its pieces to theirs in both maxima,
-    and its own copies, frozen, to its dimension where that is at most
-    ``top``.  The move table is filled by the first call that passes the
-    bounds (see :func:`solve_freezing`)."""
-    top_piece, neutral, bounds = 0, 0, {}
-    for (_, dim), (count, (old_dim, _, hist, _)) in rows.items():
-        scale = dim // old_dim
-        top_piece = max(top_piece, scale * hist[0][0])  # pieces: largest first
-        row = bounds.setdefault(dim, [0, 0, 0])
-        if hist == ((old_dim, 1),):
-            if not row[0]:
-                neutral += 1
-            row[0] += count
-            row[1] += count
-            row[2] += count
-            continue
-        row[1] += count
-        for d, n in hist:
-            row = bounds.setdefault(scale * d, [0, 0, 0])
-            row[1] += n * count
-            row[2] += n * count
-    return [top_piece, neutral, bounds, None]
+            for slots, count, dim, pieces in sorted(_group_rows(state, op))]
 
 
 def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
@@ -219,26 +190,20 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     their own histogram are skipped: freezing them is meaningless and masks
     are reported without them.
 
-    Whether any mask can exist is decided on bounds per dimension first.
-    The groups of one broken slot and dimension have the same pieces, so
-    the bounds add up the state's slot-class rows under ``op``; they depend
-    on no target, and the state keeps them per op, built on the first call
-    (which checks the op; see :func:`_class_totals`).  A step is rejected
-    when its largest piece is above the target's largest dimension ``top``,
-    when a neutral group's dimension is missing from the target, or when at
-    a dimension of the target the count is below the neutral copies or above
-    the most the groups can leave there.  The first call that passes keeps
-    the active groups beside the bounds, sorted, each as its dimension, its
-    pieces and its freeze alternative, whatever the target; a call drops the
-    freeze alternative of every group above its ``top`` and searches the
-    masks from that table.
+    Whether any mask can exist is decided first on the target-free bounds of
+    the state's record for ``op`` (:meth:`Phase2State.op_record`).  A step
+    is rejected when its largest piece is above the target's largest
+    dimension ``top``, when a neutral group's dimension is missing from the
+    target, or when at a dimension of the target the count is below the
+    neutral copies or above the most the groups can leave there.  The first
+    call that passes keeps the active groups in the record, sorted, each as
+    its dimension, its pieces and its freeze alternative, whatever the
+    target; a call drops the freeze alternative of every group above its
+    ``top`` and searches the masks from that table.
     """
     goal = target if type(target) is Stats else _goal(target)
-    # class_rows raises for an op of any other type; a list is unhashable.
-    entry = state._totals.get(op) if isinstance(op, PhaseOp) else None
-    if entry is None:
-        entry = state._totals[op] = _class_totals(state.class_rows(op))
-    top_piece, neutral, bounds, table = entry
+    record = state.op_record(op)
+    _, top_piece, neutral, bounds, table = record
     hist = goal.dim_histogram
     top = hist[0][0]     # the target's largest dimension
     if top_piece > top:
@@ -257,11 +222,10 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     gain = {d: (low if d <= top else high) - fewest
             for d, (fewest, low, high) in bounds.items()}
     if table is None:
-        # The bounds were built from the rows that class_rows keeps per op.
-        table = entry[3] = tuple(
+        table = record[4] = tuple(
             (dim, ((), tuple((d, n * count) for d, n in pieces)),
              ((("-".join(map(render_slot, slots)), dim, count),), ((dim, count),)))
-            for slots, count, dim, pieces in sorted(_group_rows(state, op, state._rows[op]))
+            for slots, count, dim, pieces in sorted(_group_rows(state, op))
             if pieces != ((dim, 1),))
     # A group adds its pieces when it breaks, or its own dimension when all
     # its copies freeze (never above ``top``); a move is checked on the

@@ -254,6 +254,15 @@ def test_diagonal_clebsch_rejects_negative():
         diagonal_clebsch(-1, 2)
 
 
+def test_diagonal_clebsch_rejects_labels_that_are_not_integers():
+    # A float or a string once reached range() or a comparison and raised a
+    # bare TypeError; a bool is not a label either.
+    for a, b, shown in ((0.5, 1, "0.5, 1"), ("1", 2, "'1', 2"), (1, None, "1, None"),
+                        (True, 2, "True, 2")):
+        with pytest.raises(ChainError, match=rf"^labels {shown} must be nonnegative integers"):
+            diagonal_clebsch(a, b)
+
+
 def test_first_step_distribution_total():
     for key in ("sl(2|1)", "osp(5|2)", "osp(2|6)"):
         assert first_step_distribution(key).total_dim() == 64

@@ -1,10 +1,11 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from codonbranch.embed_chains import apply_chain
+from codonbranch.embed_chains import CHAINS, apply_chain
 from codonbranch.phase2 import (
     Couplings,
     Multiplet,
@@ -23,6 +24,8 @@ from codonbranch.phase2 import (
     soft_break_slot,
     strong_break_slot,
 )
+from codonbranch.search import solve_freezing
+from oracles import freeze_groups_reference
 
 F = Fraction
 
@@ -154,6 +157,59 @@ def test_monotone_statistics_over_randomized_sequences():
             assert new.n_odd >= stats.n_odd
             assert new.n_multiplets >= stats.n_multiplets
             stats = new
+
+
+def _every_edge():
+    """The number of states and every ``(state, op, child)`` edge over the
+    all-sl(2) chain ends, from fresh start states: every op is applied to
+    one state per (chain end, statuses), the first one reached."""
+    n_states, edges = 0, []
+    for chain in CHAINS:
+        dist = apply_chain(chain.chain_id)
+        if not dist.stage.all_sl2():
+            continue
+        frontier = [from_distribution(dist)]
+        seen = {frontier[0].statuses()}
+        while frontier:
+            state = frontier.pop()
+            for op in available_ops(state):
+                child = apply_op(state, op)
+                edges.append((state, op, child))
+                if child.statuses() not in seen:
+                    seen.add(child.statuses())
+                    frontier.append(child)
+        n_states += len(seen)
+    return n_states, edges
+
+
+def test_properties_over_every_edge_of_the_state_space():
+    n_states, edges = _every_edge()
+    assert (n_states, len(edges)) == (306, 711)
+    frozen = 0
+    for state, op, child in edges:
+        before, after = phase2_stats(state), phase2_stats(child)
+        assert after.d3 <= before.d3
+        assert after.n_singlets >= before.n_singlets
+        assert after.n_odd >= before.n_odd
+        assert after.n_multiplets >= before.n_multiplets
+        assert child.total_dim() == 64
+        # The child's histogram, read off its parent's per-op record, is the
+        # one its own split fold gives.
+        split = Counter()
+        for slots, (_, n) in child.shapes.items():
+            split[math.prod(map(slot_dim, slots))] += n
+        assert child.dims == split, (state.statuses(), op)
+        # Last-step freezing keeps a subset of the pre-final state: each
+        # frozen entry is one of its non-neutral groups, whole.
+        groups = {"-".join(map(render_slot, slots)): (dim, count)
+                  for slots, count, dim, _, neutral in freeze_groups_reference(
+                      [(e.slots, e.mult) for e in state.entries], op.kind,
+                      state.slot_names.index(op.slot)) if not neutral}
+        for mask in solve_freezing(state, op):
+            for group, dim, count in mask.frozen:
+                assert groups[group] == (dim, count), (state.statuses(), op, group)
+                frozen += 1
+    assert frozen
 
 
 def _table6_scheme_state():

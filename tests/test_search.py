@@ -113,6 +113,14 @@ def test_prune_bounds_are_read_off_the_target(target, goal):
     assert hits(2, total_pairing=True) == []
 
 
+def test_an_unknown_prune_phase_is_a_value_error():
+    stats = phase2._stats({4: 16}, False)
+    assert prune(stats, 2) == ["D3TooSmall"]
+    for phase, shown in (("2", "'2'"), (3, "3"), (0, "0"), (None, "None")):
+        with pytest.raises(ValueError, match=rf"^unknown phase {shown}; phases are 1 and 2"):
+            prune(stats, phase)
+
+
 def test_match_target_examples():
     assert not match_target(_stats("osp(5|2)/3"))  # contains dims 8 and 9
     near = _stats("osp(5|2)/1", ["strong:2"])
@@ -682,12 +690,13 @@ def test_the_work_of_a_warm_search_does_not_depend_on_the_hash_seed():
         counts.append(json.loads(proc.stdout))
     assert counts[0] == counts[1]
     # The tree the first search built answers the second: it solves every
-    # terminal step and builds no child and no slot-class rows.
+    # terminal step from the kept per-op records and builds no child and no
+    # record.  The names come from the functions, so a renamed one fails here.
     names = Counter()
     for call, n in counts[0].items():
         names[call.rpartition(":")[2]] += n
-    assert names["solve_freezing"] == 168
-    assert names["apply_op"] == names["class_rows"] == 0
+    assert names[search.solve_freezing.__name__] == names[Phase2State.op_record.__name__] == 168
+    assert names[phase2.apply_op.__name__] == names[phase2._op_record.__name__] == 0
 
 
 def test_a_warm_search_reads_fractions_only_at_the_boundary():
@@ -757,18 +766,18 @@ def _count_calls(monkeypatch, functions) -> Counter:
 def test_a_warm_search_reads_its_edges_and_freezing_totals_from_the_kept_tree(monkeypatch):
     # A cold standard search makes the calls that the benchmark harness pins:
     # one apply_op and one phase2_stats per option node, one solve_freezing
-    # per terminal one.  A state it expands keeps its edge rows, and a state
-    # it solves a last step of keeps the bounds per op, and the move table of
-    # each of the 10 steps that pass them, so the warm search after it builds
-    # none of these and no child, statistics, slot-class or group rows.  It
-    # still solves every terminal step.
+    # per terminal one.  Each apply_op builds its parent's record for the op,
+    # which solve_freezing reads, and a state the walk expands keeps its edge
+    # rows; each of the 10 steps that pass the bounds keeps its move table in
+    # the record.  So the warm search after it builds none of these and no
+    # child, statistics or group rows.  It still solves every terminal step.
     _clear_every_cache()
     calls = _count_calls(monkeypatch, (
-        phase2.apply_op, phase2.phase2_stats, Phase2State.class_rows, search.solve_freezing,
-        search._group_rows, search._class_totals, search._edges))
+        phase2.apply_op, phase2.phase2_stats, phase2._op_record, search.solve_freezing,
+        search._group_rows, search._edges))
     full_search()
-    assert calls["apply_op"] == calls["phase2_stats"] == 265
-    assert calls["solve_freezing"] == calls["_class_totals"] == 168
+    assert calls["apply_op"] == calls["phase2_stats"] == calls["_op_record"] == 265
+    assert calls["solve_freezing"] == 168
     assert calls["_group_rows"] == 10
     calls.clear()
     full_search()
