@@ -1,54 +1,18 @@
 """Branching schemes for 64-dimensional typical representations of basic
 classical Lie superalgebras, and the search for breaking patterns matching
-the degeneracy of the standard genetic code."""
+the degeneracy of the standard genetic code.
 
-from .lie_core import (
-    FormalCharacter,
-    RootSystem,
-    SemisimpleAlgebra,
-    build_root_system,
-    casimir2,
-    irrep_character,
-    peel,
-    weyl_dimension,
-)
-from .super_branch import (
-    CATALOG,
-    branch_to_even,
-    build_super,
-    catalog_entry,
-    drop_abelian_charges,
-    is_typical,
-    typical_dimension,
-)
-from .embed_chains import (
-    CHAINS,
-    REGISTRY,
-    apply_chain,
-    branch_embedding,
-    builtin_registry,
-    diagonal_clebsch,
-    first_step_distribution,
-)
-from .phase2 import (
-    Couplings,
-    Multiplet,
-    PhaseOp,
-    apply_op,
-    distribution_stats,
-    from_distribution,
-    hamiltonian_eigenvalue,
-    phase2_stats,
-)
-from .search import (
-    GENETIC_CODE_TARGET,
-    InvalidTargetError,
-    apply_plan,
-    enumerate_phase2,
-    full_search,
-    match_target,
-    prune,
-    solve_freezing,
-)
+The package re-exports nothing, so that importing it loads no layer and
+importing a layer loads only the layers it builds on: import from the layer
+modules (``lie_core``, ``super_branch``, ``embed_chains``, ``phase2``,
+``search``, ``tables``, ``young_forms``)."""
 
 __version__ = "0.1.0"
+
+
+class InputError(Exception):
+    """Bad input from a caller: a name, label, chain, plan, target or shape
+    that the library rejects.  Each layer's input errors subclass it beside
+    their builtin base (``ValueError``, or ``KeyError`` for unknown names);
+    a failure of the program itself, such as
+    ``lie_core.NotACharacterError``, does not."""

@@ -1,15 +1,20 @@
 """Command-line interface: branchings, chains, schemes, search, golden tables.
 
+Each command imports the layers it calls when it runs, so importing this
+module loads no layer and a process compiles only the layers its command
+needs: ``list-catalog`` loads neither ``phase2`` nor ``search``.  A command
+reports bad input, any ``codonbranch.InputError``, with exit code 2.
+
 ``run`` is the process entry: ``python -m codonbranch.cli`` and the
-``codonbranch`` console script call it.  It runs ``main`` with the cycle
-collector off and then freezes every live object with ``gc.freeze()``, so
-that the collector's pass at interpreter shutdown has nothing to walk;
-module teardown, ``atexit`` and the flush of stdout still run.  Turning the
-collector off is safe because the library's objects form no reference
-cycles (a phase-2 state refers to others only through its edge rows, and
-none refers back; ``tests/test_search.py`` checks it), so what a whole
-command leaves to the collector is 256 objects of argparse's parser, and
-the process exits soon after.  ``main(argv)`` leaves interpreter state
+``codonbranch`` console script call it.  It runs ``main``, and so imports the
+layers, with the cycle collector off and then freezes every live object with
+``gc.freeze()``, so that the collector's pass at interpreter shutdown has
+nothing to walk; module teardown, ``atexit`` and the flush of stdout still
+run.  Turning the collector off is safe because the library's objects form
+no reference cycles (a phase-2 state refers to others only through its edge
+rows, and none refers back; ``tests/test_search.py`` checks it), so what a
+whole command leaves to the collector is 256 objects of argparse's parser,
+and the process exits soon after.  ``main(argv)`` leaves interpreter state
 alone, so tests and library callers keep a working collector.
 
 ``search --format structured`` prints its report through :func:`_dump_json`,
@@ -28,34 +33,14 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .embed_chains import ChainError, apply_chain, render_labels
-from .lie_core import InvalidLabelsError
-from .phase2 import SlotError, distribution_stats, phase2_stats
-from .search import (
-    apply_plan,
-    full_search,
-    match_target,
-    report_summary,
-    report_to_dict,
-)
-from .super_branch import (
-    CATALOG,
-    AtypicalError,
-    UnknownNameError,
-    branch_to_even,
-    build_super,
-    typical_dimension,
-)
-
-# Errors that report bad command-line input (exit code 2).  Anything else is
-# a fault of the program and propagates with its traceback.
-_INPUT_ERRORS = (AtypicalError, ChainError, InvalidLabelsError, SlotError, UnknownNameError)
+from . import InputError
 
 
 def _parse_hw(text: str):
     try:
         return tuple(Fraction(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
+        from .lie_core import InvalidLabelsError
         raise InvalidLabelsError(
             f"bad highest weight {text!r}: expected comma-separated rationals "
             f"such as 5/2,0,1") from exc
@@ -78,7 +63,7 @@ def _catalog_diagram(entry):
 
 
 def cmd_list_catalog(args) -> int:
-    from .tables import render_hw
+    from .super_branch import CATALOG, render_hw, typical_dimension
     from .young_forms import render_diagram
     for e in CATALOG:
         total = typical_dimension(e.build(), e.labels)
@@ -93,6 +78,8 @@ def cmd_list_catalog(args) -> int:
 
 
 def cmd_branch(args) -> int:
+    from .embed_chains import render_labels
+    from .super_branch import branch_to_even, build_super
     sa = build_super(args.algebra)
     hw = _parse_hw(args.hw)
     branch = branch_to_even(sa, hw)
@@ -114,6 +101,8 @@ def cmd_branch(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from .embed_chains import apply_chain, render_labels
+    from .phase2 import distribution_stats
     dist = apply_chain(args.chain_id)
     stats = distribution_stats(dist)
     if args.format == "structured":
@@ -139,6 +128,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_phase2(args) -> int:
+    from .phase2 import phase2_stats
+    from .search import apply_plan, match_target
     plan = [tok for tok in (args.plan or "").split(",") if tok]
     state = apply_plan(args.chain_id, plan)
     stats = phase2_stats(state)
@@ -160,6 +151,8 @@ def cmd_phase2(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import full_search, report_summary, report_to_dict
+    from .super_branch import CATALOG, UnknownNameError
     keys = [e.key for e in CATALOG]
     if not any(k.startswith(args.algebra) for k in keys):
         raise UnknownNameError(f"no catalog entry starts with {args.algebra!r}; "
@@ -328,7 +321,9 @@ def main(argv=None) -> int:
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
+        # Bad input: exit code 2.  Anything else is a fault of the program
+        # and propagates with its traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -343,8 +338,9 @@ def main(argv=None) -> int:
 
 def run(argv=None) -> int:
     """``main(argv)`` for a process that exits when it returns.  The cycle
-    collector is off while ``main`` runs (the library makes no cycles, see
-    the module docstring) and is left on or off as the caller had it."""
+    collector is off while ``main`` imports the command's layers and runs it
+    (the library makes no cycles, see the module docstring) and is left on
+    or off as the caller had it."""
     enabled = gc.isenabled()
     gc.disable()
     try:

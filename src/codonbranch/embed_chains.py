@@ -18,6 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from . import InputError
 from .lie_core import (
     FormalCharacter,
     NotACharacterError,
@@ -33,7 +34,7 @@ from .lie_core import (
 from .super_branch import UnknownNameError, branch_to_even, catalog_entry
 
 
-class ChainError(ValueError):
+class ChainError(InputError, ValueError):
     """Chain steps that do not compose, or unknown chain ids."""
 
 

@@ -52,15 +52,17 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from operator import add, mul, sub
 
+from . import InputError
+
 Weight = tuple  # tuple[Fraction, ...]
 Labels = tuple  # tuple[int, ...], one entry per node
 
 
-class UnsupportedAlgebraError(ValueError):
+class UnsupportedAlgebraError(InputError, ValueError):
     """Requested series/rank outside the supported catalog."""
 
 
-class InvalidLabelsError(ValueError):
+class InvalidLabelsError(InputError, ValueError):
     """Labels that are not dominant integral where they must be."""
 
 

@@ -65,13 +65,14 @@ import math
 from functools import lru_cache
 from fractions import Fraction
 
+from . import InputError
 from .embed_chains import Distribution
 from .lie_core import Record, build_root_system, casimir2, fr
 
 Slot = tuple  # (state, value)
 
 
-class SlotError(ValueError):
+class SlotError(InputError, ValueError):
     """Breaking applied to a slot in the wrong state."""
 
 
@@ -483,7 +484,7 @@ class Couplings(Record):
         return cls(*(fr(v) for v in vals))
 
 
-class AncestryError(ValueError):
+class AncestryError(InputError, ValueError):
     """Multiplet history lacks a stage the Hamiltonian needs."""
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from . import InputError
 from .embed_chains import (
     CHAINS,
     ChainDef,
@@ -56,6 +57,7 @@ from .lie_core import Record
 from .phase2 import (
     Phase2State,
     PhaseOp,
+    SlotError,
     Stats,
     _KINDS,
     _split,
@@ -74,7 +76,7 @@ from .super_branch import CATALOG, UnknownNameError
 GENETIC_CODE_TARGET = {6: 3, 4: 5, 3: 2, 2: 9, 1: 2}
 
 
-class InvalidTargetError(ValueError):
+class InvalidTargetError(InputError, ValueError):
     """A target histogram that no 64-dimensional distribution can hit."""
 
 
@@ -107,13 +109,13 @@ def prune(stats: Stats, phase: int, target=None):
 
     Phase 1 is the chain-level check (total pairing, singlets, odd count);
     phase 2 is the continuation check inside the breaking tree, where only
-    criteria that survive final-step freezing may appear.  Any other phase
-    raises ``ValueError``.
+    criteria that survive final-step freezing may appear.  Any other phase,
+    ``True`` and ``2.0`` included, raises ``ValueError``.
     """
     goal = target if type(target) is Stats else _goal(target)
-    if phase == 2:
+    if phase == 2 and type(phase) is int:
         out = []
-    elif phase == 1:
+    elif phase == 1 and type(phase) is int:
         out = [TOTAL_PAIRING] if stats.total_pairing and not goal.total_pairing else []
     else:
         raise ValueError(f"unknown phase {phase!r}; phases are 1 and 2")
@@ -489,6 +491,9 @@ def full_search(target=None) -> SearchReport:
 
 def apply_plan(chain_id: str, plan) -> Phase2State:
     """Run a chain and a phase-2 plan given as 'kind:slot' tokens."""
+    if isinstance(plan, str):
+        raise SlotError(f"plan {plan!r} is one string; a plan is a sequence of "
+                        f"kind:slot tokens, such as ['soft:3', 'strong:12']")
     state = from_distribution(apply_chain(chain_id))
     for token in plan:
         op = token if isinstance(token, PhaseOp) else PhaseOp.parse(token)

@@ -31,6 +31,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import mul, sub
 
+from . import InputError
 from .lie_core import (
     InvalidLabelsError,
     Record,
@@ -50,11 +51,11 @@ from .lie_core import (
 )
 
 
-class AtypicalError(ValueError):
+class AtypicalError(InputError, ValueError):
     """Operation requires a typical highest weight."""
 
 
-class UnknownNameError(KeyError):
+class UnknownNameError(InputError, KeyError):
     """A catalog key, chain id or table id that is not registered."""
 
     def __str__(self):
@@ -385,3 +386,8 @@ def catalog_entry(key: str) -> CatalogEntry:
             return e
     raise UnknownNameError(f"unknown catalog entry {key!r}; "
                            f"known: {[e.key for e in CATALOG]}")
+
+
+def render_hw(labels) -> str:
+    """Highest-weight labels as the catalog and the tables print them: ``5/2,0,1``."""
+    return ",".join(str(x) for x in labels)

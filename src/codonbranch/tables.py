@@ -21,11 +21,7 @@ import json
 from .embed_chains import apply_chain, render_labels
 from .phase2 import PhaseOp, break_multiplet
 from .search import apply_plan, freeze_groups, solve_freezing
-from .super_branch import UnknownNameError, branch_to_even, catalog_entry
-
-
-def render_hw(labels) -> str:
-    return ",".join(str(x) for x in labels)
+from .super_branch import UnknownNameError, branch_to_even, catalog_entry, render_hw
 
 
 def _node(label: str, dim: int, mult: int = 1, frozen: bool = False,

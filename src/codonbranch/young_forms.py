@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import InputError
 from .lie_core import Record, fr
 
 
-class IllegalDiagramError(ValueError):
+class IllegalDiagramError(InputError, ValueError):
     """Diagram shape not allowed for the requested algebra."""
 
 

@@ -1,12 +1,16 @@
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from codonbranch import InputError, cli
 from codonbranch.cli import main
+from codonbranch.lie_core import NotACharacterError
 from codonbranch.tables import (
     build_table,
     emit_json,
@@ -114,12 +118,12 @@ def test_cli_unknown_chain_lists_ids(capsys):
 
 
 def test_cli_search_rejects_unknown_algebra_prefix(capsys, monkeypatch):
-    import codonbranch.cli as cli
+    import codonbranch.search as search
 
     def not_called():
         raise AssertionError("searched before checking the prefix")
 
-    monkeypatch.setattr(cli, "full_search", not_called)
+    monkeypatch.setattr(search, "full_search", not_called)
     assert main(["search", "--algebra", "zzz"]) == 2
     err = capsys.readouterr().err
     assert "no catalog entry starts with 'zzz'" in err and "osp(5|2)" in err
@@ -142,14 +146,67 @@ def test_cli_rejects_bad_plan(capsys):
 
 
 def test_cli_internal_error_is_not_an_input_error(monkeypatch):
-    import codonbranch.cli as cli
+    import codonbranch.search as search
 
     def broken():
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "full_search", broken)
+    monkeypatch.setattr(search, "full_search", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["search"])
+
+
+# Every error class of the package's modules but the internal-failure one,
+# with the builtin base it had before it became an InputError.
+INPUT_ERRORS = {"AncestryError": ValueError, "AtypicalError": ValueError,
+                "ChainError": ValueError, "IllegalDiagramError": ValueError,
+                "InvalidLabelsError": ValueError, "InvalidTargetError": ValueError,
+                "SlotError": ValueError, "UnknownNameError": KeyError,
+                "UnsupportedAlgebraError": ValueError}
+
+
+def _library_errors() -> dict:
+    """Name -> class of each exception class defined in a module of the package."""
+    import codonbranch
+    found = {}
+    for info in pkgutil.iter_modules(codonbranch.__path__):
+        mod = importlib.import_module(f"codonbranch.{info.name}")
+        found.update((name, obj) for name, obj in vars(mod).items()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__ == mod.__name__)
+    return found
+
+
+def test_every_library_error_but_the_internal_one_is_an_input_error():
+    errors = _library_errors()
+    assert set(errors) == set(INPUT_ERRORS) | {"NotACharacterError"}
+    for name, base in INPUT_ERRORS.items():
+        assert issubclass(errors[name], InputError) and issubclass(errors[name], base), name
+    assert errors["NotACharacterError"] is NotACharacterError
+    assert issubclass(NotACharacterError, ArithmeticError)
+    assert not issubclass(NotACharacterError, InputError)
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_cli_reports_each_input_error_with_exit_code_2(name, capsys, monkeypatch):
+    error = _library_errors()[name]
+
+    def bad_input(args):
+        raise error("bad input")
+
+    monkeypatch.setitem(cli._COMMANDS, "list-catalog", bad_input)
+    assert main(["list-catalog"]) == 2
+    assert capsys.readouterr().err == "error: bad input\n"
+
+
+@pytest.mark.parametrize("error", [NotACharacterError, ValueError])
+def test_cli_lets_a_fault_propagate(error, monkeypatch):
+    def fault(args):
+        raise error("internal fault")
+
+    monkeypatch.setitem(cli._COMMANDS, "list-catalog", fault)
+    with pytest.raises(error, match="internal fault"):
+        main(["list-catalog"])
 
 
 def test_unknown_names_are_typed_key_errors():
@@ -281,6 +338,26 @@ def test_importing_the_cli_loads_no_command_only_modules():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("code, any_layer", [
+    ("import codonbranch", False),
+    ("import codonbranch.cli", False),
+    ("import codonbranch.embed_chains", True),
+    ("import codonbranch.cli as cli; cli.main(['list-catalog'])", True),
+])
+def test_a_fresh_process_imports_only_the_layers_it_runs(code, any_layer):
+    # -S: no site hook (a .pth file, say) may have loaded them first.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code += ("\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules "
+             "if m.startswith('codonbranch.'))), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert not loaded & {"codonbranch.phase2", "codonbranch.search", "codonbranch.tables"}
+    if not any_layer:
+        assert loaded <= {"codonbranch.cli"}
 
 
 @pytest.mark.parametrize("argv", [["list-catalog"], ["search", "--format", "structured"],

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -116,9 +117,19 @@ def test_prune_bounds_are_read_off_the_target(target, goal):
 def test_an_unknown_prune_phase_is_a_value_error():
     stats = phase2._stats({4: 16}, False)
     assert prune(stats, 2) == ["D3TooSmall"]
-    for phase, shown in (("2", "'2'"), (3, "3"), (0, "0"), (None, "None")):
-        with pytest.raises(ValueError, match=rf"^unknown phase {shown}; phases are 1 and 2"):
+    # True == 1 and 2.0 == 2, yet neither is a phase.
+    for phase in ("2", 3, 0, None, True, False, 1.0, 2.0, fractions.Fraction(2)):
+        with pytest.raises(ValueError, match=rf"^unknown phase {re.escape(repr(phase))}; "
+                                             rf"phases are 1 and 2"):
             prune(stats, phase)
+
+
+def test_a_plan_given_as_one_string_is_a_slot_error():
+    with pytest.raises(SlotError, match=r"^plan 'soft:3' is one string; a plan is a sequence "
+                                        r"of kind:slot tokens"):
+        apply_plan("osp(5|2)/3", "soft:3")
+    assert (phase2_stats(apply_plan("osp(5|2)/3", ("soft:3",)))
+            == phase2_stats(apply_plan("osp(5|2)/3", ["soft:3"])))
 
 
 def test_match_target_examples():
