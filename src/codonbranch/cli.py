@@ -53,27 +53,18 @@ def _data_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "data")
 
 
-def _catalog_diagram(entry):
-    from .young_forms import osp_superdiagram_from_labels, sl_superdiagram
-    if entry.diagram_rows:
-        return sl_superdiagram(entry.diagram_rows)
-    if entry.algebra in ("osp(4|2)", "osp(5|2)"):
-        return osp_superdiagram_from_labels(entry.algebra, entry.labels)
-    return None
-
-
 def cmd_list_catalog(args) -> int:
     from .super_branch import CATALOG, render_hw, typical_dimension
-    from .young_forms import render_diagram
+    from .young_forms import osp_superdiagram_from_labels, render_diagram, sl_superdiagram
     for e in CATALOG:
-        total = typical_dimension(e.build(), e.labels)
-        hw = render_hw(e.labels)
-        print(f"{e.key:22s} table {e.table}  highest weight ({hw})  dim {total}")
-        if args.diagrams:
-            diagram = _catalog_diagram(e)
-            if diagram is not None:
-                for line in render_diagram(diagram).splitlines():
-                    print("    " + line)
+        sa = e.build()
+        total = typical_dimension(sa, e.labels)
+        print(f"{e.key:22s} table {e.table}  highest weight ({render_hw(e.labels)})  dim {total}")
+        if args.diagrams and (e.diagram_rows or sa.deltas):
+            diagram = (sl_superdiagram(e.diagram_rows) if e.diagram_rows
+                       else osp_superdiagram_from_labels(sa.name, e.labels))
+            for line in render_diagram(diagram).splitlines():
+                print("    " + line)
     return 0
 
 

@@ -16,10 +16,11 @@ product gives as well.  All of it runs on integer vectors over a common
 scale (see :mod:`lie_core`); Fractions are read from labels and built only
 for weights that are returned or reported.
 
-Branching to the even part is done by expanding the typical character as a
-signed sum of virtual even characters over subsets of the positive odd
-roots, then cancelling.  This replaces any diagrammatic bookkeeping with a
-single exact algorithm covering both families.
+Branching to the even part expands the typical character as a signed sum
+of virtual even characters over subsets of the positive odd roots, then
+cancels.  Kac's closed-form condition first decides whether the labels have
+a finite-dimensional irrep, so a negative or empty expansion is a fault of
+the program, never of the input.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from operator import mul, sub
 from . import InputError
 from .lie_core import (
     InvalidLabelsError,
+    NotACharacterError,
     Record,
     SemisimpleAlgebra,
     _chain,
@@ -89,7 +91,8 @@ class SuperAlgebra(Record):
     Stored, as int vectors: the distinguished simple roots (one per
     Kac-Dynkin node, in label order), the odd positive roots, the even
     factors as (RootSystem, simple roots, name) triples and, for sl(m|n),
-    the ``gauge`` coordinate that is 0 in every Kac weight.
+    the ``gauge`` coordinate that is 0 in every Kac weight and, for type-II
+    osp(M|2n), the number ``deltas`` of leading delta coordinates.
 
     Derived once, and ignored by equality: ``dim``; the even positive roots,
     each positive root of each factor written on that factor's simple roots;
@@ -105,19 +108,21 @@ class SuperAlgebra(Record):
     """
 
     __slots__ = ("name", "form_signs", "simple_roots", "odd_positive_roots", "factors",
-                 "gauge", "dim", "even_positive_roots", "rho0", "rho1", "rho", "two_rho0",
-                 "two_rho", "factor_systems", "factor_simples", "factor_names",
+                 "gauge", "deltas", "dim", "even_positive_roots", "rho0", "rho1", "rho",
+                 "two_rho0", "two_rho", "factor_systems", "factor_simples", "factor_names",
                  "even_algebra", "factor_chambers", "sparse_roots", "isotropic_odd_roots",
                  "kac_inverse", "kac_denominator")
 
     def __init__(self, name: str, form_signs: tuple, simple_roots: tuple,
-                 odd_positive_roots: tuple, factors: tuple, gauge: int | None = None):
+                 odd_positive_roots: tuple, factors: tuple, gauge: int | None = None,
+                 deltas: int | None = None):
         self.name = name
         self.form_signs = form_signs
         self.simple_roots = simple_roots
         self.odd_positive_roots = odd_positive_roots
         self.factors = factors
         self.gauge = gauge
+        self.deltas = deltas
         dim = self.dim = len(form_signs)
         systems, simples, names = zip(*factors)
         self.even_positive_roots = tuple(
@@ -208,7 +213,8 @@ def _osp(M: int, N: int) -> SuperAlgebra:
             odd = []
         odd += [f(d, x) for d in delta for x in eps for f in (vsub, vadd)]
         simple = sp_simple[:-1] + (vsub(delta[-1], eps[0]),) + so_simple
-    return SuperAlgebra(f"osp({M}|{N})", signs, simple, tuple(odd), tuple(factors))
+    return SuperAlgebra(f"osp({M}|{N})", signs, simple, tuple(odd), tuple(factors),
+                        deltas=None if M == 2 else n)
 
 
 _KIND_RE = re.compile(r"(sl|osp)\((\d+)\|(\d+)\)")
@@ -219,7 +225,7 @@ _SUPPORTED_OSP = {(2, 4), (2, 6), (3, 2), (3, 4), (4, 2), (5, 2)}
 def build_super(kind: str) -> SuperAlgebra:
     """Construct the distinguished root data for a supported superalgebra;
     one object per algebra, however its name is spaced."""
-    mm = _KIND_RE.fullmatch(kind.replace(" ", ""))
+    mm = isinstance(kind, str) and _KIND_RE.fullmatch(kind.replace(" ", ""))
     if not mm:
         raise InvalidLabelsError(f"cannot parse algebra name {kind!r}")
     fam, a, b = mm.group(1), int(mm.group(2)), int(mm.group(3))
@@ -238,10 +244,20 @@ def kac_labels(sa: SuperAlgebra, w) -> tuple:
     return tuple(out)
 
 
+def _label(sa: SuperAlgebra, x) -> Fraction:
+    try:
+        if type(x) is not bool:
+            return fr(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidLabelsError(f"{sa.name} label {x!r} is not a finite rational number")
+
+
 def _kac_vector(sa: SuperAlgebra, labels) -> tuple:
     """``(v, scale)``: the highest weight of distinguished Kac-Dynkin labels
-    is the integer vector ``v`` over ``scale``."""
-    labels = tuple(fr(x) for x in labels)
+    is the integer vector ``v`` over ``scale``.  Each label must be a finite
+    rational number, not a bool; a string is read as one label."""
+    labels = tuple(_label(sa, x) for x in ((labels,) if isinstance(labels, str) else labels))
     if len(labels) != len(sa.simple_roots):
         raise InvalidLabelsError(
             f"{sa.name} takes {len(sa.simple_roots)} labels, got {len(labels)}")
@@ -277,27 +293,41 @@ class BranchEntry(Record):
         return sa.even_algebra.dimension(self.labels)
 
 
+def _check_finite(sa: SuperAlgebra, v: tuple, scale: int, labels) -> None:
+    """Kac's bound for type II, on a weight ``v / scale`` whose even part is
+    dominant integral: its last delta coordinate k is at least the number
+    of its nonzero epsilon coordinates."""
+    n = sa.deltas
+    nonzero = n and sum(map(bool, v[n:]))
+    if n and v[n - 1] < scale * nonzero:
+        raise InvalidLabelsError(
+            f"{sa.name} weight ({', '.join(map(str, labels))}): k = "
+            f"{Fraction(v[n - 1], scale)} is below its {nonzero} nonzero ε coordinate"
+            f"{'s' * (nonzero > 1)}, so no finite-dimensional irrep has this highest weight")
+
+
 def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
     """Decompose the typical irrep over the even part.
 
     Expands the typical character as a signed sum over subsets of the
     positive odd roots: each subset S contributes the virtual even character
-    at Lambda - sum(S).  Signs must cancel to a nonnegative multiset; a
-    residual negative multiplicity means the root data is wrong and raises.
-    A highest weight whose even part is not dominant integral raises
-    :class:`InvalidLabelsError` before the expansion, and so does one whose
-    expansion cancels to nothing.
+    at Lambda - sum(S).  An atypical label set raises :class:`AtypicalError`
+    and one with no finite-dimensional irrep (its even part is not dominant
+    integral, or it fails Kac's type-II bound) :class:`InvalidLabelsError`,
+    both before the expansion.  After it, a negative multiplicity or an empty
+    even part is a fault of the program and raises :class:`NotACharacterError`.
     """
-    v, scale = _kac_vector(sa, labels)
-    if not _typical(sa, v, scale):
+    v, s = _kac_vector(sa, labels)
+    if not _typical(sa, v, s):
         raise AtypicalError(
             f"{sa.name} weight ({', '.join(map(str, labels))}) is atypical")
     # The expansion runs on integer vectors: Lambda + rho0 over its least
     # common denominator, and the odd roots (integral) times the same scale.
-    top = tuple(2 * x + scale * r for x, r in zip(v, sa.two_rho0))
-    g = math.gcd(2 * scale, *top)
-    top, scale = tuple(x // g for x in top), 2 * scale // g
+    top = tuple(2 * x + s * r for x, r in zip(v, sa.two_rho0))
+    g = math.gcd(2 * s, *top)
+    top, scale = tuple(x // g for x in top), 2 * s // g
     sa.factor_labels(top, scale)
+    _check_finite(sa, v, s, labels)
     terms = [top]
     for beta in sa.odd_positive_roots:
         step = tuple(scale * x for x in beta)
@@ -314,13 +344,13 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
         # The Fraction highest weight is built only to be reported or returned.
         hw = vsub(_unscaled(dom, scale), sa.rho0) if mult < 0 or not drop_charges else None
         if mult < 0:
-            raise InvalidLabelsError(
+            raise NotACharacterError(
                 f"negative multiplicity {mult} at {hw}: inconsistent root data")
         if mult:
             entries.append(BranchEntry(sa.factor_labels(dom, scale), hw, mult))
     if not entries:
-        raise InvalidLabelsError(f"{sa.name} weight ({', '.join(map(str, labels))}) has an "
-                                 "empty even part: its signed expansion cancels to nothing")
+        raise NotACharacterError(f"{sa.name} weight ({', '.join(map(str, labels))}) has an "
+                                 "empty even part: inconsistent root data")
     return (drop_abelian_charges(sa, entries) if drop_charges  # it merges and sorts
             else sorted(entries, key=lambda e: (-e.dim(sa), e.labels, e.weight)))
 

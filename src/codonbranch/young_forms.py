@@ -1,9 +1,9 @@
-"""Young diagrams, superdiagrams and the explicit label conversions.
+"""Young diagrams, superdiagrams and the label conversions.
 
-Only the conversions with a closed form are implemented: the sl(m|n) rule
-via reduced column lengths, and the two orthosymplectic instances osp(4|2)
-and osp(5|2) that the branching catalog needs.  General orthosymplectic
-diagram/label conversion is out of scope.
+The sl(m|n) labels follow from a diagram's reduced column lengths.  A
+type-II osp(M|2n) diagram is read off the highest weight that
+:func:`super_branch.kac_weight` gives: its rows are the delta coordinates
+and its columns 1 + the epsilon coordinates.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import InputError
 from .lie_core import Record, fr
+from .super_branch import build_super, kac_weight
 
 
 class IllegalDiagramError(InputError, ValueError):
@@ -102,49 +103,25 @@ def sl_super_labels_from_diagram(d: YoungSuperDiagram, m: int, n: int) -> tuple:
 
 
 def osp_superdiagram_from_labels(kind: str, labels) -> YoungSuperDiagram:
-    """Superdiagram for the two orthosymplectic cases stated explicitly.
-
-    osp(4|2): b1 = l1 - (l2 + l3)/2, c1 = 1 + (l3 + l2)/2, c2 = 1 + (l3 - l2)/2.
-    osp(5|2): b1 = l1 - l2 - l3/2,  c1 = 1 + l2 + l3/2,  c2 = 1 + l3/2.
-    """
-    labels = tuple(fr(x) for x in labels)
-    if len(labels) != 3:
-        raise IllegalDiagramError(f"{kind} takes 3 labels, got {len(labels)}")
-    l1, l2, l3 = labels
-    if kind == "osp(4|2)":
-        b1 = l1 - (l2 + l3) / 2
-        c1 = 1 + (l3 + l2) / 2
-        c2 = 1 + (l3 - l2) / 2
-    elif kind == "osp(5|2)":
-        b1 = l1 - l2 - l3 / 2
-        c1 = 1 + l2 + l3 / 2
-        c2 = 1 + l3 / 2
-    else:
-        raise IllegalDiagramError(
-            f"no diagram rule registered for {kind!r} (only osp(4|2), osp(5|2))")
-    return YoungSuperDiagram((b1,), (c1, c2))
+    """Superdiagram of a type-II orthosymplectic irrep: rows are the delta
+    coordinates of its highest weight, columns 1 + the epsilon coordinates."""
+    sa = build_super(kind)
+    if sa.deltas is None:
+        raise IllegalDiagramError(f"{sa.name} has no type-II superdiagram")
+    w = kac_weight(sa, labels)
+    return YoungSuperDiagram(w[:sa.deltas], tuple(1 + x for x in w[sa.deltas:]))
 
 
 def render_diagram(d) -> str:
     """Plain-text grid: '#' per box, 's' for half boxes, rows top to bottom."""
     if isinstance(d, YoungDiagram):
         return "\n".join("#" * r for r in d.rows)
-    lines = []
-    nrows = len(d.rows)
-    for i in range(1, nrows + 1):
-        width = int(d.row(i))
-        lines.append("#" * width)
+    lines = ["#" * int(r) for r in d.rows]
     # Boxes below the explicit rows live in the columns; render full rows of
     # '#' until only half boxes remain, then one row of 's'.
-    depth = nrows
-    while True:
-        full = [j for j in range(1, len(d.cols) + 1) if d.col(j) - depth >= 1]
-        half = [j for j in range(1, len(d.cols) + 1) if d.col(j) - depth == Fraction(1, 2)]
-        if full:
-            lines.append("#" * len(full))
-            depth += 1
-            continue
-        if half:
-            lines.append("s" * len(half))
-        break
+    depth = len(d.rows)
+    while any(c - depth >= 1 for c in d.cols):
+        lines.append("#" * sum(c - depth >= 1 for c in d.cols))
+        depth += 1
+    lines.append("s" * sum(c - depth == Fraction(1, 2) for c in d.cols))
     return "\n".join(line for line in lines if line)

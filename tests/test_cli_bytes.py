@@ -72,7 +72,7 @@ PINNED = {
     ("search", "structured"):
         "68d0d7e562aefb9ce647504efbd1831953d79fe48f79a397d9a08950b880b261",
     ("list-catalog", None):
-        "4737b18b36c4a0e2d25cbca8ab1486006e1cea1b5a44333fec4015546aac9ea0",
+        "703eda570371732ed3a6c27375a78fdcf1bae68e9b31a8fa3f553a84be6cea34",
 }
 
 

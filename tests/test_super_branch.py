@@ -2,17 +2,27 @@ import itertools
 import json
 import math
 import os
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codonbranch import InputError
 from codonbranch.cli import main
-from codonbranch.lie_core import InvalidLabelsError, _units, vadd, vdot, vsub
+from codonbranch.lie_core import (
+    InvalidLabelsError,
+    NotACharacterError,
+    _units,
+    vadd,
+    vdot,
+    vsub,
+)
 from codonbranch.super_branch import (
     CATALOG,
     AtypicalError,
+    SuperAlgebra,
     _inverse,
     branch_to_even,
     build_super,
@@ -205,6 +215,9 @@ def test_bad_algebra_names_rejected():
         build_super("sl(9|4)")
     with pytest.raises(InvalidLabelsError):
         build_super("so(5)")
+    for kind in (5, None, ("osp(5|2)",)):  # not a string, named in the message
+        with pytest.raises(InvalidLabelsError, match=re.escape(f"algebra name {kind!r}")):
+            build_super(kind)
 
 
 def test_build_super_gives_one_object_per_algebra():
@@ -216,6 +229,44 @@ def test_wrong_label_count_rejected():
     from codonbranch.lie_core import InvalidLabelsError
     with pytest.raises(InvalidLabelsError):
         kac_weight(build_super("osp(5|2)"), (1, 2))
+
+
+@pytest.mark.parametrize("labels,bad", [
+    ("5/2,0,1", "'5/2,0,1'"),  # one string is one label, not read a character at a time
+    ((float("nan"), 0, 1), "nan"),
+    ((float("inf"), 0, 1), "inf"),
+    ((float("-inf"), 0, 1), "-inf"),
+    ((True, 0, 1), "True"),  # not read as 1
+])
+def test_a_label_that_is_not_a_finite_number_is_rejected(labels, bad):
+    sa = build_super("osp(5|2)")
+    for call in (branch_to_even, is_typical, typical_dimension, kac_weight):
+        with pytest.raises(InvalidLabelsError,
+                           match=re.escape(f"osp(5|2) label {bad} is not a finite")):
+            call(sa, labels)
+
+
+def _corrupted(kind, odd):
+    # The same root-data table with ``odd`` applied to its odd positive roots.
+    fields = list(build_super(kind)._key())
+    fields[3] = odd(fields[3])
+    return SuperAlgebra(*fields)
+
+
+@pytest.mark.parametrize("key,odd,message", [
+    # sl(3|2) without its third odd positive root: a negative multiplicity.
+    ("sl(3|2)", lambda odd: odd[:2] + odd[3:], "negative multiplicity"),
+    # osp(3|2) with its first odd positive root twice: nothing is left.
+    ("osp(3|2)", lambda odd: odd[:1] + odd, "empty even part"),
+])
+def test_corrupted_root_data_is_an_internal_failure(key, odd, message):
+    entry = catalog_entry(key)
+    sa = _corrupted(entry.algebra, odd)
+    assert branch_to_even(entry.build(), entry.labels)  # the real root data branches
+    with pytest.raises(NotACharacterError, match=message) as info:
+        branch_to_even(sa, entry.labels)
+    assert not isinstance(info.value, InputError)
+    assert "root data" in str(info.value)
 
 
 def test_non_dominant_even_part_rejected_before_expansion():
@@ -319,27 +370,67 @@ def test_is_typical_matches_the_fraction_reference(kind, data):
     assert is_typical(sa, labels) == is_typical_reference(sa, labels)
 
 
-@pytest.mark.parametrize("kind,hw", [("osp(4|2)", "3/2,0,1"), ("osp(3|4)", "0,1/2,1")])
+# The rejection that each condition raises.
+FINITE = r"k = \S+ is below its \d+ nonzero ε coordinates?, so no finite-dimensional irrep"
+NOT_DOMINANT = r"label \S+ of the even highest weight \(.*\) is not a nonnegative integer$"
+
+
+@pytest.mark.parametrize("kind,hw", [("osp(4|2)", "3/2,0,1"), ("osp(3|4)", "0,1/2,1"),
+                                     ("osp(4|2)", "1,1,1")])
 def test_labels_with_an_empty_even_part_are_rejected(kind, hw, capsys):
     # Typical and with a dominant integral even part, but the signed subset
-    # expansion cancels to nothing.
+    # expansion would cancel to nothing (or, for 1,1,1, leave a negative
+    # multiplicity): Kac's bound rejects them first, as bad input that does
+    # not blame the root data (k = 1 below 2 nonzero epsilon coordinates,
+    # then k = 0 below 1 twice).
     sa, labels = build_super(kind), tuple(map(Fraction, hw.split(",")))
     assert is_typical(sa, labels)
-    with pytest.raises(InvalidLabelsError, match="empty even part"):
+    with pytest.raises(InvalidLabelsError, match=FINITE):
         branch_to_even(sa, labels)
-    with pytest.raises(InvalidLabelsError, match="empty even part"):
+    with pytest.raises(InvalidLabelsError, match=FINITE):
         typical_dimension(sa, labels)
     assert main(["branch", "--algebra", kind, "--hw", hw]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "empty even part" in captured.err
+    assert captured.out == "" and re.search(FINITE, captured.err)
+    assert "root data" not in captured.err
 
 
-@pytest.mark.parametrize("kind", ["osp(4|2)", "osp(3|4)"])
-def test_every_label_set_in_a_box_is_rejected_or_has_a_positive_dimension(kind):
+def _halves(top):
+    return [Fraction(k, 2) for k in range(int(2 * top) + 1)]  # 0, 1/2, ..., top
+
+
+# Each box: its algebra, one label range per Kac-Dynkin node in label order,
+# and how many of its label sets branch or are rejected by each condition.
+BOXES = [
+    pytest.param("osp(4|2)", [_halves(4)] * 3, (14, 36, 215, 464), id="osp(4|2)"),
+    pytest.param("osp(3|4)", [_halves(4)] * 3, (57, 18, 180, 474), id="osp(3|4)"),
+    pytest.param("osp(4|2)", [_halves(6), range(7), range(7)], (68, 78, 142, 349),
+                 id="osp(4|2)-13x7x7"),
+    pytest.param("osp(3|4)", [_halves(4), _halves(4), range(7)], (66, 27, 131, 343),
+                 id="osp(3|4)-9x9x7"),
+    pytest.param("osp(5|2)", [_halves(6), range(5), range(5)], (35, 37, 71, 182),
+                 id="osp(5|2)-13x5x5"),
+    pytest.param("osp(3|2)", [_halves(Fraction(39, 2))] * 2, (280, 19, 78, 1223),
+                 id="osp(3|2)-40x40"),
+]
+
+@pytest.mark.parametrize("kind,axes,counts", BOXES)
+def test_every_label_set_in_a_box_is_rejected_or_has_a_positive_dimension(kind, axes, counts):
+    # Kac's finite-dimensionality condition decides every typical label set
+    # whose even part is dominant integral before the expansion: each one
+    # branches or fails that condition by name, and none reaches a
+    # NotACharacterError (which would propagate and fail the test).
     sa = build_super(kind)
-    box = [Fraction(k, 2) for k in range(9)]  # 0, 1/2, ..., 4
-    for labels in itertools.product(box, repeat=len(sa.simple_roots)):
+    seen = dict.fromkeys(("branch", "condition", "atypical", "not dominant"), 0)
+    for labels in itertools.product(*axes):
         try:
             assert typical_dimension(sa, labels) > 0, labels
-        except (AtypicalError, InvalidLabelsError):
-            pass
+            seen["branch"] += 1
+        except AtypicalError as exc:
+            assert str(exc).endswith("is atypical"), labels
+            seen["atypical"] += 1
+        except InvalidLabelsError as exc:
+            finite = re.search(FINITE, str(exc))
+            assert finite or re.search(NOT_DOMINANT, str(exc)), (labels, str(exc))
+            seen["condition" if finite else "not dominant"] += 1
+    assert tuple(seen.values()) == counts

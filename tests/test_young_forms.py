@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from codonbranch.lie_core import InvalidLabelsError
 from codonbranch.young_forms import (
     IllegalDiagramError,
     YoungDiagram,
@@ -93,10 +95,47 @@ def test_osp_superdiagram_cases():
 
 
 def test_osp_superdiagram_errors():
-    with pytest.raises(IllegalDiagramError):
+    with pytest.raises(InvalidLabelsError, match="takes 3 labels, got 2"):
         osp_superdiagram_from_labels("osp(5|2)", (1, 2))
-    with pytest.raises(IllegalDiagramError):
-        osp_superdiagram_from_labels("osp(3|4)", (0, Fraction(5, 2), 3))
+    for kind, labels in (("sl(2|1)", (15, 1)), ("osp(2|4)", (1, 1, 0))):  # type I
+        with pytest.raises(IllegalDiagramError, match="no type-II superdiagram"):
+            osp_superdiagram_from_labels(kind, labels)
+    with pytest.raises(IllegalDiagramError, match="positive"):  # an empty row
+        osp_superdiagram_from_labels("osp(4|2)", (0, 0, 0))
+
+
+def test_osp_superdiagram_of_the_other_type_ii_entries():
+    d34 = osp_superdiagram_from_labels("osp(3|4)", (0, Fraction(5, 2), 3))
+    assert d34.rows == (1, 1) and d34.cols == (Fraction(5, 2),)
+    assert render_diagram(d34) == "#\n#\ns"
+    d32 = osp_superdiagram_from_labels("osp(3|2)", (Fraction(17, 2), 15))
+    assert d32.rows == (1,) and d32.cols == (Fraction(17, 2),)
+    assert render_diagram(d32) == "#\n" * 8 + "s"
+
+
+def _closed_form(kind, labels):
+    # The osp(4|2) and osp(5|2) diagrams in closed form, as a reference.
+    l1, l2, l3 = labels
+    if kind == "osp(4|2)":
+        return YoungSuperDiagram((l1 - (l2 + l3) / 2,), (1 + (l3 + l2) / 2, 1 + (l3 - l2) / 2))
+    return YoungSuperDiagram((l1 - l2 - l3 / 2,), (1 + l2 + l3 / 2, 1 + l3 / 2))
+
+
+@pytest.mark.parametrize("kind,legal", [("osp(4|2)", 776), ("osp(5|2)", 637)])
+def test_osp_superdiagram_agrees_with_the_closed_forms(kind, legal):
+    # Every label set in {0, 1/2, ..., 6}^3: the same diagram, or both reject.
+    box = [Fraction(k, 2) for k in range(13)]
+    drawn = 0
+    for labels in itertools.product(box, repeat=3):
+        try:
+            want = _closed_form(kind, labels)
+        except IllegalDiagramError:
+            with pytest.raises(IllegalDiagramError):
+                osp_superdiagram_from_labels(kind, labels)
+            continue
+        assert osp_superdiagram_from_labels(kind, labels) == want, labels
+        drawn += 1
+    assert drawn == legal  # of 13^3 = 2,197
 
 
 def test_render_grid():
