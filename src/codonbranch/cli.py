@@ -2,7 +2,9 @@
 
 Each command imports the layers it calls when it runs, so importing this
 module loads no layer and a process compiles only the layers its command
-needs: ``list-catalog`` loads neither ``phase2`` nor ``search``.  A command
+needs: ``list-catalog`` loads neither ``phase2`` nor ``search``.  Nor does
+the import load ``argparse`` or ``fractions``: ``main`` builds the parser
+and ``_parse_hw`` reads a weight, each importing its module then.  A command
 reports bad input, any ``codonbranch.InputError``, with exit code 2.
 
 ``run`` is the process entry: ``python -m codonbranch.cli`` and the
@@ -25,18 +27,17 @@ pure-Python encoder, which is slower on the ~90 KB report.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring
 
 from . import InputError
 
 
 def _parse_hw(text: str):
+    from fractions import Fraction
     try:
         return tuple(Fraction(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
@@ -142,8 +143,9 @@ def cmd_phase2(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .lie_core import UnknownNameError
     from .search import full_search, report_summary, report_to_dict
-    from .super_branch import CATALOG, UnknownNameError
+    from .super_branch import CATALOG
     keys = [e.key for e in CATALOG]
     if not any(k.startswith(args.algebra) for k in keys):
         raise UnknownNameError(f"no catalog entry starts with {args.algebra!r}; "
@@ -257,6 +259,7 @@ def cmd_verify_golden(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     p = argparse.ArgumentParser(
         prog="codonbranch",
         description="Branching schemes of 64-dimensional typical codon "

@@ -10,6 +10,10 @@ followed by an integer peel over the target.
 Chains are sequences of steps applied to the even-part distribution of a
 codon representation: either a registered embedding acting on one factor, or
 a diagonal contraction of two sl(2) factors.
+
+Importing this module loads :mod:`.lie_core` and no other layer: only
+:func:`first_step_distribution`, the start of every chain, needs
+:mod:`.super_branch`, and it imports it when it runs.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from .lie_core import (
     Record,
     RootSystem,
     SemisimpleAlgebra,
+    UnknownNameError,
     _label_cache,
     _scaled,
     build_root_system,
     irrep_character,
+    peel,
     weyl_dimension,
 )
-from .super_branch import UnknownNameError, branch_to_even, catalog_entry
 
 
 class ChainError(InputError, ValueError):
@@ -170,7 +175,6 @@ def branch_embedding(name: str, labels) -> tuple:
         raise UnknownNameError(f"unknown embedding {name!r}; registered: {list(REGISTRY)}")
     alg = emb.target_algebra()
     proj = emb.project_terms(irrep_character(emb.source, labels).terms)
-    from .lie_core import peel  # local import to keep module load cheap
     # Largest irrep first; each dimension is computed once, for the order
     # and for the check that the pieces add up to the source irrep.
     rows = sorted((-alg.dimension(l), l, m) for l, m in peel(alg, FormalCharacter(proj)))
@@ -225,6 +229,7 @@ class Distribution(Record):
 
 def first_step_distribution(key: str) -> Distribution:
     """Even-part distribution of a catalog representation (charges dropped)."""
+    from .super_branch import branch_to_even, catalog_entry
     entry = catalog_entry(key)
     sa = entry.build()
     branch = branch_to_even(sa, entry.labels)
@@ -360,7 +365,10 @@ def chain_ids():
 
 def apply_chain(chain_id: str) -> Distribution:
     """Run a registered chain from its representation's first-step output."""
-    chain = CHAIN_INDEX.get(chain_id)
+    try:
+        chain = CHAIN_INDEX.get(chain_id)
+    except TypeError:  # unhashable: no chain has that id
+        chain = None
     if chain is None:
         raise ChainError(f"unknown chain id {chain_id!r}; known: {chain_ids()}")
     dist = first_step_distribution(chain.rep_key)

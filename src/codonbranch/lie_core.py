@@ -66,6 +66,13 @@ class InvalidLabelsError(InputError, ValueError):
     """Labels that are not dominant integral where they must be."""
 
 
+class UnknownNameError(InputError, KeyError):
+    """A catalog key, embedding name, chain id or table id that is not registered."""
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
+
+
 class NotACharacterError(ArithmeticError):
     """A formal weight sum that is not a nonnegative sum of irreducible characters."""
 
@@ -346,7 +353,7 @@ class RootSystem(Record):
     def check_dominant(self, labels: Labels) -> None:
         if len(labels) != self.rank:
             raise InvalidLabelsError(f"expected {self.rank} labels, got {labels}")
-        if any((not isinstance(l, int)) or l < 0 for l in labels):
+        if any(type(l) is not int or l < 0 for l in labels):
             raise InvalidLabelsError(f"labels must be nonnegative integers: {labels}")
 
     def canonicalize(self, w: Weight) -> Weight:
@@ -421,20 +428,30 @@ def sl2() -> RootSystem:
 
 
 def _label_cache(fn):
-    """``lru_cache`` of ``fn(key, labels)`` that also takes labels as a list;
-    labels that are not a sequence of hashable values are invalid."""
+    """``lru_cache`` of ``fn(key, labels)`` that also takes labels as a list
+    or any other iterable.  Each label must be exactly an ``int``, checked
+    before the lookup: ``1.0``, ``True`` and ``Fraction(1)`` hash and compare
+    equal to ``1``, so they would find its entry once it is cached.  An
+    unhashable key is an unknown name."""
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
     def call(key, labels):
         try:
-            return cached(key, tuple(labels))
-        except TypeError:  # from the labels, or from fn: only the first is bad input
+            labels = tuple(labels)
+            for x in labels:
+                if type(x) is not int:
+                    raise TypeError  # reported below, as labels that are not iterable
+        except TypeError:
+            raise InvalidLabelsError(
+                f"labels must be a sequence of integers: {labels!r}") from None
+        try:
+            return cached(key, labels)
+        except TypeError:  # from the key, or from fn: only the first is bad input
             try:
-                hash(tuple(labels))
+                hash(key)
             except TypeError:
-                raise InvalidLabelsError(
-                    f"labels must be a sequence of integers: {labels!r}") from None
+                raise UnknownNameError(f"{fn.__name__}: unknown name {key!r}") from None
             raise
 
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear

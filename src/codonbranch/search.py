@@ -53,7 +53,7 @@ from .embed_chains import (
     apply_chain,
     first_step_distribution,
 )
-from .lie_core import Record
+from .lie_core import Record, UnknownNameError
 from .phase2 import (
     Phase2State,
     PhaseOp,
@@ -71,7 +71,7 @@ from .phase2 import (
     render_slot,
     slot_dim,
 )
-from .super_branch import CATALOG, UnknownNameError
+from .super_branch import CATALOG
 
 GENETIC_CODE_TARGET = {6: 3, 4: 5, 3: 2, 2: 9, 1: 2}
 

@@ -38,6 +38,7 @@ from .lie_core import (
     NotACharacterError,
     Record,
     SemisimpleAlgebra,
+    UnknownNameError,
     _chain,
     _chamber_roots,
     _scaled,
@@ -55,13 +56,6 @@ from .lie_core import (
 
 class AtypicalError(InputError, ValueError):
     """Operation requires a typical highest weight."""
-
-
-class UnknownNameError(InputError, KeyError):
-    """A catalog key, chain id or table id that is not registered."""
-
-    def __str__(self):
-        return str(self.args[0]) if self.args else ""
 
 
 def _inverse(rows, cols: int) -> tuple:
@@ -317,6 +311,8 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
     both before the expansion.  After it, a negative multiplicity or an empty
     even part is a fault of the program and raises :class:`NotACharacterError`.
     """
+    if not isinstance(labels, str):
+        labels = tuple(labels)  # read an iterator once: the messages name the labels
     v, s = _kac_vector(sa, labels)
     if not _typical(sa, v, s):
         raise AtypicalError(

@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 
 from .embed_chains import apply_chain, render_labels
+from .lie_core import UnknownNameError
 from .phase2 import PhaseOp, break_multiplet
 from .search import apply_plan, freeze_groups, solve_freezing
-from .super_branch import UnknownNameError, branch_to_even, catalog_entry, render_hw
+from .super_branch import branch_to_even, catalog_entry, render_hw
 
 
 def _node(label: str, dim: int, mult: int = 1, frozen: bool = False,

@@ -360,6 +360,44 @@ def test_a_fresh_process_imports_only_the_layers_it_runs(code, any_layer):
         assert loaded <= {"codonbranch.cli"}
 
 
+def _fresh_stdout(code):
+    # -S: no site hook (a .pth file, say) may have loaded anything first.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_embedding_layer_loads_only_the_lie_layer():
+    code = ("import sys, codonbranch.embed_chains; print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('codonbranch.'))))")
+    assert _fresh_stdout(code).split() == ["codonbranch.embed_chains", "codonbranch.lie_core"]
+
+
+def test_importing_the_cli_loads_no_command_only_stdlib_module():
+    code = "import sys, codonbranch.cli; print(sorted({'argparse', 'fractions'} & set(sys.modules)))"
+    assert _fresh_stdout(code) == "[]\n"
+
+
+def test_a_chain_runs_in_a_process_that_imported_only_the_embedding_layer():
+    # first_step_distribution imports super_branch when it runs.
+    from codonbranch.embed_chains import apply_chain
+    code = ("import codonbranch.embed_chains as ec; "
+            "print([e._key() for e in ec.apply_chain('osp(5|2)/3').entries])")
+    alone = _fresh_stdout(code)
+    assert alone == _fresh_stdout("import codonbranch.super_branch\n" + code)
+    assert alone == f"{[e._key() for e in apply_chain('osp(5|2)/3').entries]}\n"
+
+
+def test_unknown_name_error_is_one_class():
+    from codonbranch import lie_core, search, super_branch, tables
+    assert super_branch.UnknownNameError is lie_core.UnknownNameError
+    assert search.UnknownNameError is tables.UnknownNameError is lie_core.UnknownNameError
+    assert lie_core.UnknownNameError.__bases__ == (InputError, KeyError)
+    assert str(lie_core.UnknownNameError("no 'x'")) == "no 'x'"
+
+
 @pytest.mark.parametrize("argv", [["list-catalog"], ["search", "--format", "structured"],
                                   ["tables", "--id", "6"]])
 def test_cli_closed_stdout_pipe_is_not_a_crash(argv):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -189,6 +190,18 @@ def test_unknown_embedding_is_a_typed_error():
     with pytest.raises(UnknownNameError, match="B2>A1") as err:
         branch_embedding("nope", (1, 0))
     assert isinstance(err.value, KeyError)
+
+
+def test_an_unhashable_embedding_name_is_an_unknown_name():
+    from codonbranch.lie_core import UnknownNameError
+    with pytest.raises(UnknownNameError, match=re.escape("['A2>A1(1)']")):
+        branch_embedding(["A2>A1(1)"], (1, 0))
+
+
+@pytest.mark.parametrize("chain_id", [["x"], {}], ids=repr)
+def test_an_unhashable_chain_id_is_a_chain_error(chain_id):
+    with pytest.raises(ChainError, match=re.escape(f"unknown chain id {chain_id!r}")):
+        apply_chain(chain_id)
 
 
 def test_branch_embedding_takes_list_labels_and_rejects_bad_ones():

@@ -2,6 +2,7 @@ import copy
 import functools
 import inspect
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from codonbranch.lie_core import (
     Record,
     RootSystem,
     SemisimpleAlgebra,
+    UnknownNameError,
     UnsupportedAlgebraError,
     build_root_system,
     casimir2,
@@ -453,6 +455,26 @@ def test_label_cache_reports_only_bad_labels_as_invalid():
         broken("k", [1, 0])
     with pytest.raises(InvalidLabelsError):
         broken("k", 5)
+    with pytest.raises(UnknownNameError, match=re.escape("broken: unknown name ['k']")):
+        broken(["k"], [1, 0])
+
+
+@pytest.mark.parametrize("bad", [1.0, True, False, F(1)], ids=repr)
+def test_label_caches_give_the_same_answer_whatever_they_hold(bad):
+    # 1.0, True and Fraction(1) hash and compare equal to 1, and False to 0,
+    # so a cache looked up before the check would return the entry of the
+    # int labels once it holds one: each call is rejected before and after.
+    # casimir2 is not cached; it rejects them through check_dominant.
+    from codonbranch.embed_chains import branch_embedding
+    a2 = build_root_system("A", 2)
+    calls = [lambda l: irrep_character(a2, l), lambda l: weyl_dimension(a2, l),
+             lambda l: branch_embedding("A2>A1(1)", l), lambda l: casimir2(a2, l)]
+    for call in calls:
+        with pytest.raises(InvalidLabelsError, match=re.escape(repr(bad))):
+            call((bad, 0))
+        call((int(bad), 0))
+        with pytest.raises(InvalidLabelsError, match=re.escape(repr(bad))):
+            call((bad, 0))
 
 
 def test_weyl_dimension_checks_its_quotient_without_assert():

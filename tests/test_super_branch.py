@@ -395,6 +395,18 @@ def test_labels_with_an_empty_even_part_are_rejected(kind, hw, capsys):
     assert "root data" not in captured.err
 
 
+def test_labels_given_as_an_iterator_are_named_in_the_message():
+    # The labels are read once, so a message does not name an exhausted iterator.
+    sa = build_super("osp(4|2)")
+    with pytest.raises(AtypicalError, match=re.escape("osp(4|2) weight (1, 0, 0) is atypical")):
+        branch_to_even(sa, iter((1, 0, 0)))
+    with pytest.raises(InvalidLabelsError, match=re.escape("osp(4|2) weight (1, 1, 1): k = 0 ")):
+        branch_to_even(sa, iter((1, 1, 1)))
+    entry = catalog_entry("osp(5|2)")
+    assert branch_to_even(entry.build(), iter(entry.labels)) == \
+        branch_to_even(entry.build(), entry.labels)
+
+
 def _halves(top):
     return [Fraction(k, 2) for k in range(int(2 * top) + 1)]  # 0, 1/2, ..., top
 
