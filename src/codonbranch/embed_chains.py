@@ -233,10 +233,7 @@ def first_step_distribution(key: str) -> Distribution:
     entry = catalog_entry(key)
     sa = entry.build()
     branch = branch_to_even(sa, entry.labels)
-    factors = sa.factor_systems
-    names = sa.factor_names
-    stage = StageAlgebra(tuple(factors), tuple(names))
-    stage = _positional_names(stage)
+    stage = _positional_names(StageAlgebra(sa.factor_systems, sa.factor_names))
     return Distribution((stage,),
                         tuple(DistEntry(e.labels, e.mult, ()) for e in branch))
 
@@ -259,7 +256,10 @@ class ChainStep(Record):
 def apply_step(dist: Distribution, step: ChainStep) -> Distribution:
     stage = dist.stage
     if step.kind == "restrict":
-        emb = REGISTRY.get(step.embedding)
+        try:
+            emb = REGISTRY.get(step.embedding)
+        except TypeError:  # unhashable: no embedding has that name
+            emb = None
         if emb is None:
             raise ChainError(f"unknown embedding {step.embedding!r}")
         if (not 0 <= step.factor < len(stage.factors)

@@ -351,7 +351,11 @@ class RootSystem(Record):
         return tuple(sum(map(mul, labels, col)) for col in zip(*self.scaled_fundamentals))
 
     def check_dominant(self, labels: Labels) -> None:
-        if len(labels) != self.rank:
+        try:
+            arity = len(labels)
+        except TypeError:
+            arity = None
+        if arity != self.rank:
             raise InvalidLabelsError(f"expected {self.rank} labels, got {labels}")
         if any(type(l) is not int or l < 0 for l in labels):
             raise InvalidLabelsError(f"labels must be nonnegative integers: {labels}")
@@ -409,12 +413,19 @@ _SUPPORTED = {("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
               ("B", 2), ("C", 2), ("C", 3)}
 
 
-@lru_cache(maxsize=None)
 def build_root_system(series: str, rank: int) -> RootSystem:
     """Root system for the requested classical series at desk-scale ranks."""
+    try:
+        return _root_system(series, rank)
+    except TypeError:  # unhashable: no series or rank
+        raise UnsupportedAlgebraError(f"unsupported series/rank: {series!r}, {rank!r}") from None
+
+
+@lru_cache(maxsize=None)
+def _root_system(series: str, rank: int) -> RootSystem:
     if series in ("B", "C") and rank == 1:
         # so(3) and sp(2) are used as plain sl(2) factors.
-        return build_root_system("A", 1)
+        return _root_system("A", 1)
     if series == "D":
         raise UnsupportedAlgebraError(
             "so(4) is modeled as the product A1+A1, not as a D-series system")
@@ -565,7 +576,11 @@ class SemisimpleAlgebra(Record):
         return sum((f.canonicalize(p) for f, p in zip(self.factors, self.split(w))), start=())
 
     def check_arity(self, labels) -> None:
-        if len(labels) != len(self.factors):
+        try:
+            arity = len(labels)
+        except TypeError:
+            arity = None
+        if arity != len(self.factors):
             raise InvalidLabelsError(
                 f"expected labels for {len(self.factors)} factors, got {labels}")
 

@@ -77,7 +77,7 @@ GENETIC_CODE_TARGET = {6: 3, 4: 5, 3: 2, 2: 9, 1: 2}
 
 
 class InvalidTargetError(InputError, ValueError):
-    """A target histogram that no 64-dimensional distribution can hit."""
+    """A target that no 64-dimensional distribution can hit, or a phase not 1 or 2."""
 
 
 def _goal(target=None) -> Stats:
@@ -110,7 +110,7 @@ def prune(stats: Stats, phase: int, target=None):
     Phase 1 is the chain-level check (total pairing, singlets, odd count);
     phase 2 is the continuation check inside the breaking tree, where only
     criteria that survive final-step freezing may appear.  Any other phase,
-    ``True`` and ``2.0`` included, raises ``ValueError``.
+    ``True`` and ``2.0`` included, raises :class:`InvalidTargetError`.
     """
     goal = target if type(target) is Stats else _goal(target)
     if phase == 2 and type(phase) is int:
@@ -118,7 +118,7 @@ def prune(stats: Stats, phase: int, target=None):
     elif phase == 1 and type(phase) is int:
         out = [TOTAL_PAIRING] if stats.total_pairing and not goal.total_pairing else []
     else:
-        raise ValueError(f"unknown phase {phase!r}; phases are 1 and 2")
+        raise InvalidTargetError(f"unknown phase {phase!r}; phases are 1 and 2")
     if stats.n_singlets > goal.n_singlets:
         out.append(TOO_MANY_SINGLETS)
     if stats.n_odd > goal.n_odd:
@@ -494,6 +494,8 @@ def apply_plan(chain_id: str, plan) -> Phase2State:
     if isinstance(plan, str):
         raise SlotError(f"plan {plan!r} is one string; a plan is a sequence of "
                         f"kind:slot tokens, such as ['soft:3', 'strong:12']")
+    if not hasattr(plan, "__iter__"):
+        raise SlotError(f"plan {plan!r} is not a sequence of kind:slot tokens")
     state = from_distribution(apply_chain(chain_id))
     for token in plan:
         op = token if isinstance(token, PhaseOp) else PhaseOp.parse(token)

@@ -1,10 +1,10 @@
 """Root data and first-step branching for basic classical Lie superalgebras.
 
-The supported algebras are sl(m|n) and osp(M|N) at the sizes carrying
-64-dimensional typical irreducibles.  Each algebra is one table of integer
-root data: its distinguished simple roots, its even and odd positive roots
-and its even factors.  Everything else is derived from that table without
-per-family code.
+The supported algebras are those of the catalog of 64-dimensional typical
+irreducibles, each entry typed once: an sl(m|n) one by its superdiagram rows,
+an osp one by its labels.  Each algebra is one table of integer root data:
+its distinguished simple roots, its even and odd positive roots and its even
+factors.  Everything else is derived from that table without per-family code.
 
 Weights live in a common coordinate space carrying a signature: the
 invariant form is +1 on sp-type (delta) coordinates and -1 on so-type
@@ -212,18 +212,16 @@ def _osp(M: int, N: int) -> SuperAlgebra:
 
 
 _KIND_RE = re.compile(r"(sl|osp)\((\d+)\|(\d+)\)")
-_SUPPORTED_SL = {(2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (3, 2)}
-_SUPPORTED_OSP = {(2, 4), (2, 6), (3, 2), (3, 4), (4, 2), (5, 2)}
 
 
 def build_super(kind: str) -> SuperAlgebra:
-    """Construct the distinguished root data for a supported superalgebra;
-    one object per algebra, however its name is spaced."""
+    """Construct the distinguished root data for a supported superalgebra, one
+    with a catalog entry; one object per algebra, however its name is spaced."""
     mm = isinstance(kind, str) and _KIND_RE.fullmatch(kind.replace(" ", ""))
     if not mm:
         raise InvalidLabelsError(f"cannot parse algebra name {kind!r}")
     fam, a, b = mm.group(1), int(mm.group(2)), int(mm.group(3))
-    if (a, b) not in (_SUPPORTED_SL if fam == "sl" else _SUPPORTED_OSP):
+    if f"{fam}({a}|{b})" not in {e.algebra for e in CATALOG}:
         raise InvalidLabelsError(f"unsupported algebra {kind}")
     return (_sl if fam == "sl" else _osp)(a, b)
 
@@ -231,6 +229,8 @@ def build_super(kind: str) -> SuperAlgebra:
 def kac_labels(sa: SuperAlgebra, w) -> tuple:
     """Distinguished Kac-Dynkin labels of a weight vector, in the signed
     form: (w, a) at an isotropic simple root a, 2(w, a)/(a, a) at any other."""
+    if type(w) is not tuple or len(w) != sa.dim or any(type(x) not in (int, Fraction) for x in w):
+        raise InvalidLabelsError(f"{sa.name} weight {w!r} is not {sa.dim} rational numbers")
     out = []
     for a in sa.simple_roots:
         wa, aa = sa.sdot(w, a), sa.sdot(a, a)
@@ -251,7 +251,10 @@ def _kac_vector(sa: SuperAlgebra, labels) -> tuple:
     """``(v, scale)``: the highest weight of distinguished Kac-Dynkin labels
     is the integer vector ``v`` over ``scale``.  Each label must be a finite
     rational number, not a bool; a string is read as one label."""
-    labels = tuple(_label(sa, x) for x in ((labels,) if isinstance(labels, str) else labels))
+    try:
+        labels = tuple(_label(sa, x) for x in ((labels,) if isinstance(labels, str) else labels))
+    except TypeError:
+        raise InvalidLabelsError(f"{sa.name} labels {labels!r} are not a sequence") from None
     if len(labels) != len(sa.simple_roots):
         raise InvalidLabelsError(
             f"{sa.name} takes {len(sa.simple_roots)} labels, got {len(labels)}")
@@ -311,7 +314,7 @@ def branch_to_even(sa: SuperAlgebra, labels, drop_charges: bool = True):
     both before the expansion.  After it, a negative multiplicity or an empty
     even part is a fault of the program and raises :class:`NotACharacterError`.
     """
-    if not isinstance(labels, str):
+    if not isinstance(labels, str) and hasattr(labels, "__iter__"):
         labels = tuple(labels)  # read an iterator once: the messages name the labels
     v, s = _kac_vector(sa, labels)
     if not _typical(sa, v, s):
@@ -366,43 +369,54 @@ def typical_dimension(sa: SuperAlgebra, labels) -> int:
     return sum(e.mult * e.dim(sa) for e in branch_to_even(sa, labels))
 
 
-class CatalogEntry(Record):
-    """One codon representation: algebra, highest weight, provenance, and
-    for sl algebras the row lengths of its superdiagram."""
+def _labs(*xs):
+    return tuple(fr(x) for x in xs)
 
-    __slots__ = ("key", "algebra", "labels", "table", "aliases", "diagram_rows")
-    _defaults = {"aliases": (), "diagram_rows": ()}
+
+def _sl_labels(rows: tuple, m: int, n: int) -> tuple:
+    """Kac-Dynkin labels of the sl(m|n) irrep whose superdiagram has the rows
+    b_1 >= b_2 >= ...: b_i - b_(i+1) on the even nodes of sl(m), b_m + c'_1 on
+    the odd node and c'_j - c'_(j+1) on those of sl(n), where c'_j =
+    max(c_j - m, 0) are the reduced columns; legal exactly when b_(m+1) <= n."""
+    b = tuple(rows) + (0,) * (m + 1)
+    if b[m] > n:
+        raise InvalidLabelsError(f"b_{m + 1} = {b[m]} exceeds {n}: not an sl({m}|{n}) shape")
+    c = [max(sum(r >= j for r in rows) - m, 0) for j in range(1, n + 1)]
+    return _labs(*(b[i] - b[i + 1] for i in range(m - 1)), b[m - 1] + c[0],
+                 *(c[j] - c[j + 1] for j in range(n - 1)))
+
+
+class CatalogEntry(Record):
+    """One codon representation: its key, algebra, table and highest weight,
+    typed once: an sl(m|n) entry by its superdiagram rows ``diagram_rows``,
+    whose labels :func:`_sl_labels` derives, an osp entry by its labels."""
+
+    __slots__ = ("key", "algebra", "table", "labels", "diagram_rows")
+
+    def __init__(self, key: str, algebra: str, table: int, labels=(), diagram_rows=()):
+        self.key, self.algebra, self.table, self.diagram_rows = key, algebra, table, diagram_rows
+        m, n = map(int, _KIND_RE.fullmatch(algebra).group(2, 3))
+        self.labels = _sl_labels(diagram_rows, m, n) if diagram_rows else labels
 
     def build(self) -> SuperAlgebra:
         return build_super(self.algebra)
 
 
-def _labs(*xs):
-    return tuple(fr(x) for x in xs)
-
-
 CATALOG: tuple = (
-    CatalogEntry("sl(2|1)", "sl(2|1)", _labs(15, 1), 1, diagram_rows=(16, 1)),
-    CatalogEntry("sl(3|1)", "sl(3|1)", _labs(1, 1, 1), 1, diagram_rows=(3, 2, 1)),
-    CatalogEntry("sl(4|1)", "sl(4|1)", _labs(1, 0, 0, 1), 1,
-                 aliases=(_labs(0, 0, 1, 1),), diagram_rows=(2, 1, 1, 1)),
-    CatalogEntry("sl(6|1)", "sl(6|1)", _labs(0, 0, 0, 0, 0, 1), 1,
-                 diagram_rows=(1, 1, 1, 1, 1, 1)),
-    CatalogEntry("sl(2|2)(3,2,0)", "sl(2|2)", _labs(3, 2, 0), 2,
-                 aliases=(_labs(0, 2, 3),), diagram_rows=(5, 2)),
-    CatalogEntry("sl(2|2)(1,3,1)", "sl(2|2)", _labs(1, 3, 1), 2,
-                 diagram_rows=(3, 2, 1)),
-    CatalogEntry("sl(3|2)", "sl(3|2)", _labs(0, 0, 2, 0), 2,
-                 diagram_rows=(2, 2, 2)),
-    CatalogEntry("osp(2|4)", "osp(2|4)", _labs(1, 1, 0), 2),
-    CatalogEntry("osp(2|6)", "osp(2|6)", _labs(3, 0, 0, 0), 2),
-    CatalogEntry("osp(3|2)", "osp(3|2)", _labs(Fraction(17, 2), 15), 3),
-    CatalogEntry("osp(3|4)", "osp(3|4)", _labs(0, Fraction(5, 2), 3), 3),
-    CatalogEntry("osp(5|2)", "osp(5|2)", _labs(Fraction(5, 2), 0, 1), 3),
-    CatalogEntry("osp(4|2)(5,0,0)", "osp(4|2)", _labs(5, 0, 0), 3,
-                 aliases=(_labs(Fraction(7, 2), 3, 0), _labs(Fraction(7, 2), 0, 3))),
-    CatalogEntry("osp(4|2)(7/2,0,1)", "osp(4|2)", _labs(Fraction(7, 2), 0, 1), 3,
-                 aliases=(_labs(3, 1, 1), _labs(Fraction(7, 2), 1, 0))),
+    CatalogEntry("sl(2|1)", "sl(2|1)", 1, diagram_rows=(16, 1)),
+    CatalogEntry("sl(3|1)", "sl(3|1)", 1, diagram_rows=(3, 2, 1)),
+    CatalogEntry("sl(4|1)", "sl(4|1)", 1, diagram_rows=(2, 1, 1, 1)),
+    CatalogEntry("sl(6|1)", "sl(6|1)", 1, diagram_rows=(1, 1, 1, 1, 1, 1)),
+    CatalogEntry("sl(2|2)(3,2,0)", "sl(2|2)", 2, diagram_rows=(5, 2)),
+    CatalogEntry("sl(2|2)(1,3,1)", "sl(2|2)", 2, diagram_rows=(3, 2, 1)),
+    CatalogEntry("sl(3|2)", "sl(3|2)", 2, diagram_rows=(2, 2, 2)),
+    CatalogEntry("osp(2|4)", "osp(2|4)", 2, _labs(1, 1, 0)),
+    CatalogEntry("osp(2|6)", "osp(2|6)", 2, _labs(3, 0, 0, 0)),
+    CatalogEntry("osp(3|2)", "osp(3|2)", 3, _labs(Fraction(17, 2), 15)),
+    CatalogEntry("osp(3|4)", "osp(3|4)", 3, _labs(0, Fraction(5, 2), 3)),
+    CatalogEntry("osp(5|2)", "osp(5|2)", 3, _labs(Fraction(5, 2), 0, 1)),
+    CatalogEntry("osp(4|2)(5,0,0)", "osp(4|2)", 3, _labs(5, 0, 0)),
+    CatalogEntry("osp(4|2)(7/2,0,1)", "osp(4|2)", 3, _labs(Fraction(7, 2), 0, 1)),
 )
 
 

@@ -1,9 +1,10 @@
 """Branching-table construction, rendering, and golden-fixture comparison.
 
-Tables 1-3 are the first-step branchings per algebra; tables 4, 5 and 9 are
-chain branchings rendered as trees (one column per stage); tables 6-8 show
-the three surviving second-phase schemes, with the multiplets frozen at the
-last step marking the rows they would otherwise have produced.
+Tables 1-3 are the first-step branchings of the catalog entries, by their
+``table``; tables 4, 5 and 9 are chain branchings rendered as trees (one
+column per stage); tables 6-8 show the three surviving second-phase schemes,
+with the frozen multiplets of the last step marking the rows they would
+otherwise have produced.
 
 A table is its JSON document, the dict that :func:`emit_json` dumps and
 :func:`parse_json` reads: ``table``, ``title``, ``kind`` (``"branch"``,
@@ -22,7 +23,7 @@ from .embed_chains import apply_chain, render_labels
 from .lie_core import UnknownNameError
 from .phase2 import PhaseOp, break_multiplet
 from .search import apply_plan, freeze_groups, solve_freezing
-from .super_branch import branch_to_even, catalog_entry, render_hw
+from .super_branch import CATALOG, branch_to_even, render_hw
 
 
 def _node(label: str, dim: int, mult: int = 1, frozen: bool = False,
@@ -79,12 +80,6 @@ def parse_json(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # tables 1-3: first-step branchings
 
-_TABLE_REPS = {
-    1: ["sl(2|1)", "sl(3|1)", "sl(4|1)", "sl(6|1)"],
-    2: ["sl(2|2)(3,2,0)", "sl(2|2)(1,3,1)", "sl(3|2)", "osp(2|4)", "osp(2|6)"],
-    3: ["osp(3|2)", "osp(3|4)", "osp(5|2)", "osp(4|2)(5,0,0)", "osp(4|2)(7/2,0,1)"],
-}
-
 _TABLE_CHAINS = {4: "osp(3|4)/3", 5: "osp(5|2)/3", 9: "osp(4|2)(5,0,0)/3"}
 
 _TABLE_SCHEMES = {6: ("osp(5|2)/3", ("soft:3",), "soft:12"),
@@ -94,15 +89,13 @@ _TABLE_SCHEMES = {6: ("osp(5|2)/3", ("soft:3",), "soft:12"),
 
 def build_branch_table(table: int) -> dict:
     rows = []
-    for key in _TABLE_REPS[table]:
-        entry = catalog_entry(key)
+    for entry in (e for e in CATALOG if e.table == table):
         sa = entry.build()
-        branch = branch_to_even(sa, entry.labels)
         rows.append({
             "algebra": entry.algebra,
             "highest_weight": render_hw(entry.labels),
             "entries": [{"labels": render_labels(e.labels), "mult": e.mult,
-                         "dim": e.dim(sa)} for e in branch],
+                         "dim": e.dim(sa)} for e in branch_to_even(sa, entry.labels)],
         })
     return {"table": table, "title": f"first-step branching (table {table})",
             "kind": "branch", "columns": ["algebra", "highest_weight", "labels", "dim"],
@@ -181,13 +174,14 @@ def build_scheme_table(table: int) -> dict:
 
 
 def build_table(table: int) -> dict:
-    if table in _TABLE_REPS:
-        return build_branch_table(table)
-    if table in _TABLE_CHAINS:
-        return build_chain_table_doc(table)
-    if table in _TABLE_SCHEMES:
-        return build_scheme_table(table)
-    raise UnknownNameError(f"no table {table}; valid ids are 1..9")
+    if type(table) is int:
+        if table in (1, 2, 3):
+            return build_branch_table(table)
+        if table in _TABLE_CHAINS:
+            return build_chain_table_doc(table)
+        if table in _TABLE_SCHEMES:
+            return build_scheme_table(table)
+    raise UnknownNameError(f"no table {table!r}; valid ids are 1..9")
 
 
 # ---------------------------------------------------------------------------

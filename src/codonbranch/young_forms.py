@@ -1,9 +1,9 @@
-"""Young diagrams, superdiagrams and the label conversions.
+"""Young diagrams and superdiagrams, and how the catalog draws them.
 
-The sl(m|n) labels follow from a diagram's reduced column lengths.  A
-type-II osp(M|2n) diagram is read off the highest weight that
-:func:`super_branch.kac_weight` gives: its rows are the delta coordinates
-and its columns 1 + the epsilon coordinates.
+An sl(m|n) superdiagram is given by the integer rows that the catalog types
+(``super_branch`` derives its labels).  A type-II osp(M|2n) diagram is read
+off the highest weight that :func:`super_branch.kac_weight` gives: its rows
+are the delta coordinates and its columns 1 + the epsilon coordinates.
 """
 
 from __future__ import annotations
@@ -25,8 +25,12 @@ class YoungDiagram(Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple):
-        ints = tuple(int(r) for r in rows)
-        if ints != tuple(rows):
+        try:
+            rows = tuple(rows)
+            ints = tuple(int(r) for r in rows)
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints is None or ints != rows:
             raise IllegalDiagramError(f"rows must be integers: {rows}")
         if any(r <= 0 for r in ints):
             raise IllegalDiagramError(f"rows must be positive: {ints}")
@@ -41,11 +45,6 @@ class YoungDiagram(Record):
                      for j in range(1, self.rows[0] + 1))
 
 
-def step(x) -> int:
-    """Step function: 1 for positive arguments, 0 otherwise."""
-    return 1 if x > 0 else 0
-
-
 class YoungSuperDiagram(Record):
     """Superdiagram with row and column lengths (possibly half-integral).
 
@@ -56,8 +55,11 @@ class YoungSuperDiagram(Record):
     __slots__ = ("rows", "cols")
 
     def __init__(self, rows: tuple, cols: tuple):
-        rows = tuple(fr(r) for r in rows)
-        cols = tuple(fr(c) for c in cols)
+        try:
+            rows, cols = tuple(map(fr, rows)), tuple(map(fr, cols))
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise IllegalDiagramError(
+                f"lengths must be rational numbers: {rows!r}, {cols!r}") from None
         for seq in (rows, cols):
             if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
                 raise IllegalDiagramError(f"lengths must be non-increasing: {seq}")
@@ -66,40 +68,12 @@ class YoungSuperDiagram(Record):
         self.rows = rows
         self.cols = cols
 
-    @property
-    def spinor_row(self) -> bool:
-        return any(c.denominator == 2 for c in self.cols)
-
-    def row(self, i: int):
-        return self.rows[i - 1] if 1 <= i <= len(self.rows) else Fraction(0)
-
-    def col(self, j: int):
-        return self.cols[j - 1] if 1 <= j <= len(self.cols) else Fraction(0)
-
 
 def sl_superdiagram(rows) -> YoungSuperDiagram:
     """Superdiagram of sl type from integer row lengths (columns derived)."""
-    d = YoungDiagram(tuple(rows))
+    d = YoungDiagram(rows)
     return YoungSuperDiagram(tuple(Fraction(r) for r in d.rows),
                              tuple(Fraction(c) for c in d.columns()))
-
-
-def sl_super_labels_from_diagram(d: YoungSuperDiagram, m: int, n: int) -> tuple:
-    """Kac-Dynkin labels of the sl(m|n) irrep described by ``d``.
-
-    Uses the reduced column lengths c'_j = (c_j - m) * step(c_j - m); the
-    diagram is allowed exactly when b_{m+1} <= n.
-    """
-    if d.spinor_row:
-        raise IllegalDiagramError("sl superdiagrams carry no spinor boxes")
-    if d.row(m + 1) > n:
-        raise IllegalDiagramError(
-            f"b_{m + 1} = {d.row(m + 1)} exceeds {n}: not an sl({m}|{n}) shape")
-    cp = [(d.col(j) - m) * step(d.col(j) - m) for j in range(1, n + 1)]
-    labels = [d.row(i) - d.row(i + 1) for i in range(1, m)]
-    labels.append(d.row(m) + cp[0])
-    labels += [cp[j - 1] - cp[j] for j in range(1, n)]
-    return tuple(labels)
 
 
 def osp_superdiagram_from_labels(kind: str, labels) -> YoungSuperDiagram:

@@ -45,9 +45,6 @@ _ALLOWED_BY_REASON = {
     "reference that tests compare the tool's code against": (
         "lie_core.RootSystem.reflect", "lie_core.RootSystem.highest_weight",
         "lie_core.vdot", "super_branch.is_typical",
-        "young_forms.sl_super_labels_from_diagram", "young_forms.step",
-        "young_forms.YoungSuperDiagram.spinor_row", "young_forms.YoungSuperDiagram.row",
-        "young_forms.YoungSuperDiagram.col",
     ),
     "value dunder of FormalCharacter": (
         "lie_core.FormalCharacter.__eq__", "lie_core.FormalCharacter.__hash__",

@@ -17,6 +17,7 @@ from codonbranch.cli import _dump_json, main
 from codonbranch.embed_chains import chain_ids
 from codonbranch.search import full_search, report_to_dict
 from codonbranch.super_branch import CATALOG
+from oracles import catalog_aliases
 from test_search import MEMO_TARGETS
 
 SURVIVOR_PLANS = ("soft:3,soft:12", "soft:3,strong:12", "soft:3,strong_after_soft:3")
@@ -31,7 +32,7 @@ def _runs(command, fmt):
     flag = [] if fmt is None else ["--format", fmt]
     if command == "branch":
         return [["branch", "--algebra", e.algebra, "--hw", _hw(labels), *flag]
-                for e in CATALOG for labels in (e.labels, *e.aliases)]
+                for e in CATALOG for labels in (e.labels, *catalog_aliases(e))]
     if command == "chain":
         return [["chain", "--chain-id", c, *flag] for c in chain_ids()]
     if command == "tables":

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -219,6 +220,14 @@ def test_unknown_names_are_typed_key_errors():
         build_table(10)
 
 
+@pytest.mark.parametrize("table", [True, 1.0, ["x"], "1"])
+def test_a_table_id_that_is_not_an_int_is_unknown(table):
+    # True and 1.0 compare equal to 1, and a list is unhashable.
+    from codonbranch.lie_core import UnknownNameError
+    with pytest.raises(UnknownNameError, match=re.escape(f"no table {table!r}")):
+        build_table(table)
+
+
 def test_cli_verify_golden_reports_unparsable_fixture(tmp_path, capsys, monkeypatch):
     for name in os.listdir(DATA):
         shutil.copy(os.path.join(DATA, name), tmp_path / name)
@@ -318,15 +327,23 @@ def test_cli_list_catalog_diagrams(capsys):
     assert "    ##\n    ss" in out      # the osp(5|2) shape with half boxes
 
 
-def test_catalog_diagrams_reproduce_catalog_labels():
-    from codonbranch.super_branch import CATALOG
-    from codonbranch.young_forms import sl_super_labels_from_diagram, sl_superdiagram
-    for entry in CATALOG:
-        if not entry.diagram_rows:
-            continue
-        m, n = map(int, entry.algebra[3:-1].split("|"))
-        got = sl_super_labels_from_diagram(sl_superdiagram(entry.diagram_rows), m, n)
-        assert got == entry.labels
+def test_catalog_diagrams_reproduce_catalog_labels(capsys):
+    # Each sl entry types only its superdiagram rows: the labels derived from
+    # them head that entry's row of its golden table, and list-catalog draws
+    # those rows.
+    from codonbranch.super_branch import CATALOG, render_hw
+    from codonbranch.young_forms import render_diagram, sl_superdiagram
+    assert main(["list-catalog", "--diagrams"]) == 0
+    out = capsys.readouterr().out
+    sl = [e for e in CATALOG if e.diagram_rows]
+    assert [e.algebra[:3] for e in sl] == ["sl("] * 7
+    assert all(e.algebra.startswith("osp") for e in CATALOG if not e.diagram_rows)
+    for entry in sl:
+        with open(os.path.join(DATA, f"table{entry.table}.json"), encoding="utf-8") as fh:
+            heads = [(r["algebra"], r["highest_weight"]) for r in json.load(fh)["rows"]]
+        assert (entry.algebra, render_hw(entry.labels)) in heads, entry.key
+        drawn = render_diagram(sl_superdiagram(entry.diagram_rows)).splitlines()
+        assert "\n".join("    " + line for line in drawn) in out
 
 
 def test_importing_the_cli_loads_no_command_only_modules():

@@ -327,6 +327,13 @@ def test_restrict_requires_matching_factor():
         apply_step(dist, ChainStep("restrict", embedding="C2>A1", factor=1))
 
 
+def test_restrict_rejects_an_unhashable_embedding_name():
+    from codonbranch.embed_chains import ChainStep, apply_step
+    dist = first_step_distribution("osp(5|2)")
+    with pytest.raises(ChainError, match=r"unknown embedding \['x'\]"):
+        apply_step(dist, ChainStep("restrict", embedding=["x"]))
+
+
 def test_restrict_rejects_a_negative_factor():
     # Python would read factor -1 as the last factor, so(5), and build a stage.
     from codonbranch.embed_chains import ChainStep, apply_step

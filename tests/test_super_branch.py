@@ -34,7 +34,7 @@ from codonbranch.super_branch import (
     typical_dimension,
 )
 
-from oracles import integer_weyl_walk, is_typical_reference, weyl_walk
+from oracles import catalog_aliases, integer_weyl_walk, is_typical_reference, weyl_walk
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "codonbranch", "data")
 
@@ -95,7 +95,7 @@ def test_typical_dimension_is_64(entry):
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.key)
 def test_alias_weights_are_typical_dim_64(entry):
     sa = entry.build()
-    for alias in entry.aliases:
+    for alias in catalog_aliases(entry):
         assert is_typical(sa, alias)
         assert typical_dimension(sa, alias) == 64
 
@@ -175,7 +175,7 @@ def test_conjugate_alias_sl41_is_factorwise_conjugate():
     entry = catalog_entry("sl(4|1)")
     sa = entry.build()
     base = _branch_map(sa, entry.labels)
-    (alias,) = entry.aliases
+    (alias,) = catalog_aliases(entry)
     conj = {tuple(rs.conjugate(lab) for rs, lab in
                   zip(sa.factor_systems, labels)): v
             for labels, v in base.items()}
@@ -188,7 +188,7 @@ def test_conjugate_alias_sl22_swaps_the_two_sl2_factors():
     entry = catalog_entry("sl(2|2)(3,2,0)")
     sa = entry.build()
     base = _branch_map(sa, entry.labels)
-    (alias,) = entry.aliases
+    (alias,) = catalog_aliases(entry)
     swapped = {(labels[1], labels[0]): v for labels, v in base.items()}
     assert _branch_map(sa, alias) == swapped
     assert _dim_stats(sa, alias) == _dim_stats(sa, entry.labels)
@@ -200,7 +200,7 @@ def test_osp42_equivalent_weights_share_branchings_up_to_triality():
         entry = catalog_entry(key)
         sa = entry.build()
         base = _branch_map(sa, entry.labels)
-        for alias in entry.aliases:
+        for alias in catalog_aliases(entry):
             other = _branch_map(sa, alias)
             images = [{tuple(labels[i] for i in perm): v
                        for labels, v in base.items()}
@@ -405,6 +405,14 @@ def test_labels_given_as_an_iterator_are_named_in_the_message():
     entry = catalog_entry("osp(5|2)")
     assert branch_to_even(entry.build(), iter(entry.labels)) == \
         branch_to_even(entry.build(), entry.labels)
+
+
+@pytest.mark.parametrize("fn", [branch_to_even, is_typical, kac_weight, typical_dimension])
+@pytest.mark.parametrize("labels", [5, None, 2.5])
+def test_labels_that_are_not_a_sequence_are_rejected(fn, labels):
+    with pytest.raises(InvalidLabelsError,
+                       match=re.escape(f"osp(5|2) labels {labels!r} are not a sequence")):
+        fn(build_super("osp(5|2)"), labels)
 
 
 def _halves(top):

@@ -4,15 +4,14 @@ from fractions import Fraction
 import pytest
 
 from codonbranch.lie_core import InvalidLabelsError
+from codonbranch.super_branch import _sl_labels
 from codonbranch.young_forms import (
     IllegalDiagramError,
     YoungDiagram,
     YoungSuperDiagram,
     osp_superdiagram_from_labels,
     render_diagram,
-    sl_super_labels_from_diagram,
     sl_superdiagram,
-    step,
 )
 
 
@@ -25,16 +24,16 @@ def test_non_integral_rows_are_rejected(rows):
 
 
 def test_sl_super_labels_examples():
-    d = sl_superdiagram((3, 2, 1))
-    assert sl_super_labels_from_diagram(d, 3, 1) == (1, 1, 1)
-    assert sl_super_labels_from_diagram(d, 2, 2) == (1, 3, 1)
-    assert sl_super_labels_from_diagram(sl_superdiagram((4,)), 2, 2) == (4, 0, 0)
+    assert _sl_labels((3, 2, 1), 3, 1) == (1, 1, 1)
+    assert _sl_labels((3, 2, 1), 2, 2) == (1, 3, 1)
+    assert _sl_labels((4,), 2, 2) == (4, 0, 0)
+    assert _sl_labels((2, 2, 2, 1), 4, 1) == (0, 0, 1, 1)  # the sl(4|1) alias
 
 
 def test_sl_super_legality():
     # b_{m+1} must not exceed n
-    with pytest.raises(IllegalDiagramError):
-        sl_super_labels_from_diagram(sl_superdiagram((3, 3, 3)), 2, 2)
+    with pytest.raises(InvalidLabelsError, match="b_3 = 3 exceeds 2"):
+        _sl_labels((3, 3, 3), 2, 2)
 
 
 @pytest.mark.parametrize("rows,m,n,labels", [
@@ -47,8 +46,9 @@ def test_sl_super_legality():
     ((2, 2, 2), 3, 2, (0, 0, 2, 0)),
 ])
 def test_catalog_superdiagrams_reproduce_their_labels(rows, m, n, labels):
-    got = sl_super_labels_from_diagram(sl_superdiagram(rows), m, n)
-    assert got == tuple(Fraction(x) for x in labels)
+    # The labels that the paper prints, from the rows alone.
+    got = _sl_labels(rows, m, n)
+    assert got == labels and all(type(x) is Fraction for x in got)
 
 
 def _partitions(total, max_part=None, max_len=8):
@@ -65,33 +65,23 @@ def _partitions(total, max_part=None, max_len=8):
 def test_every_legal_superdiagram_gives_wellformed_labels():
     for boxes in range(1, 9):
         for rows in _partitions(boxes):
-            d = sl_superdiagram(rows)
             for m, n in ((2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (3, 2)):
-                if d.row(m + 1) > n:
+                if len(rows) > m and rows[m] > n:
+                    with pytest.raises(InvalidLabelsError, match="not an sl"):
+                        _sl_labels(rows, m, n)
                     continue
-                labels = sl_super_labels_from_diagram(d, m, n)
+                labels = _sl_labels(rows, m, n)
                 even = labels[:m - 1] + labels[m:]
                 assert all(l.denominator == 1 and l >= 0 for l in even)
-
-
-def test_step_convention_is_value_irrelevant_at_zero():
-    # (c - m) * step(c - m) vanishes at c = m under either convention for
-    # step(0)
-    for c in range(0, 5):
-        m = c
-        assert (c - m) * step(c - m) == 0
-        assert (c - m) * (1 if (c - m) >= 0 else 0) == 0
 
 
 def test_osp_superdiagram_cases():
     d42 = osp_superdiagram_from_labels("osp(4|2)", (Fraction(7, 2), 0, 1))
     assert d42.rows == (3,) and d42.cols == (Fraction(3, 2), Fraction(3, 2))
-    assert d42.spinor_row
     d52 = osp_superdiagram_from_labels("osp(5|2)", (Fraction(5, 2), 0, 1))
     assert d52.rows == (2,) and d52.cols == (Fraction(3, 2), Fraction(3, 2))
     plain = osp_superdiagram_from_labels("osp(4|2)", (5, 0, 0))
     assert plain.rows == (5,) and plain.cols == (1, 1)
-    assert not plain.spinor_row
 
 
 def test_osp_superdiagram_errors():
