@@ -56,15 +56,11 @@ def _data_dir() -> str:
 
 def cmd_list_catalog(args) -> int:
     from .super_branch import CATALOG, render_hw, typical_dimension
-    from .young_forms import osp_superdiagram_from_labels, render_diagram, sl_superdiagram
     for e in CATALOG:
-        sa = e.build()
-        total = typical_dimension(sa, e.labels)
+        total = typical_dimension(e.build(), e.labels)
         print(f"{e.key:22s} table {e.table}  highest weight ({render_hw(e.labels)})  dim {total}")
-        if args.diagrams and (e.diagram_rows or sa.deltas):
-            diagram = (sl_superdiagram(e.diagram_rows) if e.diagram_rows
-                       else osp_superdiagram_from_labels(sa.name, e.labels))
-            for line in render_diagram(diagram).splitlines():
+        if args.diagrams:
+            for line in e.diagram():
                 print("    " + line)
     return 0
 

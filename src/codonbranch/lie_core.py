@@ -414,11 +414,13 @@ _SUPPORTED = {("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
 
 
 def build_root_system(series: str, rank: int) -> RootSystem:
-    """Root system for the requested classical series at desk-scale ranks."""
-    try:
-        return _root_system(series, rank)
-    except TypeError:  # unhashable: no series or rank
-        raise UnsupportedAlgebraError(f"unsupported series/rank: {series!r}, {rank!r}") from None
+    """Root system for the requested classical series at desk-scale ranks.
+    The series must be a ``str`` and the rank exactly an ``int``, checked
+    before the lookup: ``True`` and ``1.0`` hash and compare equal to ``1``,
+    so they would find A1 once it is cached, or build and cache it first."""
+    if type(series) is not str or type(rank) is not int:
+        raise UnsupportedAlgebraError(f"unsupported series/rank: {series!r}, {rank!r}")
+    return _root_system(series, rank)
 
 
 @lru_cache(maxsize=None)
@@ -597,9 +599,19 @@ class SemisimpleAlgebra(Record):
     def character(self, labels) -> FormalCharacter:
         """Product character, keyed by integer vectors: each factor's block
         is its weight times that factor's ``scale`` (the character's own
-        scale is 1)."""
+        scale is 1).  Each label must be exactly an ``int``, checked before
+        the lookup, as :func:`_label_cache` checks it."""
         self.check_arity(labels)
-        return _product_character(self, tuple(map(tuple, labels)))
+        try:
+            labels = tuple(map(tuple, labels))
+            for block in labels:
+                for x in block:
+                    if type(x) is not int:
+                        raise TypeError  # reported below, as labels that are not sequences
+        except TypeError:
+            raise InvalidLabelsError(
+                f"labels must be sequences of integers: {labels!r}") from None
+        return _product_character(self, labels)
 
 
 @lru_cache(maxsize=None)

@@ -103,6 +103,11 @@ def render_slot(slot: Slot) -> str:
     return f"(+{v})" if v > 0 else f"(-{-v})"
 
 
+def _render_shape(slots: tuple) -> str:
+    """A shape as every record and table names it: its slots joined by ``-``."""
+    return "-".join(map(render_slot, slots))
+
+
 def soft_break_slot(slot: Slot):
     """Soft breaking of one unbroken slot: s doublets, plus a singlet when
     the spin is integral."""
@@ -152,7 +157,7 @@ class Multiplet(Record):
         return _shape_dim(self.slots)
 
     def render(self) -> str:
-        return "-".join(render_slot(s) for s in self.slots)
+        return _render_shape(self.slots)
 
 
 class Phase2State(Record):

@@ -60,6 +60,7 @@ from .phase2 import (
     SlotError,
     Stats,
     _KINDS,
+    _render_shape,
     _split,
     _stats,
     apply_op,
@@ -68,7 +69,6 @@ from .phase2 import (
     distribution_stats,
     from_distribution,
     phase2_stats,
-    render_slot,
     slot_dim,
 )
 from .super_branch import CATALOG
@@ -147,7 +147,7 @@ class FreezeGroup(Record):
     __slots__ = ("slots", "count", "dim", "pieces", "neutral")
 
     def render(self) -> str:
-        return "-".join(render_slot(s) for s in self.slots)
+        return _render_shape(self.slots)
 
 
 class FreezeMask(Record):
@@ -226,7 +226,7 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
     if table is None:
         table = record[4] = tuple(
             (dim, ((), tuple((d, n * count) for d, n in pieces)),
-             ((("-".join(map(render_slot, slots)), dim, count),), ((dim, count),)))
+             (((_render_shape(slots), dim, count),), ((dim, count),)))
             for slots, count, dim, pieces in sorted(_group_rows(state, op))
             if pieces != ((dim, 1),))
     # A group adds its pieces when it breaks, or its own dimension when all
@@ -444,7 +444,7 @@ def _chain_end(chain_id: str) -> tuple:
         return dist, stats, None, ()
     state = from_distribution(dist)
     # Starting slots are all unbroken, so distinct shapes render distinctly.
-    facts = tuple(("-".join(map(render_slot, slots)), dim,
+    facts = tuple((_render_shape(slots), dim,
                    tuple(sorted(reachable_triplet_counts(slots))))
                   for slots, (dim, _) in state.shapes.items())
     return dist, stats, state, facts

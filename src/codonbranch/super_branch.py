@@ -401,6 +401,26 @@ class CatalogEntry(Record):
     def build(self) -> SuperAlgebra:
         return build_super(self.algebra)
 
+    def diagram(self) -> tuple:
+        """The entry's superdiagram as text rows, ``#`` per box and ``s`` per
+        half box.  An sl(m|n) entry draws its rows.  A type-II osp(M|2n)
+        entry reads its highest weight: its rows are the delta coordinates
+        and its columns 1 + the epsilon coordinates, whose boxes below the
+        rows are drawn as whole rows, then one row of half boxes.
+        osp(2|2n) draws nothing."""
+        if self.diagram_rows:
+            return tuple("#" * r for r in self.diagram_rows)
+        sa = self.build()
+        if sa.deltas is None:
+            return ()
+        n = sa.deltas
+        w = kac_weight(sa, self.labels)
+        below = [1 + x - n for x in w[n:]]  # each column's length under the rows
+        lines = ["#" * int(r) for r in w[:n]]
+        lines += ["#" * sum(b >= k for b in below) for k in range(1, int(max(below)) + 1)]
+        lines.append("s" * sum(b % 1 > 0 for b in below))
+        return tuple(filter(None, lines))
+
 
 CATALOG: tuple = (
     CatalogEntry("sl(2|1)", "sl(2|1)", 1, diagram_rows=(16, 1)),

@@ -2,14 +2,17 @@ import copy
 import functools
 import inspect
 import itertools
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codonbranch import phase2, search, super_branch, tables, young_forms
+from codonbranch import phase2, search, super_branch, tables
 from codonbranch.embed_chains import CHAINS, REGISTRY, DistEntry, apply_chain
 from codonbranch.lie_core import (
     FormalCharacter,
@@ -86,6 +89,28 @@ def test_unsupported_series():
         build_root_system("D", 2)
     with pytest.raises(UnsupportedAlgebraError):
         build_root_system("B", 7)
+
+
+def test_a_series_or_rank_of_another_type_is_rejected_before_the_cache():
+    # True and 1.0 hash and compare equal to 1, so a lookup made before the
+    # check would build and cache an A1 whose rank is True, which every later
+    # A1 would then be, or would find a cached A1.  A fresh process, so that
+    # such a failure leaves no other test a poisoned cache.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = (
+        "from codonbranch.embed_chains import export_registry\n"
+        "from codonbranch.lie_core import UnsupportedAlgebraError, build_root_system\n"
+        "for args in [('A', True), ('A', 1.0), ('A', 1), ('A', True), ('A', 1.0), (b'A', 1)]:\n"
+        "    try:\n"
+        "        print(build_root_system(*args).rank)\n"
+        "    except UnsupportedAlgebraError:\n"
+        "        print('rejected')\n"
+        "print('ATrue' in export_registry())\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected", "rejected", "1", "rejected", "rejected",
+                                   "rejected", "False"]
 
 
 @pytest.mark.parametrize("series,rank,labels,dim", [
@@ -469,7 +494,8 @@ def test_label_caches_give_the_same_answer_whatever_they_hold(bad):
     from codonbranch.embed_chains import branch_embedding
     a2 = build_root_system("A", 2)
     calls = [lambda l: irrep_character(a2, l), lambda l: weyl_dimension(a2, l),
-             lambda l: branch_embedding("A2>A1(1)", l), lambda l: casimir2(a2, l)]
+             lambda l: branch_embedding("A2>A1(1)", l), lambda l: casimir2(a2, l),
+             lambda l: SemisimpleAlgebra((a2, a2)).character((l, (0, 0)))]
     for call in calls:
         with pytest.raises(InvalidLabelsError, match=re.escape(repr(bad))):
             call((bad, 0))
@@ -553,9 +579,6 @@ def record_samples():
         super_branch.branch_to_even(osp52, (F(5, 2), 0, 1), drop_charges=False),
         state, search.freeze_groups(state, op), search.enumerate_phase2(state),
         phase2.Couplings.of(1, 2, 3, 4, 5, 6, 7, 8), phase2.Couplings(),
-        young_forms.YoungDiagram((3, 1, 1)),
-        young_forms.sl_superdiagram((3, 2, 1)),
-        young_forms.osp_superdiagram_from_labels("osp(5|2)", (F(5, 2), 0, 1)),
     ]
     found = {}
     _collect(roots, found)

@@ -24,6 +24,7 @@ from codonbranch.super_branch import (
     AtypicalError,
     SuperAlgebra,
     _inverse,
+    _sl_labels,
     branch_to_even,
     build_super,
     catalog_entry,
@@ -454,3 +455,119 @@ def test_every_label_set_in_a_box_is_rejected_or_has_a_positive_dimension(kind, 
             assert finite or re.search(NOT_DOMINANT, str(exc)), (labels, str(exc))
             seen["condition" if finite else "not dominant"] += 1
     assert tuple(seen.values()) == counts
+
+
+# ---------------------------------------------------------------------------
+# superdiagrams: the sl label rule and the pictures that list-catalog draws
+
+
+def test_sl_super_labels_examples():
+    assert _sl_labels((3, 2, 1), 3, 1) == (1, 1, 1)
+    assert _sl_labels((3, 2, 1), 2, 2) == (1, 3, 1)
+    assert _sl_labels((4,), 2, 2) == (4, 0, 0)
+    assert _sl_labels((2, 2, 2, 1), 4, 1) == (0, 0, 1, 1)  # the sl(4|1) alias
+
+
+def test_sl_super_legality():
+    # b_{m+1} must not exceed n
+    with pytest.raises(InvalidLabelsError, match="b_3 = 3 exceeds 2"):
+        _sl_labels((3, 3, 3), 2, 2)
+
+
+@pytest.mark.parametrize("rows,m,n,labels", [
+    ((16, 1), 2, 1, (15, 1)),
+    ((3, 2, 1), 3, 1, (1, 1, 1)),
+    ((2, 1, 1, 1), 4, 1, (1, 0, 0, 1)),
+    ((1, 1, 1, 1, 1, 1), 6, 1, (0, 0, 0, 0, 0, 1)),
+    ((5, 2), 2, 2, (3, 2, 0)),
+    ((3, 2, 1), 2, 2, (1, 3, 1)),
+    ((2, 2, 2), 3, 2, (0, 0, 2, 0)),
+])
+def test_catalog_superdiagrams_reproduce_their_labels(rows, m, n, labels):
+    # The labels that the paper prints, from the rows alone.
+    got = _sl_labels(rows, m, n)
+    assert got == labels and all(type(x) is Fraction for x in got)
+
+
+def _partitions(total, max_part=None, max_len=8):
+    max_part = max_part or total
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, max_part), 0, -1):
+        for rest in _partitions(total - first, first, max_len - 1):
+            if len(rest) < max_len:
+                yield (first,) + rest
+
+
+def test_every_legal_superdiagram_gives_wellformed_labels():
+    for boxes in range(1, 9):
+        for rows in _partitions(boxes):
+            for m, n in ((2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (3, 2)):
+                if len(rows) > m and rows[m] > n:
+                    with pytest.raises(InvalidLabelsError, match="not an sl"):
+                        _sl_labels(rows, m, n)
+                    continue
+                labels = _sl_labels(rows, m, n)
+                even = labels[:m - 1] + labels[m:]
+                assert all(l.denominator == 1 and l >= 0 for l in even)
+
+
+PICTURES = {
+    "sl(2|1)": "#" * 16 + "\n#",
+    "sl(3|1)": "###\n##\n#",
+    "sl(4|1)": "##\n#\n#\n#",
+    "sl(6|1)": "#\n" * 5 + "#",
+    "sl(2|2)(3,2,0)": "#####\n##",
+    "sl(2|2)(1,3,1)": "###\n##\n#",
+    "sl(3|2)": "##\n##\n##",
+    "osp(2|4)": "",
+    "osp(2|6)": "",
+    "osp(3|2)": "#\n" * 8 + "s",
+    "osp(3|4)": "#\n#\ns",
+    "osp(5|2)": "##\nss",
+    "osp(4|2)(5,0,0)": "#####",
+    "osp(4|2)(7/2,0,1)": "###\nss",
+}
+
+
+def _closed_form(kind, labels):
+    # The osp(4|2) and osp(5|2) shapes, rows and columns, in closed form.
+    l1, l2, l3 = labels
+    if kind == "osp(4|2)":
+        return (l1 - (l2 + l3) / 2,), (1 + (l3 + l2) / 2, 1 + (l3 - l2) / 2)
+    return (l1 - l2 - l3 / 2,), (1 + l2 + l3 / 2, 1 + l3 / 2)
+
+
+def _non_increasing(seq):
+    return all(a >= b for a, b in zip(seq, seq[1:]))
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.key)
+def test_catalog_superdiagram_pictures(entry):
+    drawn = entry.diagram()
+    assert "\n".join(drawn) == PICTURES[entry.key]
+    sa = entry.build()
+    if entry.diagram_rows:
+        # A partition, drawn row by row.
+        rows = entry.diagram_rows
+        assert all(type(r) is int and r > 0 for r in rows) and _non_increasing(rows)
+        assert drawn == tuple("#" * r for r in rows)
+        return
+    if sa.deltas is None:  # osp(2|2n) has no type-II superdiagram
+        assert drawn == ()
+        return
+    # Type II: positive integer rows and positive, non-increasing columns,
+    # read off the highest weight.
+    w = kac_weight(sa, entry.labels)
+    rows, cols = w[:sa.deltas], tuple(1 + x for x in w[sa.deltas:])
+    assert all(r.denominator == 1 and r > 0 for r in rows) and _non_increasing(rows)
+    assert all(c > 0 for c in cols) and _non_increasing(cols)
+    if entry.algebra in ("osp(4|2)", "osp(5|2)"):
+        assert (rows, cols) == _closed_form(entry.algebra, entry.labels)
+    # The picture has the shape's rows on top, then every whole box of the
+    # columns below them and one half box per half-integral column.
+    assert drawn[:len(rows)] == tuple("#" * int(r) for r in rows)
+    below = [c - len(rows) for c in cols]
+    assert "".join(drawn).count("#") == sum(rows) + sum(math.floor(b) for b in below)
+    assert "".join(drawn).count("s") == sum(b.denominator == 2 for b in below)

@@ -2,9 +2,9 @@
 
 Each test below draws values for the parameters that a caller types by
 hand: names (of algebras, root systems, catalog entries, embeddings, chains,
-breaking ops and tables), label sequences, diagram rows, plans, targets and
-phases.  Every object parameter (a root system, superalgebra, phase-2 state
-or statistics record) gets a valid object.  Each call must return or raise
+breaking ops and tables), label sequences, plans, targets and phases.  Every
+object parameter (a root system, superalgebra, phase-2 state or statistics
+record) gets a valid object.  Each call must return or raise
 ``codonbranch.InputError``; anything else fails the test.  Label magnitudes
 stay small, so that every call that is accepted is also quick.
 
@@ -51,12 +51,6 @@ from codonbranch.super_branch import (
     typical_dimension,
 )
 from codonbranch.tables import build_table
-from codonbranch.young_forms import (
-    YoungDiagram,
-    YoungSuperDiagram,
-    osp_superdiagram_from_labels,
-    sl_superdiagram,
-)
 
 EXAMPLES = settings(max_examples=200, derandomize=True, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -121,7 +115,6 @@ def test_names(name):
     _returns_or_rejects(build_root_system, name, 2)
     _returns_or_rejects(build_root_system, "A", name)
     _returns_or_rejects(branch_embedding, name, (1, 0))
-    _returns_or_rejects(osp_superdiagram_from_labels, name, (Fraction(5, 2), 0, 1))
 
 
 @EXAMPLES
@@ -131,8 +124,6 @@ def test_superalgebra_labels(sa, labels):
         _returns_or_rejects(fn, sa, labels)
         if isinstance(labels, list):
             _returns_or_rejects(fn, sa, iter(labels))
-    if sa.deltas:
-        _returns_or_rejects(osp_superdiagram_from_labels, sa.name, labels)
 
 
 @EXAMPLES
@@ -140,8 +131,9 @@ def test_superalgebra_labels(sa, labels):
 def test_lie_labels(rs, labels):
     for fn in (irrep_character, weyl_dimension, casimir2):
         _returns_or_rejects(fn, rs, labels)
-    _returns_or_rejects(SemisimpleAlgebra((rs,)).dimension, labels)
-    _returns_or_rejects(SemisimpleAlgebra((rs,)).dimension, (labels,))
+    for fn in (SemisimpleAlgebra((rs,)).dimension, SemisimpleAlgebra((rs,)).character):
+        _returns_or_rejects(fn, labels)
+        _returns_or_rejects(fn, (labels,))
 
 
 @EXAMPLES
@@ -149,14 +141,6 @@ def test_lie_labels(rs, labels):
 def test_embedding_labels(name, labels, a, b):
     _returns_or_rejects(branch_embedding, name, labels)
     _returns_or_rejects(diagonal_clebsch, a, b)
-
-
-@EXAMPLES
-@given(LABELS, LABELS)
-def test_diagram_rows(rows, cols):
-    for fn in (YoungDiagram, sl_superdiagram):
-        _returns_or_rejects(fn, rows)
-    _returns_or_rejects(YoungSuperDiagram, rows, cols)
 
 
 @EXAMPLES
