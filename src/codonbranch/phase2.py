@@ -40,11 +40,12 @@ child shape's count is odd exactly when an odd number of odd-count parent
 shapes split onto it, and a self-conjugate child shape comes only from
 self-conjugate parent shapes (a nonzero strong slot never returns to 0),
 so walking those parent shapes finds the child's by parity.
-A child refers to no other state.  It keeps its parent's fold, its op and
-the slot index, and splits its own fold from them on first read, dropping
-the parent's; it keeps the entries of its nearest ancestor that has them
-with the ops taken since, and replays those on the first read of its
-entries.  A search reads the fold of a state it expands and no entries.
+A child refers to no other state.  Its fold and its entries are cached
+properties: it keeps its parent's fold, its op and the slot index, and
+splits its own fold from them on first read, dropping the parent's; it
+keeps the entries of its nearest ancestor that has them with the ops taken
+since, and replays those through :func:`break_multiplet` on the first read
+of its entries.  A search reads the fold of a state it expands and no entries.
 
 Nothing in a state depends on a search target.  A state keeps only what
 a search reads twice: its record per op (:meth:`Phase2State.op_record`),
@@ -62,7 +63,7 @@ by a target, and none by slot tuples.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from . import InputError
@@ -170,9 +171,9 @@ class Phase2State(Record):
     statistics read: ``dims``, its dimension histogram ``{dim: count}``, and
     ``odd0``, a list of its odd-count shapes that are their own conjugates
     (every strong slot at 0).  A state made by :func:`apply_op` has both
-    from its parent and builds its fold and its entries on first access,
-    from what it keeps instead of a parent (see the module docstring), so
-    it keeps an instance dict.
+    from its parent; its fold and its entries are cached properties, which
+    ``__init__`` sets and it builds on first read from what it keeps instead
+    of a parent (see the module docstring), so it keeps an instance dict.
 
     ``symmetric`` says whether every shape of the fold has the same slot
     states and the count of its conjugate, which decides the pairing rule
@@ -200,24 +201,17 @@ class Phase2State(Record):
                      if n % 2 and tuple(map(slot_conjugate, slots)) == slots]
         self._records, self._edges = {}, None
 
-    def __getattr__(self, name):
-        # Only the fold and the entries of a state made by apply_op are ever
-        # missing; each is built on first read from what apply_op left in
-        # ``_shapes_from`` or ``_entries_from``, which is then dropped.
-        source = vars(self).get(f"_{name}_from") if name in ("shapes", "entries") else None
-        if source is None:
-            raise AttributeError(name)
-        if name == "shapes":
-            shapes, op, idx = source
-            value = _break(shapes, op.kind, idx, op.slot)
-        else:
-            value, steps = source
-            for op, idx in steps:
-                value = tuple(Multiplet(s, e.mult, e.history) for e in value
-                              for s in _pieces(e.slots, op.kind, idx, op.slot))
-        vars(self)[name] = value
-        del vars(self)[f"_{name}_from"]
-        return value
+    @cached_property
+    def shapes(self) -> dict:
+        shapes, op, idx = vars(self).pop("_shapes_from")
+        return _break(shapes, op.kind, idx, op.slot)
+
+    @cached_property
+    def entries(self) -> tuple:
+        entries, steps = vars(self).pop("_entries_from")
+        for op, idx in steps:
+            entries = tuple(p for e in entries for p in break_multiplet(e, op.kind, idx))
+        return entries
 
     def statuses(self) -> tuple:
         """Each slot's state, the same in every entry of a state that
@@ -328,13 +322,6 @@ def _split(kind: str, old: Slot, slot):
     return _split_table(kind, old)
 
 
-def _pieces(slots: tuple, kind: str, idx: int, slot) -> list:
-    """The slot tuples of one shape's pieces under a break of slot ``idx``
-    (named ``slot``)."""
-    head, tail = slots[:idx], slots[idx + 1:]
-    return [head + p + tail for p, _ in _split(kind, slots[idx], slot)[1]]
-
-
 def _break(shapes: dict, kind: str, idx: int, slot) -> dict:
     """The fold of the pieces of a fold's shapes under a break of slot
     ``idx`` (named ``slot``), each piece carrying its parent's dimension
@@ -354,7 +341,9 @@ def _break(shapes: dict, kind: str, idx: int, slot) -> dict:
 
 def break_multiplet(m: Multiplet, kind: str, idx: int):
     """All pieces of one multiplet under a soft or strong break of slot ``idx``."""
-    return [Multiplet(s, m.mult, m.history) for s in _pieces(m.slots, kind, idx, idx)]
+    head, tail = m.slots[:idx], m.slots[idx + 1:]
+    return [Multiplet(head + p + tail, m.mult, m.history)
+            for p, _ in _split(kind, m.slots[idx], idx)[1]]
 
 
 class PhaseOp(Record):
@@ -405,7 +394,7 @@ def apply_op(state: Phase2State, op: PhaseOp) -> Phase2State:
             hits[key] = hits.get(key, 0) + 1
     entries, steps = vars(state).get("_entries_from") or (state.entries, ())
     statuses = state.statuses()
-    child = object.__new__(Phase2State)  # its fold and entries come from __getattr__
+    child = object.__new__(Phase2State)  # __init__ would need the entries
     vars(child).update(slot_names=state.slot_names, stages=state.stages,
                        symmetric=state.symmetric,
                        dims={d: high for d, (_, _, high) in bounds.items() if high},

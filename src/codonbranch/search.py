@@ -34,11 +34,12 @@ every child that any search expanded below it (see ``phase2``; at most
 Each state's record per op keeps the target-free bounds of its last step
 and, once a step passes them, its move table, so a warm search rejects
 most last steps by one loop over the target's dimensions and searches the
-masks of the rest from kept tables, building no group rows.  The walk and
-the mask search recurse through module-level functions, not closures,
-which would refer to themselves.  A test gets a cold search by calling
-``cache_clear()`` on every cache of ``lie_core``, ``embed_chains`` and
-``search``.
+masks of the rest from kept tables, building no freeze groups; the move
+tables, :func:`final_state` and tables 6-8 read one builder's groups,
+:func:`freeze_groups`.  The walk and the mask search recurse through
+module-level functions, not closures, which would refer to themselves.  A
+test gets a cold search by calling ``cache_clear()`` on every cache of
+``lie_core``, ``embed_chains`` and ``search``.
 """
 
 from __future__ import annotations
@@ -163,20 +164,16 @@ class FreezeMask(Record):
                          for g, d, n in self.frozen)
 
 
-def _group_rows(state: Phase2State, op: PhaseOp) -> list:
-    """``(slots, count, dim, pieces)`` per shape of the state's fold, in fold
-    order; ``pieces`` is the sorted dimension histogram of one copy after
-    ``op``, found once per slot class of the state's record for ``op``."""
-    pieces = {(old, dim): tuple([(dim // old_dim * d, n) for d, n in hist])
+def freeze_groups(state: Phase2State, op: PhaseOp) -> list:
+    """The last step's groups, one per shape of the state's fold, sorted,
+    each with the pieces and neutrality of its slot class in the state's
+    record for ``op``; the one builder of them (see the module docstring)."""
+    pieces = {(old, dim): (tuple([(dim // old_dim * d, n) for d, n in hist]),
+                           hist == ((old_dim, 1),))
               for (old, dim), (old_dim, _, hist, _) in state.op_record(op)[0].items()}
     idx = state.slot_index(op.slot, op)
-    return [(slots, count, dim, pieces[slots[idx], dim])
-            for slots, (dim, count) in state.shapes.items()]
-
-
-def freeze_groups(state: Phase2State, op: PhaseOp):
-    return [FreezeGroup(slots, count, dim, pieces, pieces == ((dim, 1),))
-            for slots, count, dim, pieces in sorted(_group_rows(state, op))]
+    return [FreezeGroup(slots, count, dim, *pieces[slots[idx], dim])
+            for slots, (dim, count) in sorted(state.shapes.items())]
 
 
 def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
@@ -225,10 +222,9 @@ def solve_freezing(state: Phase2State, op: PhaseOp, target=None):
             for d, (fewest, low, high) in bounds.items()}
     if table is None:
         table = record[4] = tuple(
-            (dim, ((), tuple((d, n * count) for d, n in pieces)),
-             (((_render_shape(slots), dim, count),), ((dim, count),)))
-            for slots, count, dim, pieces in sorted(_group_rows(state, op))
-            if pieces != ((dim, 1),))
+            (g.dim, ((), tuple((d, n * g.count) for d, n in g.pieces)),
+             (((g.render(), g.dim, g.count),), ((g.dim, g.count),)))
+            for g in freeze_groups(state, op) if not g.neutral)
     # A group adds its pieces when it breaks, or its own dimension when all
     # its copies freeze (never above ``top``); a move is checked on the
     # dimensions it touches, and a branch stops once the groups left cannot
@@ -268,20 +264,15 @@ def final_state(state: Phase2State, op: PhaseOp, mask: FreezeMask) -> Phase2Stat
     frozen = {g.render() for g in freeze_groups(state, op) if g.neutral}
     frozen.update(g for g, _, _ in mask.frozen)
     idx = state.slot_index(op.slot, op)
-    entries = []
-    for e in state.entries:
-        if e.render() in frozen:
-            entries.append(e)
-        else:
-            entries.extend(break_multiplet(e, op.kind, idx))
-    return Phase2State(state.slot_names, state.stages, tuple(entries))
+    entries = tuple(p for e in state.entries for p in (
+        [e] if e.render() in frozen else break_multiplet(e, op.kind, idx)))
+    return Phase2State(state.slot_names, state.stages, entries)
 
 
 # ---------------------------------------------------------------------------
 # triplet feasibility
 
 
-@lru_cache(maxsize=None)
 def reachable_triplet_counts(slots: tuple) -> frozenset:
     """Counts of dimension-3 pieces reachable from one multiplet.
 
@@ -295,7 +286,18 @@ def reachable_triplet_counts(slots: tuple) -> frozenset:
     sum_j c3_j * prod_{i != j} c1_i, with c1 and c3 the slot's counts of
     dimension-1 and dimension-3 pieces under its status: the x-coefficient of
     prod_i (c1_i + c3_i x), collected over every combination of statuses.
+    The slots are checked before the cache, where ``2.0`` and ``True`` would
+    find the entries of ``2`` and ``1``.
     """
+    if type(slots) is not tuple or not all(
+            type(s) is tuple and len(s) == 2 and s[0] in ("u", "o", "s")
+            and type(s[1]) is int and (s[1] >= 0 or s[0] == "s") for s in slots):
+        raise SlotError(f"slots {slots!r} are not a tuple of (state, int) slots")
+    return _triplet_counts(slots)
+
+
+@lru_cache(maxsize=None)
+def _triplet_counts(slots: tuple) -> frozenset:
     found = set()
     for combo in product(*([[slot_dim(s)]] + [[d for _, d in _split(kind, s, i)[1]]
                                              for kind in _KINDS[s[0]]]
@@ -305,6 +307,12 @@ def reachable_triplet_counts(slots: tuple) -> frozenset:
             none, one = none * dims.count(1), one * dims.count(1) + none * dims.count(3)
         found.add(one)
     return frozenset(found)
+
+
+# The closed form past the cache, and the cache itself.
+reachable_triplet_counts.__wrapped__ = _triplet_counts.__wrapped__
+reachable_triplet_counts.cache_info = _triplet_counts.cache_info
+reachable_triplet_counts.cache_clear = _triplet_counts.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ def _check_fields(obj: dict, **types) -> None:
 
 def _check_tree(nodes) -> None:
     for node in nodes:
-        _check_fields(node, label=str, dim=int)
+        _check_fields({"mult": 1, "frozen": False, "neutral": False, **node},
+                      label=str, dim=int, mult=int, frozen=bool, neutral=bool)
         _check_tree(node.get("children", ()))
 
 

@@ -285,7 +285,10 @@ def _retyped(table: int, edit) -> bytes:
     pytest.param(1, lambda row: row["entries"][0].update(labels=[1, 2]), id="branch-labels"),
     pytest.param(1, lambda row: row["entries"][0].update(mult="1"), id="branch-mult"),
     pytest.param(4, lambda row: row.update(label=[1, 2]), id="tree-label"),
-    pytest.param(4, lambda row: row.update(dim="24"), id="tree-dim")])
+    pytest.param(4, lambda row: row.update(dim="24"), id="tree-dim"),
+    pytest.param(4, lambda row: row.update(mult=2.0), id="tree-mult"),
+    pytest.param(4, lambda row: row.update(frozen=None), id="tree-frozen"),
+    pytest.param(4, lambda row: row.update(neutral=1), id="tree-neutral")])
 def test_cli_verify_golden_reports_a_field_of_the_wrong_type(table, edit, tmp_path, capsys,
                                                              monkeypatch):
     _corrupted_copy(tmp_path, monkeypatch, f"table{table}.json", _retyped(table, edit))
@@ -431,3 +434,19 @@ def test_cli_closed_stdout_pipe_is_not_a_crash(argv):
         os.close(write_end)
     # No traceback, and no "Exception ignored" from the flush at exit.
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_cli_verify_golden_reports_tree_nodes_that_would_not_sort(tmp_path, capsys,
+                                                                 monkeypatch):
+    # The first root node twice, frozen null and frozen true: table_diff
+    # sorts the nodes, and would compare None with True.
+    with open(os.path.join(DATA, "table4.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    first = doc["rows"][0]
+    doc["rows"][:1] = [dict(first, frozen=None), dict(first, frozen=True)]
+    _corrupted_copy(tmp_path, monkeypatch, "table4.json", json.dumps(doc).encode())
+    assert main(["verify-golden"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 10
+    assert out[3] == "table 4: cannot read fixture: frozen None is not of type bool"
+    assert all(line.endswith(": ok") for line in out[:3] + out[4:])

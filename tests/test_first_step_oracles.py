@@ -15,8 +15,13 @@ uses the signed subset expansion or the even Weyl walk of
 ``branch_to_even``.  The type-II entries have no such rule: their odd part
 is one irreducible g0-module with no grading g_-1 + g0 + g_1, so a typical
 irrep is no exterior algebra times its top component; their first step stays
-checked by the golden tables 1-3 and by the scan below.
+checked by the golden tables 1-3 and by the scan below.  Last, Kac's
+dimension formula on root data built here shows that osp(6|2) = D(3,1),
+which the catalog leaves out, has no typical 64-dimensional irrep.
 """
+
+import math
+import operator
 
 import pytest
 
@@ -89,3 +94,45 @@ def test_the_hook_rule_gives_the_first_step_of_each_sl_entry(entry):
 def test_the_kac_module_gives_the_first_step_of_each_type_i_label_set(entry, labels):
     sa = entry.build()
     assert kac_module_branching(sa, labels) == _branching(sa, labels)
+
+
+def test_osp62_has_no_typical_64_dimensional_irrep():
+    """osp(6|2) = D(3,1), on its own root data in coordinates (delta | e1 e2
+    e3) with (delta, delta) = -1: even positive roots 2 delta and e_i +- e_j,
+    odd positive roots delta +- e_i.  A typical irrep has dimension 2^6 prod
+    (lambda + rho, alpha) / (rho0, alpha) over the even positive roots
+    (Kac), so 64 needs the product to be 1 in size.  Over weights whose even
+    part is dominant integral that forces the e part of lambda + rho to be
+    (2, 1, 0) and its delta coordinate +-1: lambda = delta or 3 delta, both
+    atypical.  The scan runs on doubled coordinates, in integers."""
+    form = (-1, 1, 1, 1)
+
+    def root(*terms):  # the sum of c times coordinate k over (c, k)
+        v = [0] * 4
+        for c, k in terms:
+            v[k] += c
+        return tuple(v)
+
+    def dot(u, v):
+        return sum(f * x * y for f, x, y in zip(form, u, v))
+
+    even = [root((2, 0))] + [root((1, i), (s, j)) for i in (1, 2, 3)
+                             for j in range(i + 1, 4) for s in (1, -1)]
+    odd = [root((1, 0), (s, i)) for i in (1, 2, 3) for s in (1, -1)]
+    assert len(even) == 7 and len(odd) == 6
+    rho0, rho1 = tuple(map(sum, zip(*even))), tuple(map(sum, zip(*odd)))  # doubled
+    rho = tuple(map(operator.sub, rho0, rho1))
+    assert rho == (-4, 4, 2, 0)  # rho = (-2 | 2, 1, 0)
+    den = math.prod(dot(rho0, a) for a in even)
+
+    found = []
+    top = 28  # delta coordinates and doubled e coordinates up to top
+    for d in range(top + 1):  # the sp(2) label is a whole number
+        for e1 in range(top + 1):
+            for e2 in range(e1 % 2, e1 + 1, 2):  # all whole or all half
+                for e3 in range(-e2, e2 + 1, 2):
+                    shifted = tuple(map(operator.add, (2 * d, e1, e2, e3), rho))
+                    if abs(math.prod(dot(shifted, a) for a in even)) == abs(den):
+                        typical = all(dot(shifted, b) for b in odd)
+                        found.append(((d, e1, e2, e3), typical))
+    assert found == [((1, 0, 0, 0), False), ((3, 0, 0, 0), False)]

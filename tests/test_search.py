@@ -224,6 +224,29 @@ def test_triplet_counts_match_the_search_over_piece_states():
         assert closed_form(slots) == reachable_triplet_counts_bfs(slots), slots
 
 
+def test_slots_of_another_type_are_rejected_before_the_triplet_cache():
+    # 2.0 and True hash and compare equal to 2 and 1, so a lookup made before
+    # the check would find the entry of (("u", 2),) once it is cached; a list
+    # is unhashable.  A fresh process, so that such a failure leaves no other
+    # test a poisoned cache.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = (
+        "from codonbranch.phase2 import SlotError\n"
+        "from codonbranch.search import reachable_triplet_counts as counts\n"
+        "for slots in [(('u', 2.0),), (('u', 2),), (('u', 2.0),), (('u', True),),\n"
+        "              [('u', 2)], (['u', 2],), (('x', 2),), (('u', -2),), (('u', 2, 0),),\n"
+        "              'u2', (('s', -2), ('o', 1))]:\n"
+        "    try:\n"
+        "        print(sorted(counts(slots)))\n"
+        "    except SlotError:\n"
+        "        print('rejected')\n"
+        "print(counts.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["rejected", "[0, 1]"] + ["rejected"] * 8 + ["[0]", "2"]
+
+
 def test_status_key_partitions_the_unpruned_enumeration_like_the_entries():
     """Below the start one status per slot fixes a state: over every plan of
     every all-sl(2) chain, (slot statuses, op) and (sorted entries, op)
@@ -281,14 +304,14 @@ def test_masks_match_the_reference_solver(monkeypatch):
     osp(4|2) chains, for the standard code and three other targets; an op is
     terminal when no piece is larger than the target's largest dimension.
     At any other op the solver finds no mask from the bounds alone, before
-    it builds any group row.  The targets run forward, then in reverse on
+    it builds any freeze group.  The targets run forward, then in reverse on
     fresh states: the first target that passes an op's bounds builds its
     move table and the others read it, so tables built under top 6 answer
     top 4 and tables built under top 4 answer top 6."""
     targets = (GENETIC_CODE_TARGET, {4: 8, 2: 14, 1: 4}, {6: 2, 4: 7, 2: 12},
                {6: 2, 4: 6, 3: 2, 2: 9, 1: 4})
     solved = [0] * len(targets)
-    grouped = _count_calls(monkeypatch, (search._group_rows,))
+    grouped = _count_calls(monkeypatch, (search.freeze_groups,))
     for order, chain_id in itertools.product(
             ((0, 1, 2, 3), (3, 2, 1, 0)), ("osp(5|2)/1", "osp(5|2)/3", "osp(4|2)(5,0,0)/3")):
         frontier = [apply_plan(chain_id, [])]
@@ -339,7 +362,7 @@ def test_a_piece_above_the_target_rejects_a_step_before_its_group_rows(monkeypat
     # rules the step out.
     state = Phase2State(("1", "2"), (), (Multiplet((("u", 3), ("s", 0)), 16, ()),
                                          Multiplet((("u", 2), ("u", 2)), 1, ())))
-    grouped = _count_calls(monkeypatch, (search._group_rows,))
+    grouped = _count_calls(monkeypatch, (search.freeze_groups,))
     assert solve_freezing(state, PhaseOp("soft", "1"), {2: 32}) == []
     assert not grouped
 
@@ -734,28 +757,18 @@ def test_a_warm_search_reads_fractions_only_at_the_boundary():
 
 def test_a_warm_search_splits_no_entries(monkeypatch):
     # A state made by apply_op splits its fold and its entries on first read.
-    # A search reads no entries, so it builds no Multiplet below the chain
+    # A search reads no entries, so it splits no multiplet below the chain
     # ends, and reads the fold only of a state it expands: 59 of the 265
     # option nodes of the standard code.  The children stay on the cached
     # start states, so a warm search builds none of them again, and no fold.
     _clear_every_cache()
-    reads = []
-    split = Phase2State.__getattr__
-
-    def counted(self, name):
-        reads.append(name)
-        return split(self, name)
-
-    monkeypatch.setattr(Phase2State, "__getattr__", counted)
-    built = _count_calls(monkeypatch, (phase2.apply_op,))
+    calls = _count_calls(monkeypatch, (phase2.apply_op, phase2._break,
+                                       phase2.break_multiplet))
     full_search()
-    assert "entries" not in reads
-    assert reads.count("shapes") == len(reads) == 59
-    assert built["apply_op"] == 265
-    reads.clear()
-    built.clear()
+    assert calls == {"apply_op": 265, "_break": 59}
+    calls.clear()
     full_search()
-    assert reads == [] and not built
+    assert not calls
 
 
 def _count_calls(monkeypatch, functions) -> Counter:
@@ -781,15 +794,15 @@ def test_a_warm_search_reads_its_edges_and_freezing_totals_from_the_kept_tree(mo
     # which solve_freezing reads, and a state the walk expands keeps its edge
     # rows; each of the 10 steps that pass the bounds keeps its move table in
     # the record.  So the warm search after it builds none of these and no
-    # child, statistics or group rows.  It still solves every terminal step.
+    # child, statistics or freeze groups.  It still solves every terminal step.
     _clear_every_cache()
     calls = _count_calls(monkeypatch, (
         phase2.apply_op, phase2.phase2_stats, phase2._op_record, search.solve_freezing,
-        search._group_rows, search._edges))
+        search.freeze_groups, search._edges))
     full_search()
     assert calls["apply_op"] == calls["phase2_stats"] == calls["_op_record"] == 265
     assert calls["solve_freezing"] == 168
-    assert calls["_group_rows"] == 10
+    assert calls["freeze_groups"] == 10
     calls.clear()
     full_search()
     assert calls == {"solve_freezing": 168}
